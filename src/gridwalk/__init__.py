@@ -52,7 +52,9 @@ from .tdse import (
     well_ground_states,
 )
 from .walk import (
+    CoinGroup,
     CoinPlan,
+    CoinSet,
     Distribution,
     WalkState,
     apply_coin_cols,

@@ -182,7 +182,7 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
     n = _get(config, "n", int, required=True)
     trials = _get(config, "stages", int, default=50)
     rng = np.random.default_rng(seed)
-    strides = [d for d in (2, 4, 8, 16, 32, 64) if d <= n and n % d == 0]
+    strides = [2**e for e in range(1, n.bit_length()) if n % 2**e == 0]
     worst = 0.0
     trace = conveyor.ProtocolTrace()
     for _ in range(trials):
@@ -271,7 +271,7 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     if config.get("snapshot"):
         _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(traj.final()))
     alpha, beta, leak = tdse.qubit_projection(traj.final(), phi_left, phi_right)
-    norms = traj.norms()
+    drift = float(np.max(np.abs(traj.norms() - 1.0)))
     _write_report(out_dir, {
         "version": CONFIG_VERSION,
         "subcommand": "tdse",
@@ -281,9 +281,12 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, seed: int) -> int:
         "final_pL": abs(alpha) ** 2,
         "final_pR": abs(beta) ** 2,
         "final_leakage": leak,
-        "max_norm_drift": float(np.max(np.abs(norms - 1.0))),
+        "max_norm_drift": drift,
     })
     print(f"tdse: T={timeline.total_duration:.3f} pR={abs(beta) ** 2:.6f} leakage={leak:.2e} -> {out_dir}")
+    if drift > tdse.NORM_DRIFT_TOL:
+        print(f"norm drift {drift:.3e} exceeds {tdse.NORM_DRIFT_TOL:.0e}", file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 

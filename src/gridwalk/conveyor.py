@@ -278,10 +278,12 @@ def run_walk_physical(
         state = s0
 
     g = embed(state)
+    # coins_for_step hands out the plan's own coin objects, the same on every
+    # step that shares a coin set, so each coin is synthesized once per run
+    seq_cache: dict[int, StageSequence] = {}
     for i in range(1, plan.steps + 1):
         coins = plan.coins_for_step(i)
         orientation = ROW if i % 2 == 1 else COLUMN
-        seq_cache: dict[int, StageSequence] = {}
         for line in range(1, n + 1):
             coin = coins[line - 1]
             key = id(coin)

@@ -41,6 +41,8 @@ from .errors import (
 from .util import frozen
 
 NORM_TOL = 1e-12
+# largest norm change allowed over one Chebyshev step and over a trajectory
+NORM_DRIFT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,8 @@ class SpatialGrid:
     x_min: float
     x_max: float
     m: int
-    x: np.ndarray = field(init=False, repr=False)
-    k: np.ndarray = field(init=False, repr=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    k: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 16:
@@ -265,8 +267,9 @@ def dense_hamiltonian(grid: SpatialGrid, v: np.ndarray) -> np.ndarray:
 def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) -> WaveFunction:
     """Advance ψ by params.dt under the static potential v.
 
-    Raises SpectralBoundsError when the norm grows beyond 1 + 1e-8, the
-    symptom of eigenvalues outside [e_min, e_max].
+    Raises SpectralBoundsError when the norm grows by more than
+    NORM_DRIFT_TOL, the symptom of eigenvalues outside [e_min, e_max], and
+    ToleranceFailure when it falls by more than that.
     """
     if params.dt == 0.0:
         return psi
@@ -306,11 +309,13 @@ def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) ->
     out = np.exp(-1j * shift * params.dt / 2) * acc
 
     norm = float(np.sum(np.abs(out) ** 2) * grid.dx) / psi.norm_squared()
-    if norm > 1 + 1e-8:
+    if norm > 1 + NORM_DRIFT_TOL:
         raise SpectralBoundsError(
             f"norm grew by {norm - 1:.3e} in one step; spectral bounds "
             f"({params.e_min}, {params.e_max}) do not bracket the Hamiltonian"
         )
+    if norm < 1 - NORM_DRIFT_TOL:
+        raise ToleranceFailure(f"norm fell by {1 - norm:.3e} in one step")
     return _propagated(grid, out)
 
 

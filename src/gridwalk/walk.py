@@ -9,11 +9,13 @@ pointing to node k". One walk step is either
 * the in-place grid form: alternate the same coins between rows and columns
   without ever transposing (``evolve``).
 
-Both produce identical states after any even number of steps; after an odd
-number of steps the grid form holds the transpose of the oracle state, i.e.
-nodes are indexed by columns until the next application. Coins for general
-graphs are built by embedding a low-dimensional unitary on the coin states a
-node is actually connected to; disconnected coin states are fixed points.
+Both produce the same states, up to rounding, after any even number of
+steps; after an odd number of steps the grid form holds the transpose of the
+oracle state, i.e. nodes are indexed by columns until the next application.
+A node's coin is a low-dimensional unitary on the coin states the node is
+actually connected to; disconnected coin states are fixed points. The grid
+form stores and applies only these sub-coins, grouped by sub-coin
+(``CoinSet``); the oracle multiplies by the dense n×n embeddings.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -170,19 +173,148 @@ def coin_for_degree(kind: str, degree: int) -> np.ndarray:
 
 
 def masked_node_coins(mask: EdgeMask, kind: str = "grover") -> list[np.ndarray]:
-    """Per-node coins embedding the chosen coin on each node's active states.
+    """Dense n×n per-node coins embedding the chosen coin on each node's active states.
 
     The per-node coin dimension follows the node degree; ``grover`` (default)
     and ``dft`` exist for every degree, ``hadamard`` requires degree 2. The
     uniform n-ary default is a convention of this package, not a canonical
     choice; callers may supply their own coins through CoinPlan instead.
     """
-    coins = []
-    for j in range(1, mask.n + 1):
-        row = mask.row(j)
-        degree = int(row.sum())
-        sub = coin_for_degree(kind, degree) if degree else None
-        coins.append(mask_coin(sub, row))
+    return list(CoinSet.from_mask(mask, kind).dense)
+
+
+# ---------------------------------------------------------------------------
+# Coin sets: sub-coins on active coin states, grouped by sub-coin
+
+
+@dataclass(frozen=True, eq=False)
+class CoinGroup:
+    """Lines that carry one shared d×d sub-coin on their own d active coin states.
+
+    ``lines[i]`` is a 0-based line index and ``states[i]`` its active coin
+    states (0-based, increasing); the sub-coin acts on those states in that
+    order and every other state of the line is an exact fixed point.
+    """
+
+    lines: np.ndarray
+    states: np.ndarray
+    sub: np.ndarray
+
+    def __post_init__(self):
+        lines = np.asarray(self.lines, dtype=np.intp)
+        states = np.asarray(self.states, dtype=np.intp)
+        sub = np.asarray(self.sub, dtype=complex)
+        if states.ndim != 2 or lines.shape != states.shape[:1]:
+            raise ValueError(f"states shape {states.shape} does not match {len(lines)} lines")
+        d = states.shape[1]
+        if sub.shape != (d, d):
+            raise ValueError(f"sub-coin shape {sub.shape} does not match {d} active states")
+        if np.any(np.diff(states, axis=1) <= 0):
+            raise ValueError("active coin states must increase along each line")
+        object.__setattr__(self, "lines", frozen(lines))
+        object.__setattr__(self, "states", frozen(states))
+        object.__setattr__(self, "sub", frozen(sub))
+
+
+@dataclass(frozen=True, eq=False)
+class CoinSet:
+    """The coins of all n lines for one step, as sub-coin groups.
+
+    Lines in no group (degree-0 nodes, identity coins) are left unchanged.
+    Each distinct sub-coin is checked for unitarity once, on its own d×d
+    block. Dense n×n coins are built only on request, by ``dense``.
+    """
+
+    n: int
+    groups: tuple[CoinGroup, ...]
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"coin set needs at least one line, got {self.n}")
+        uses = np.zeros(self.n, dtype=int)
+        for grp in self.groups:
+            for idx in (grp.lines, grp.states):
+                if idx.size and (idx.min() < 0 or idx.max() >= self.n):
+                    raise ValueError(f"coin index outside 1..{self.n}")
+            np.add.at(uses, grp.lines, 1)
+            check_unitary(grp.sub, 1e-12, "sub-coin")
+        if np.any(uses > 1):
+            raise ValueError(f"line {int(np.argmax(uses > 1)) + 1} belongs to two coin groups")
+
+    @staticmethod
+    def from_mask(mask: EdgeMask, kind: str = "grover") -> CoinSet:
+        """``coin_for_degree(kind, d)`` on the active states of every degree-d node."""
+        present = mask.present
+        degrees = present.sum(axis=1)
+        groups = []
+        for d in np.unique(degrees[degrees > 0]):
+            lines = np.flatnonzero(degrees == d)
+            states = np.nonzero(present[lines])[1].reshape(len(lines), d)
+            groups.append(CoinGroup(lines, states, coin_for_degree(kind, int(d))))
+        return CoinSet(mask.n, tuple(groups))
+
+    @staticmethod
+    def from_dense(coins: Sequence[np.ndarray]) -> CoinSet:
+        """Split dense n×n coins into their support and sub-coin.
+
+        A coin's support is every index whose row or column differs from the
+        identity; outside it the coin is an exact fixed point. Lines whose
+        sub-coins are equal share one group, and a coin object repeated over
+        lines is split once.
+        """
+        n = len(coins)
+        eye = np.eye(n, dtype=complex)
+        # id(coin) -> (coin, support, sub-coin bytes); holding the coin keeps its id unique
+        split: dict[int, tuple[object, np.ndarray, bytes]] = {}
+        # sub-coin bytes -> (sub-coin, lines, their supports)
+        members: dict[bytes, tuple[np.ndarray, list[int], list[np.ndarray]]] = {}
+        for j, coin in enumerate(coins):
+            if id(coin) not in split:
+                c = np.asarray(coin, dtype=complex)
+                if c.shape != (n, n):
+                    raise ValueError(f"coin {j + 1} has shape {c.shape}, expected {(n, n)}")
+                moved = c != eye
+                idx = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+                sub = c[np.ix_(idx, idx)]
+                key = sub.tobytes()
+                split[id(coin)] = (coin, idx, key)
+                members.setdefault(key, (sub, [], []))
+            _, idx, key = split[id(coin)]
+            if len(idx):
+                members[key][1].append(j)
+                members[key][2].append(idx)
+        groups = tuple(
+            CoinGroup(np.array(lines), np.array(states), sub)
+            for sub, lines, states in members.values() if lines
+        )
+        return CoinSet(n, groups)
+
+    @cached_property
+    def dense(self) -> tuple[np.ndarray, ...]:
+        """Read-only n×n coin of every line, built once so each coin keeps its id."""
+        n = self.n
+        coins = np.zeros((n, n, n), dtype=complex)
+        coins[:, np.arange(n), np.arange(n)] = 1.0
+        for grp in self.groups:
+            coins[grp.lines[:, None, None], grp.states[:, :, None], grp.states[:, None, :]] = grp.sub
+        coins.setflags(write=False)
+        return tuple(coins)
+
+
+def _apply_groups(coins: CoinSet, src: np.ndarray, dst: np.ndarray) -> None:
+    """dst[line, states] = sub · src[line, states] for every group: gather, matmul, scatter."""
+    for grp in coins.groups:
+        rows = grp.lines[:, None]
+        dst[rows, grp.states] = src[rows, grp.states] @ grp.sub.T
+
+
+def _coin_set(coins: CoinSet | Sequence[np.ndarray], n: int, axis: str) -> CoinSet:
+    if not isinstance(coins, CoinSet):
+        if len(coins) != n:
+            raise ValueError(f"{len(coins)} coins supplied for {n} {axis}")
+        coins = CoinSet.from_dense(coins)
+    if coins.n != n:
+        raise ValueError(f"coin set has {coins.n} lines, expected {n} {axis}")
     return coins
 
 
@@ -192,88 +324,73 @@ def masked_node_coins(mask: EdgeMask, kind: str = "grover") -> list[np.ndarray]:
 
 @dataclass(frozen=True)
 class CoinPlan:
-    """Per-step, per-line coin unitaries for an alternating row/column walk.
+    """Per-step coin sets for an alternating row/column walk.
 
-    ``step_coins[i][j]`` is the n×n coin for line j+1 at step i+1. Steps with
-    odd index apply coins to rows (the H orientation), even steps to columns;
-    the same per-line coins serve both orientations. Inner tuples may share
-    one object across steps, so a uniform plan costs one coin set.
+    ``coin_sets[i]`` holds the coins of step i+1. Steps with odd index apply
+    them to rows (the H orientation), even steps to columns; the same
+    per-line coins serve both orientations. Steps may share one CoinSet, so
+    a uniform plan costs one coin set.
     """
 
     n: int
-    step_coins: tuple[tuple[np.ndarray, ...], ...]
+    coin_sets: tuple[CoinSet, ...]
 
     def __post_init__(self):
-        seen: set[int] = set()
-        for coins in self.step_coins:
-            if len(coins) != self.n:
-                raise ValueError(f"coin set has {len(coins)} entries, expected {self.n}")
-            if id(coins) in seen:
-                continue
-            seen.add(id(coins))
-            for c in coins:
-                if c.shape != (self.n, self.n):
-                    raise ValueError(f"coin shape {c.shape}, expected {(self.n, self.n)}")
-                check_unitary(c, 1e-12, "coin")
+        for coins in self.coin_sets:
+            if coins.n != self.n:
+                raise ValueError(f"coin set has {coins.n} entries, expected {self.n}")
 
     @property
     def steps(self) -> int:
-        return len(self.step_coins)
+        return len(self.coin_sets)
 
-    def coins_for_step(self, step: int) -> tuple[np.ndarray, ...]:
+    def coin_set(self, step: int) -> CoinSet:
         """Coin set for 1-based step index."""
         if not (1 <= step <= self.steps):
             raise ValueError(f"plan covers {self.steps} steps, step {step} requested")
-        return self.step_coins[step - 1]
+        return self.coin_sets[step - 1]
+
+    def coins_for_step(self, step: int) -> tuple[np.ndarray, ...]:
+        """Dense n×n coins for 1-based step index; the same objects on every call."""
+        return self.coin_set(step).dense
 
     @staticmethod
     def uniform(coin: np.ndarray, steps: int) -> CoinPlan:
         """Same coin at every node and every step."""
         coin = np.asarray(coin, dtype=complex)
-        n = coin.shape[0]
-        one_step = tuple([coin] * n)
-        return CoinPlan(n, tuple([one_step] * steps))
+        return CoinPlan.from_node_coins([coin] * coin.shape[0], steps)
 
     @staticmethod
     def from_node_coins(coins: Sequence[np.ndarray], steps: int) -> CoinPlan:
         """Same per-node coins repeated every step."""
-        one_step = tuple(np.asarray(c, dtype=complex) for c in coins)
-        return CoinPlan(len(one_step), tuple([one_step] * steps))
+        one_step = CoinSet.from_dense(coins)
+        return CoinPlan(one_step.n, tuple([one_step] * steps))
 
     @staticmethod
     def from_step_coins(step_coins: Sequence[Sequence[np.ndarray]]) -> CoinPlan:
-        sets = tuple(tuple(np.asarray(c, dtype=complex) for c in coins) for coins in step_coins)
-        return CoinPlan(len(sets[0]), sets)
+        sets = tuple(CoinSet.from_dense(coins) for coins in step_coins)
+        return CoinPlan(sets[0].n, sets)
 
     @staticmethod
     def from_graph(g: Graph, steps: int, kind: str = "grover") -> CoinPlan:
-        """Masked per-node coins for a graph, repeated every step."""
-        return CoinPlan.from_node_coins(masked_node_coins(edge_mask(g), kind), steps)
+        """Per-degree sub-coins on each node's active states, repeated every step."""
+        one_step = CoinSet.from_mask(edge_mask(g), kind)
+        return CoinPlan(g.n, tuple([one_step] * steps))
 
 
-def apply_coin_rows(s: WalkState, coins: Sequence[np.ndarray]) -> WalkState:
+def apply_coin_rows(s: WalkState, coins: CoinSet | Sequence[np.ndarray]) -> WalkState:
     """Replace row j by coin_j · row_j (the horizontally grouped application)."""
-    if len(coins) != s.n:
-        raise ValueError(f"{len(coins)} coins supplied for {s.n} rows")
-    out = np.empty_like(s.amp)
-    for j in range(s.n):
-        c = coins[j]
-        if c.shape != (s.n, s.n):
-            raise ValueError(f"coin {j + 1} has shape {c.shape}, expected {(s.n, s.n)}")
-        out[j, :] = c @ s.amp[j, :]
+    coins = _coin_set(coins, s.n, "rows")
+    out = s.amp.copy()
+    _apply_groups(coins, s.amp, out)
     return WalkState(s.n, out)
 
 
-def apply_coin_cols(s: WalkState, coins: Sequence[np.ndarray]) -> WalkState:
+def apply_coin_cols(s: WalkState, coins: CoinSet | Sequence[np.ndarray]) -> WalkState:
     """Replace column k by coin_k · column_k (the vertically grouped application)."""
-    if len(coins) != s.n:
-        raise ValueError(f"{len(coins)} coins supplied for {s.n} columns")
-    out = np.empty_like(s.amp)
-    for k in range(s.n):
-        c = coins[k]
-        if c.shape != (s.n, s.n):
-            raise ValueError(f"coin {k + 1} has shape {c.shape}, expected {(s.n, s.n)}")
-        out[:, k] = c @ s.amp[:, k]
+    coins = _coin_set(coins, s.n, "columns")
+    out = s.amp.copy()
+    _apply_groups(coins, s.amp.T, out.T)
     return WalkState(s.n, out)
 
 
@@ -290,16 +407,16 @@ def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
         raise ValueError(f"plan covers {plan.steps} steps, {steps} requested")
     s = s0
     for i in range(1, steps + 1):
-        coins = plan.coins_for_step(i)
+        coins = plan.coin_set(i)
         s = apply_coin_rows(s, coins) if i % 2 == 1 else apply_coin_cols(s, coins)
     return s
 
 
 def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
-    """Oracle evolution: per step, apply row coins then transpose the grid.
+    """Oracle evolution: per step, multiply each row by its dense coin, then transpose.
 
     The transpose realizes the translation |j,k| -> |k,j|. Serves as the
-    independent reference for evolve: both agree exactly at even step counts.
+    independent reference for evolve: both agree at even step counts.
     """
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
@@ -307,7 +424,9 @@ def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
         raise ValueError(f"plan covers {plan.steps} steps, {steps} requested")
     s = s0
     for i in range(1, steps + 1):
-        s = transpose_state(apply_coin_rows(s, plan.coins_for_step(i)))
+        coins = plan.coins_for_step(i)
+        rows = np.array([coins[j] @ s.amp[j, :] for j in range(s.n)])
+        s = transpose_state(WalkState(s.n, rows))
     return s
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from gridwalk import conveyor, tdse
 from gridwalk.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOLERANCE, main
 from gridwalk.decompose import unitary_to_json
 from gridwalk.util import random_unitary
@@ -201,6 +202,16 @@ def test_conveyor_verify_seed_changes_report(tmp_path):
     assert a["seed"] != b["seed"]
 
 
+def test_conveyor_verify_draws_strides_up_to_n(tmp_path, monkeypatch):
+    strides = []
+    run_stage = conveyor.run_stage
+    monkeypatch.setattr(conveyor, "run_stage",
+                        lambda g, stage, *rest: strides.append(stage.d) or run_stage(g, stage, *rest))
+    cfg = write_config(tmp_path, {"version": 1, "n": 128, "stages": 20})
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert 128 in strides and set(strides) <= {2, 4, 8, 16, 32, 64, 128}
+
+
 # ---------------------------------------------------------------------------
 # tdse / calibrate
 
@@ -223,6 +234,25 @@ def test_tdse_writes_trajectory(tmp_path):
     assert abs(report["final_pL"] + report["final_pR"] + report["final_leakage"] - 1) < 1e-9
     snap = json.loads((out / "psi_final.json").read_text())
     assert snap["m"] == 128 and len(snap["psi"]) == 128
+
+
+def test_tdse_norm_drift_beyond_bound_exits_with_tolerance_code(tmp_path, monkeypatch):
+    evolve_timeline = tdse.evolve_timeline
+
+    def leaky(*args, **kwargs):
+        traj = evolve_timeline(*args, **kwargs)
+        final = traj.final()
+        traj.states[-1] = tdse._propagated(final.grid, final.psi * np.sqrt(1 - 1e-7))
+        return traj
+
+    monkeypatch.setattr(tdse, "evolve_timeline", leaky)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, gate_config(
+        version=1, grid={"x_min": -8.0, "x_max": 8.0, "m": 64}, solver={"dt": 0.1},
+        timeline={"ramp_down": 4.0, "ramp_up": 4.0, "high": 28.0, "low": 12.0, "hold": 1.0}))
+    assert main(["tdse", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_norm_drift"] == pytest.approx(1e-7, rel=1e-3)
 
 
 def test_calibrate_half_split(tmp_path):

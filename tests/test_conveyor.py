@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gridwalk import conveyor
 from gridwalk.conveyor import (
     COLUMN,
     ROW,
@@ -18,6 +19,7 @@ from gridwalk.conveyor import (
 )
 from gridwalk.decompose import PairRotation, Stage, apply_stage, cs_decompose, stage_pairs
 from gridwalk.errors import ProtocolIncompleteError, ShiftOutOfRangeError
+from gridwalk.graph import Graph
 from gridwalk.util import random_unitary
 from gridwalk.walk import CoinPlan, WalkState, evolve, init_localized
 
@@ -265,3 +267,15 @@ def test_physical_walk_records_trace(rng):
     run_walk_physical(random_state(n, rng), plan, trace)
     # steps × lines × (n−1) stages, five actions each
     assert len(trace.actions) == steps * n * (n - 1) * 5
+
+
+def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
+    n, steps = 8, 2
+    g = Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)} | {(1, 5), (2, 2), (3, 7)}))
+    plan = CoinPlan.from_graph(g, steps, "grover")
+    calls = []
+    monkeypatch.setattr(conveyor, "cs_decompose", lambda u: calls.append(u) or cs_decompose(u))
+    s0 = random_state(n, rng)
+    physical = run_walk_physical(s0, plan)
+    assert len(calls) == n
+    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10

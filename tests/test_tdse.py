@@ -4,7 +4,12 @@ from dataclasses import replace
 
 import gatecfg
 import oracles
-from gridwalk.errors import CalibrationUnreachableError, InvariantViolation, SpectralBoundsError
+from gridwalk.errors import (
+    CalibrationUnreachableError,
+    InvariantViolation,
+    SpectralBoundsError,
+    ToleranceFailure,
+)
 from gridwalk.tdse import (
     BarrierTimeline,
     ChebyshevParams,
@@ -239,6 +244,18 @@ def test_bad_bounds_detected():
             psi = chebyshev_step(psi, v, params)
 
 
+@pytest.mark.parametrize("gamma, error", [(-1e-6, ToleranceFailure), (1e-6, SpectralBoundsError)])
+def test_norm_change_in_one_step_raises(gamma, error):
+    # a uniform imaginary potential iγ scales the norm by exp(2γ·dt) per step
+    grid, v = double_well_64()
+    lo, hi = energy_bounds(grid, v)
+    params = ChebyshevParams(dt=0.2, e_min=lo, e_max=hi)
+    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    with pytest.raises(error) as caught:
+        chebyshev_step(psi, v + 1j * gamma, params)
+    assert ("fell" if gamma < 0 else "grew") in str(caught.value)
+
+
 def test_zero_dt_is_identity():
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
@@ -465,3 +482,21 @@ def test_spec_validation():
         ChebyshevParams(dt=0.1, e_min=1.0, e_max=0.0)
     with pytest.raises(ValueError):
         ChebyshevParams(dt=0.1, e_min=0.0, e_max=1.0, tail_tolerance=1e-6)
+
+
+def test_spatial_grid_compares_and_hashes_by_its_parameters():
+    a, b = SpatialGrid(-8.0, 8.0, 128), SpatialGrid(-8.0, 8.0, 128)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert a != SpatialGrid(-8.0, 8.0, 64)
+
+
+def test_timeline_accepts_an_equal_but_distinct_grid():
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    timeline = gatecfg.gate_timeline(hold=1.0)
+    params = gatecfg.gate_params(grid, spec, timeline, dt=0.1)
+    phi_left, _ = well_ground_states(grid, spec)
+    same = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
+    other = evolve_timeline(phi_left, gatecfg.gate_grid(m=64), spec, timeline, params,
+                            sample_stride=10**9)
+    assert np.array_equal(same.final().psi, other.final().psi)

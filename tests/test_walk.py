@@ -4,14 +4,18 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from gridwalk.errors import InvariantViolation
-from gridwalk.graph import complete_graph, cycle_graph, edge_mask, remove_edge
+from gridwalk import walk
+from gridwalk.errors import InvariantViolation, UnitarityError
+from gridwalk.graph import Graph, complete_graph, cycle_graph, edge_mask, remove_edge
 from gridwalk.util import random_unitary, unitarity_defect
 from gridwalk.walk import (
+    CoinGroup,
     CoinPlan,
+    CoinSet,
     WalkState,
     apply_coin_cols,
     apply_coin_rows,
+    coin_for_degree,
     dft_coin,
     distribution_to_text,
     evolve,
@@ -347,3 +351,127 @@ def test_cycle_walk_matches_line_walk_oracle():
     d = position_distribution(final)
     expected = oracles.two_state_line_walk(n, start, steps)
     assert np.max(np.abs(d.p - expected)) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Grouped sub-coins against the dense oracles
+
+
+def random_graph(data, n):
+    """Every pair (j ≤ k), self-loops included, drawn in or out; isolated nodes allowed."""
+    pairs = [(j, k) for j in range(1, n + 1) for k in range(j, n + 1)]
+    keep = data.draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, frozenset(p for p, k in zip(pairs, keep) if k))
+
+
+def dense_graph_coins(g, kind):
+    """Per-node dense coins embedded one node at a time, the pre-grouping way."""
+    mask = edge_mask(g)
+    coins = []
+    for j in range(1, g.n + 1):
+        row = mask.row(j)
+        degree = int(row.sum())
+        coins.append(mask_coin(coin_for_degree(kind, degree) if degree else None, row))
+    return coins
+
+
+def random_partial_coin(n, rng):
+    """A Haar sub-coin on a random subset of the coin states (possibly none)."""
+    support = rng.random(n) < rng.random()
+    d = int(support.sum())
+    return mask_coin(random_unitary(d, rng) if d else None, support)
+
+
+def assert_kernel_matches_oracles(s, coin_set, dense):
+    for grouped in (coin_set, dense):
+        rows = apply_coin_rows(s, grouped)
+        cols = apply_coin_cols(s, grouped)
+        assert np.max(np.abs(rows.amp - oracles.apply_rows_dense(s.amp, dense))) < 1e-12
+        assert np.max(np.abs(cols.amp - oracles.apply_cols_dense(s.amp, dense))) < 1e-12
+
+
+@given(st.integers(1, 7), st.sampled_from(["grover", "dft"]), st.integers(1, 5),
+       st.integers(0, 2**32 - 1), st.data())
+def test_grouped_graph_coins_match_dense_oracles(n, kind, steps, seed, data):
+    g = random_graph(data, n)
+    rng = np.random.default_rng(seed)
+    s0 = random_state(n, rng)
+    plan = CoinPlan.from_graph(g, steps, kind)
+    dense = dense_graph_coins(g, kind)
+    assert_kernel_matches_oracles(s0, plan.coin_set(1), dense)
+    reference = reference_evolve(s0, steps, CoinPlan.from_node_coins(dense, steps))
+    grid = evolve(s0, steps, plan).amp
+    assert np.max(np.abs((grid.T if steps % 2 else grid) - reference.amp)) < 1e-12
+
+
+@given(st.integers(1, 6), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_grouped_step_coins_match_dense_oracles(n, steps, seed):
+    rng = np.random.default_rng(seed)
+    s0 = random_state(n, rng)
+    step_coins = [[random_partial_coin(n, rng) for _ in range(n)] for _ in range(steps)]
+    # an array input hands out a fresh view per coin, so ids of freed views recur
+    plan = CoinPlan.from_step_coins(np.array(step_coins))
+    for i, dense in enumerate(step_coins, start=1):
+        assert_kernel_matches_oracles(s0, plan.coin_set(i), dense)
+        assert all(np.array_equal(a, b) for a, b in zip(plan.coins_for_step(i), dense))
+    grid = evolve(s0, steps, plan).amp
+    reference = reference_evolve(s0, steps, plan)
+    assert np.max(np.abs((grid.T if steps % 2 else grid) - reference.amp)) < 1e-12
+
+
+def sparse_graph(n, rng):
+    """A random Hamiltonian path plus n/2 random edges: low mixed degrees, some loops."""
+    order = rng.permutation(n) + 1
+    edges = set(zip(order[:-1].tolist(), order[1:].tolist()))
+    edges |= {tuple(e) for e in rng.integers(1, n + 1, size=(n // 2, 2)).tolist()}
+    return Graph(n, frozenset(edges))
+
+
+@pytest.mark.parametrize("which", ["ring", "sparse"])
+def test_graph_plan_holds_no_dense_coins(which, monkeypatch, rng):
+    n = 256
+    g, kind = (cycle_graph(n), "hadamard") if which == "ring" else (sparse_graph(n, rng), "grover")
+    calls = []
+    build = walk.coin_for_degree
+    monkeypatch.setattr(walk, "coin_for_degree", lambda k, d: calls.append(d) or build(k, d))
+    plan = CoinPlan.from_graph(g, 40, kind)
+    sets = {id(c): c for c in plan.coin_sets}.values()
+    arrays = [a for c in sets for grp in c.groups for a in (grp.lines, grp.states, grp.sub)]
+    assert len(sets) == 1 and all("dense" not in vars(c) for c in sets)
+    assert all(a.shape != (n, n) for a in arrays)
+    assert sum(a.nbytes for a in arrays) < 2**20
+    degrees = {g.degree(j) for j in range(1, n + 1)} - {0}
+    assert sorted(calls) == sorted(degrees)
+
+
+def test_equal_sub_coins_share_one_group():
+    sub = hadamard_coin()
+    coins = [mask_coin(sub, np.array(m, dtype=bool))
+             for m in ([1, 1, 0], [0, 1, 1], [0, 0, 0])]
+    (group,) = CoinSet.from_dense(coins).groups
+    assert group.lines.tolist() == [0, 1]
+    assert group.states.tolist() == [[0, 1], [1, 2]]
+
+
+def test_dense_coins_keep_their_identity():
+    plan = CoinPlan.from_graph(cycle_graph(6), 3, "hadamard")
+    first = plan.coins_for_step(1)
+    assert all(a is b for a, b in zip(first, plan.coins_for_step(3)))
+    assert not first[0].flags.writeable
+
+
+def test_coin_set_checks_only_the_sub_block():
+    coin = np.eye(4, dtype=complex)
+    coin[np.ix_([1, 3], [1, 3])] = [[1, 1], [1, -1]]
+    with pytest.raises(UnitarityError):
+        CoinSet.from_dense([coin] * 4)
+
+
+@pytest.mark.parametrize("lines, states, reason", [
+    ([0, 0], [[0, 1], [1, 2]], "two coin groups"),
+    ([0], [[0, 3]], "outside"),
+    ([0], [[1, 0]], "increase"),
+])
+def test_coin_set_rejects_bad_groups(lines, states, reason):
+    with pytest.raises(ValueError, match=reason):
+        CoinSet(3, (CoinGroup(np.array(lines), np.array(states), hadamard_coin()),))
