@@ -40,6 +40,7 @@ from .tdse import (
     BarrierTimeline,
     ChebyshevParams,
     DoubleWellSpec,
+    HoldScan,
     SpatialGrid,
     WaveFunction,
     bloch_trajectory,

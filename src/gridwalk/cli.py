@@ -29,6 +29,8 @@ EXIT_INVARIANT = 3
 EXIT_TOLERANCE = 4
 
 ORACLE_TOL = 1e-10
+# closed-form calibration against the replayed pulse, in transfer and leakage
+REPLAY_TOL = 1e-9
 CONFIG_VERSION = 1
 
 
@@ -301,21 +303,29 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
     traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
+    _, beta, leak = tdse.qubit_projection(traj.final(), phi_left, phi_right)
+    achieved = abs(beta) ** 2
+    deviation = max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage))
     _write_report(out_dir, {
         "version": CONFIG_VERSION,
         "subcommand": "calibrate",
         "seed": seed,
         "target_transfer": target,
         "hold_duration": result.hold_duration,
-        "achieved_transfer": result.achieved_transfer,
-        "leakage": result.leakage,
+        "achieved_transfer": achieved,
+        "leakage": leak,
+        "replay_deviation": deviation,
         "period_estimate": result.period_estimate,
         "scan": [[h, t] for h, t in result.scan],
     })
     print(
         f"calibrate: target={target} hold={result.hold_duration:.4f} "
-        f"achieved={result.achieved_transfer:.4f} leakage={result.leakage:.2e} -> {out_dir}"
+        f"achieved={achieved:.4f} leakage={leak:.2e} -> {out_dir}"
     )
+    if deviation > REPLAY_TOL:
+        print(f"replay deviates from the closed form by {deviation:.3e}, beyond {REPLAY_TOL:.0e}",
+              file=sys.stderr)
+        return EXIT_TOLERANCE
     return EXIT_OK
 
 
@@ -341,8 +351,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default="out", help="output directory (default: ./out)")
         p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        p.add_argument("--oracle", action="store_true",
-                       help="walk only: also run the transpose-translation oracle")
+        if name == "walk":
+            p.add_argument("--oracle", action="store_true",
+                           help="also run the transpose-translation oracle")
     return parser
 
 

@@ -54,7 +54,7 @@ class PhysicalGrid:
                 f"physical grid shape {a.shape}, expected {(2 * self.n, 2 * self.n)}"
             )
         norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"grid norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amp", frozen(a))
 

@@ -20,6 +20,10 @@ max(V) + k_max²/2 with k_max = π/dx bounds the grid spectrum tightly.
 
 Time-dependent barriers are handled by piecewise-constant midpoint sampling
 of the barrier height per step; steps never straddle ramp boundaries.
+
+Calibration is separable (HoldScan): of U_up·e^{−iH_low·h}·U_down only the middle
+factor depends on the hold h, so each ramp is propagated once (the ramp up backwards)
+and the transfer at any hold is a sum of m phases in the low-barrier eigenbasis.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import dft
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import jv
 
 from .errors import (
@@ -77,9 +82,9 @@ class SpatialGrid:
         return np.pi / self.dx
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WaveFunction:
-    """Complex amplitudes on a spatial grid, normalized so Σ|ψ|²·dx = 1."""
+    """Complex amplitudes on a spatial grid, normalized so Σ|ψ|²·dx = 1; compared by value."""
 
     grid: SpatialGrid
     psi: np.ndarray
@@ -89,9 +94,16 @@ class WaveFunction:
         if psi.shape != (self.grid.m,):
             raise InvariantViolation(f"ψ has shape {psi.shape}, grid has {self.grid.m} points")
         norm = float(np.sum(np.abs(psi) ** 2) * self.grid.dx)
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"‖ψ‖² = {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "psi", frozen(psi))
+
+    def __eq__(self, other):
+        same_grid = isinstance(other, WaveFunction) and self.grid == other.grid
+        return same_grid and np.array_equal(self.psi, other.psi)
+
+    def __hash__(self):
+        return hash((self.grid, self.psi.tobytes()))
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
@@ -267,9 +279,9 @@ def dense_hamiltonian(grid: SpatialGrid, v: np.ndarray) -> np.ndarray:
 def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) -> WaveFunction:
     """Advance ψ by params.dt under the static potential v.
 
-    Raises SpectralBoundsError when the norm grows by more than
-    NORM_DRIFT_TOL, the symptom of eigenvalues outside [e_min, e_max], and
-    ToleranceFailure when it falls by more than that.
+    A negative dt applies the adjoint step. Raises SpectralBoundsError when the norm
+    grows by more than NORM_DRIFT_TOL (eigenvalues outside [e_min, e_max]) and
+    ToleranceFailure when it falls by more than that or is not a number.
     """
     if params.dt == 0.0:
         return psi
@@ -278,18 +290,15 @@ def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) ->
     de = params.e_max - params.e_min
     shift = params.e_max + params.e_min
 
-    limit = int(abs(alpha)) + 200
+    first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
     bessel = jv(np.arange(limit + 1), alpha)
-    n_max = None
-    for n in range(int(abs(alpha)) + 1, limit + 1):
-        if abs(bessel[n]) < params.tail_tolerance:
-            n_max = n
-            break
-    if n_max is None:
+    below = np.flatnonzero(np.abs(bessel[first:]) < params.tail_tolerance)
+    if below.size == 0:
         raise ToleranceFailure(
             f"Chebyshev tail |J_n({alpha:.3g})| did not reach {params.tail_tolerance:.1e} "
             f"within {limit} terms"
         )
+    n_max = first + int(below[0])
     if params.tail_tolerance >= 1e-14 and n_max > abs(alpha) + 60:
         raise ToleranceFailure(
             f"truncation order {n_max} exceeds α + 60 = {abs(alpha) + 60:.1f}; "
@@ -314,7 +323,7 @@ def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) ->
             f"norm grew by {norm - 1:.3e} in one step; spectral bounds "
             f"({params.e_min}, {params.e_max}) do not bracket the Hamiltonian"
         )
-    if norm < 1 - NORM_DRIFT_TOL:
+    if not norm >= 1 - NORM_DRIFT_TOL:
         raise ToleranceFailure(f"norm fell by {1 - norm:.3e} in one step")
     return _propagated(grid, out)
 
@@ -337,6 +346,35 @@ class Trajectory:
 MIN_RAMP_STEPS = 16
 
 
+def timeline_steps(timeline: BarrierTimeline, dt: float) -> list[tuple[float, list[tuple[float, float]]]]:
+    """Start time and (barrier, step length) pairs of each of the three segments.
+
+    Each segment is cut into uniform steps no longer than dt, the barrier sampled
+    at the step midpoint; a ramp gets at least MIN_RAMP_STEPS steps.
+    """
+    if dt <= 0:
+        raise ValueError("timeline propagation needs dt > 0")
+    for name in ("ramp_down_duration", "ramp_up_duration"):
+        dur = getattr(timeline, name)
+        if 0 < dur < MIN_RAMP_STEPS * dt:
+            raise ValueError(
+                f"dt={dt} does not resolve {name}={dur}: "
+                f"fewer than {MIN_RAMP_STEPS} steps per ramp"
+            )
+    down, hold, up = timeline.ramp_down_duration, timeline.hold_duration, timeline.ramp_up_duration
+    segments = []
+    for t0, duration, is_ramp in [(0.0, down, True), (down, hold, False), (down + hold, up, True)]:
+        steps = []
+        if duration > 0:
+            n_steps = max(1, math.ceil(duration / dt))
+            if is_ramp:
+                n_steps = max(n_steps, MIN_RAMP_STEPS)
+            dt_seg = duration / n_steps
+            steps = [(timeline.barrier_at(t0 + (i + 0.5) * dt_seg), dt_seg) for i in range(n_steps)]
+        segments.append((t0, steps))
+    return segments
+
+
 def evolve_timeline(
     psi0: WaveFunction,
     grid: SpatialGrid,
@@ -347,46 +385,21 @@ def evolve_timeline(
 ) -> Trajectory:
     """Propagate through a barrier timeline, sampling every `sample_stride` steps.
 
-    Each of the three timeline segments is subdivided into uniform steps no
-    longer than params.dt, with the barrier sampled at the step midpoint;
-    ramp segments get at least MIN_RAMP_STEPS steps. The initial and final
-    states are always sampled.
+    Steps as in timeline_steps; the initial and final states are always sampled.
     """
     if psi0.grid is not grid and psi0.grid != grid:
         raise ValueError("initial state lives on a different grid")
     if sample_stride < 1:
         raise ValueError("sample stride must be ≥ 1")
-    if params.dt <= 0:
-        raise ValueError("timeline propagation needs dt > 0")
-    for name in ("ramp_down_duration", "ramp_up_duration"):
-        dur = getattr(timeline, name)
-        if 0 < dur < MIN_RAMP_STEPS * params.dt:
-            raise ValueError(
-                f"dt={params.dt} does not resolve {name}={dur}: "
-                f"fewer than {MIN_RAMP_STEPS} steps per ramp"
-            )
 
-    segments = [
-        (0.0, timeline.ramp_down_duration, True),
-        (timeline.ramp_down_duration, timeline.hold_duration, False),
-        (timeline.ramp_down_duration + timeline.hold_duration, timeline.ramp_up_duration, True),
-    ]
     times = [0.0]
     states = [psi0]
     psi = psi0
     step_count = 0
-    for t0, duration, is_ramp in segments:
-        if duration <= 0:
-            continue
-        n_steps = max(1, math.ceil(duration / params.dt))
-        if is_ramp:
-            n_steps = max(n_steps, MIN_RAMP_STEPS)
-        dt_seg = duration / n_steps
-        seg_params = replace(params, dt=dt_seg)
-        for i in range(n_steps):
-            barrier = timeline.barrier_at(t0 + (i + 0.5) * dt_seg)
+    for t0, steps in timeline_steps(timeline, params.dt):
+        for i, (barrier, dt_seg) in enumerate(steps):
             v = build_double_well(grid, spec, barrier)
-            psi = chebyshev_step(psi, v, seg_params)
+            psi = chebyshev_step(psi, v, replace(params, dt=dt_seg))
             step_count += 1
             if step_count % sample_stride == 0:
                 times.append(t0 + (i + 1) * dt_seg)
@@ -475,16 +488,11 @@ def bloch_trajectory(
     The relative phase arg(β/α) is flagged NaN whenever either modulus drops
     below PHASE_DEFINED_TOL.
     """
-    count = len(traj.states)
-    a = np.empty(count)
-    b = np.empty(count)
-    ph = np.empty(count)
-    lk = np.empty(count)
-    for i, state in enumerate(traj.states):
-        alpha, beta, leak = qubit_projection(state, phi_left, phi_right)
-        a[i], b[i], lk[i] = abs(alpha), abs(beta), leak
-        ph[i] = np.angle(beta / alpha) if min(abs(alpha), abs(beta)) > PHASE_DEFINED_TOL else np.nan
-    return BlochSamples(traj.times.copy(), a, b, ph, lk)
+    proj = np.array([qubit_projection(state, phi_left, phi_right) for state in traj.states])
+    a, b = np.abs(proj[:, 0]), np.abs(proj[:, 1])
+    defined = np.minimum(a, b) > PHASE_DEFINED_TOL
+    ratio = np.divide(proj[:, 1], proj[:, 0], out=np.full(len(a), np.nan, dtype=complex), where=defined)
+    return BlochSamples(traj.times.copy(), a, b, np.angle(ratio), proj[:, 2].real)
 
 
 _WF_VERSION = 1
@@ -542,6 +550,56 @@ def doublet_splitting(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -
     return float(vals[1] - vals[0])
 
 
+@dataclass(frozen=True, eq=False)
+class HoldScan:
+    """Final qubit amplitudes of a pulse with fixed ramps, in closed form in the hold.
+
+    From the left-well state L, ⟨φ|U_up·e^{−iH_low·h}·U_down|L⟩ = Σ_j w_j·e^{−iE_j·h}
+    with H_low = Q·diag(E)·Q† and w = conj(Q†U_up†φ)·(Q†U_down L)·dx, for φ = L, R
+    (the rows of weights): O(m) per hold.
+    """
+
+    energies: np.ndarray
+    weights: np.ndarray
+
+    @classmethod
+    def from_pulse(
+        cls, grid: SpatialGrid, spec: DoubleWellSpec, template: BarrierTimeline, params: ChebyshevParams
+    ) -> HoldScan:
+        """Propagate through the template's ramps once; its hold is ignored."""
+        phi_left, phi_right = well_ground_states(grid, spec, template.high_barrier)
+        (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), params.dt)
+        start = phi_left
+        for barrier, dt_seg in ramp_down:
+            v = build_double_well(grid, spec, barrier)
+            start = chebyshev_step(start, v, replace(params, dt=dt_seg))
+        ends = [phi_left, phi_right]
+        for barrier, dt_seg in reversed(ramp_up):
+            v = build_double_well(grid, spec, barrier)
+            ends = [chebyshev_step(phi, v, replace(params, dt=-dt_seg)) for phi in ends]
+        v_low = build_double_well(grid, spec, template.low_barrier)
+        energies, basis = np.linalg.eigh(dense_hamiltonian(grid, v_low))
+        coeffs = basis.conj().T @ np.array([start.psi, ends[0].psi, ends[1].psi]).T
+        return cls(frozen(energies), frozen(coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx))
+
+    @property
+    def period(self) -> float:
+        """Tunneling period 2π/(E_1 − E_0) of the low-barrier doublet."""
+        return float(2 * np.pi / (self.energies[1] - self.energies[0]))
+
+    def probabilities(self, holds) -> np.ndarray:
+        """(|⟨L|ψ⟩|², |⟨R|ψ⟩|²) of the final state, each shaped like holds."""
+        amps = np.exp(-1j * np.multiply.outer(holds, self.energies)) @ self.weights.T
+        return np.moveaxis(np.abs(amps) ** 2, -1, 0)
+
+    def transfer(self, holds) -> np.ndarray:
+        return self.probabilities(holds)[1]
+
+    def leakage(self, holds) -> np.ndarray:
+        p_left, p_right = self.probabilities(holds)
+        return 1.0 - p_left - p_right
+
+
 def calibrate_hold_time(
     grid: SpatialGrid,
     spec: DoubleWellSpec,
@@ -555,112 +613,51 @@ def calibrate_hold_time(
     """Find the smallest hold duration whose transfer matches the target.
 
     Starting from the left-well state, the template's ramps are fixed and the
-    hold duration is scanned over slightly more than one tunneling oscillation
-    (period estimated from the low-barrier doublet splitting). Monotone
-    crossings of the target are bisected; where the target can only be met at
-    an oscillation extremum (targets near 0 or 1) the extremum is located by
-    golden-section refinement. Raises CalibrationUnreachableError when no hold
-    in the scanned oscillation comes within `tolerance` of the target.
+    transfer is evaluated in closed form (HoldScan) on `scan_points` holds
+    over slightly more than one tunneling oscillation. The root in the first
+    scan interval that crosses the target is found by brentq; if none does
+    (targets near 0 or 1), the scan's extrema towards the target are polished
+    in order by a bounded minimize_scalar and the first within `tolerance`
+    wins. Raises CalibrationUnreachableError when none is.
     """
     if not 0.0 <= target_transfer <= 1.0:
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
+    if scan_points < 2:
+        raise ValueError(f"scan needs at least 2 points, got {scan_points}")
     if params is None:
         e_min, e_max = timeline_energy_bounds(grid, spec, timeline_template)
         params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)
-    phi_left, phi_right = well_ground_states(grid, spec, timeline_template.high_barrier)
-    splitting = doublet_splitting(grid, spec, timeline_template.low_barrier)
-    period = 2 * np.pi / splitting
+    pulse = HoldScan.from_pulse(grid, spec, timeline_template, params)
+    holds = np.linspace(0.0, 1.05 * pulse.period, scan_points)
+    values = pulse.transfer(holds)
+    scan = list(zip(holds.tolist(), values.tolist()))
 
-    def transfer_at(hold: float) -> tuple[float, float]:
-        timeline = replace(timeline_template, hold_duration=hold)
-        traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
-        _, beta, leak = qubit_projection(traj.final(), phi_left, phi_right)
-        return abs(beta) ** 2, leak
+    def offset(hold: float) -> float:
+        return float(pulse.transfer(hold)) - target_transfer
 
-    holds = np.linspace(0.0, 1.05 * period, scan_points)
-    values: list[tuple[float, float, float]] = []
-    scan: list[tuple[float, float]] = []
+    def result(hold: float) -> CalibrationResult:
+        tr, leak = float(pulse.transfer(hold)), float(pulse.leakage(hold))
+        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan)
 
-    def result(hold: float, tr: float, leak: float) -> CalibrationResult:
-        return CalibrationResult(hold, tr, leak, target_transfer, period, scan)
+    gap = values - target_transfer
+    crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)
+    if crossings.size:
+        return result(brentq(offset, holds[crossings[0]], holds[crossings[0] + 1]))
 
-    def bisect(lo: float, hi: float, t_lo: float):
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            tm, lm = transfer_at(mid)
-            if abs(tm - target_transfer) <= tolerance / 2:
-                return mid, tm, lm
-            if (t_lo - target_transfer) * (tm - target_transfer) <= 0:
-                hi = mid
-            else:
-                lo, t_lo = mid, tm
-        mid = (lo + hi) / 2
-        tm, lm = transfer_at(mid)
-        return mid, tm, lm
+    # every scanned transfer lies on one side of the target: its extrema
+    # towards the target are the local minima of |gap|
+    gap = np.abs(gap)
+    padded = np.concatenate(([np.inf], gap, [np.inf]))
+    for i in np.flatnonzero((gap <= padded[:-2]) & (gap <= padded[2:])):
+        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
+        polish = minimize_scalar(lambda h: abs(offset(h)), bounds=(lo, hi), method="bounded")
+        hold = polish.x if polish.fun < gap[i] else holds[i]
+        if abs(offset(hold)) <= tolerance:
+            return result(hold)
 
-    # Scan lazily in order of increasing hold so the first match is the
-    # smallest duration; stop as soon as an interval yields the target.
-    for h in holds:
-        tr, leak = transfer_at(h)
-        values.append((float(h), tr, leak))
-        scan.append((float(h), tr))
-        if len(values) >= 2:
-            h0, t0, l0 = values[-2]
-            h1, t1, _ = values[-1]
-            if abs(t0 - target_transfer) <= tolerance:
-                return result(h0, t0, l0)
-            if (t0 - target_transfer) * (t1 - target_transfer) <= 0:
-                return result(*bisect(h0, h1, t0))
-        if len(values) >= 3 and _is_extremum_bracket(values, len(values) - 2, target_transfer):
-            hold, tr_x, leak_x = _refine_extremum(
-                transfer_at, values[-3][0], values[-1][0],
-                maximize=target_transfer > values[-2][1],
-            )
-            if abs(tr_x - target_transfer) <= tolerance:
-                return result(hold, tr_x, leak_x)
-    h_last, t_last, l_last = values[-1]
-    if abs(t_last - target_transfer) <= tolerance:
-        return result(h_last, t_last, l_last)
-
-    best = max(v[1] for v in values)
+    best = float(np.max(values))
     raise CalibrationUnreachableError(
         f"transfer never came within {tolerance} of {target_transfer} over one "
         f"oscillation (max achieved {best:.4f})",
         max_achieved=best,
     )
-
-
-def _is_extremum_bracket(values, i: int, target: float) -> bool:
-    t_prev, t_here, t_next = values[i - 1][1], values[i][1], values[i + 1][1]
-    if target > t_here:
-        return t_here >= t_prev and t_here >= t_next
-    return t_here <= t_prev and t_here <= t_next
-
-
-def _refine_extremum(transfer_at, lo: float, hi: float, maximize: bool):
-    """Golden-section search for the transfer extremum inside [lo, hi].
-
-    A tenth of the initial bracket suffices: near a quadratic extremum the
-    remaining transfer offset is far below the calibration tolerance.
-    """
-    inv_phi = (np.sqrt(5) - 1) / 2
-    sign = 1.0 if maximize else -1.0
-    a, b = lo, hi
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, lc = transfer_at(c)
-    fd, ld = transfer_at(d)
-    for _ in range(24):
-        if (b - a) < 0.1 * (hi - lo):
-            break
-        if sign * fc > sign * fd:
-            b, d, fd, ld = d, c, fc, lc
-            c = b - inv_phi * (b - a)
-            fc, lc = transfer_at(c)
-        else:
-            a, c, fc, lc = c, d, fd, ld
-            d = a + inv_phi * (b - a)
-            fd, ld = transfer_at(d)
-    if sign * fc > sign * fd:
-        return c, fc, lc
-    return d, fd, ld

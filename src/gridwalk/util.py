@@ -14,7 +14,7 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 def check_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> None:
     defect = unitarity_defect(u)
-    if defect >= tol:
+    if not defect < tol:
         raise UnitarityError(f"{what} is not unitary: max|u†u − I| = {defect:.3e} ≥ {tol:.1e}")
 
 

@@ -48,7 +48,7 @@ class WalkState:
         if a.shape != (self.n, self.n):
             raise InvariantViolation(f"amplitude grid shape {a.shape}, expected {(self.n, self.n)}")
         norm = float(np.sum(np.abs(a) ** 2))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"state norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amp", frozen(a))
 
@@ -70,7 +70,7 @@ class Distribution:
         if np.any(p < -1e-15):
             raise InvariantViolation("negative probability entry")
         total = float(p.sum())
-        if abs(total - 1.0) > NORM_TOL:
+        if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "p", frozen(np.clip(p, 0.0, None)))
 

@@ -1,10 +1,11 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from gridwalk import conveyor, tdse
-from gridwalk.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOLERANCE, main
+from gridwalk.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOLERANCE, REPLAY_TOL, main
 from gridwalk.decompose import unitary_to_json
 from gridwalk.util import random_unitary
 
@@ -270,3 +271,54 @@ def test_calibrate_unreachable_exit_code(tmp_path):
     doc["well"]["tilt"] = 0.5
     cfg = write_config(tmp_path, doc)
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_TOLERANCE
+
+
+def small_gate_config(**overrides):
+    return gate_config(grid={"x_min": -8.0, "x_max": 8.0, "m": 64}, solver={"dt": 0.1}, **overrides)
+
+
+@pytest.mark.parametrize("target", [1.0, 0.5])
+def test_calibrate_replays_the_pulse_once_and_reports_its_final_row(tmp_path, monkeypatch, target):
+    calls = []
+    evolve_timeline = tdse.evolve_timeline
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("sample_stride"))
+        return evolve_timeline(*args, **kwargs)
+
+    monkeypatch.setattr(tdse, "evolve_timeline", counted)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_gate_config(target_transfer=target))
+    assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    assert calls == [20]
+    report = json.loads((out / "report.json").read_text())
+    last = np.loadtxt(out / "trajectory.txt")[-1]
+    assert last[0] == pytest.approx(8.0 + report["hold_duration"], rel=1e-9)
+    assert abs(last[2] - report["achieved_transfer"]) <= 1e-9
+    assert abs(last[4] - report["leakage"]) <= 1e-9
+    assert report["replay_deviation"] <= REPLAY_TOL
+
+
+def test_calibrate_exits_with_tolerance_code_when_the_replay_disagrees(tmp_path, monkeypatch):
+    calibrate = tdse.calibrate_hold_time
+
+    def off(*args, **kwargs):
+        result = calibrate(*args, **kwargs)
+        return replace(result, achieved_transfer=result.achieved_transfer + 10 * REPLAY_TOL)
+
+    monkeypatch.setattr(tdse, "calibrate_hold_time", off)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_gate_config(target_transfer=0.5))
+    assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    report = json.loads((out / "report.json").read_text())
+    assert report["replay_deviation"] == pytest.approx(10 * REPLAY_TOL, rel=1e-3)
+
+
+@pytest.mark.parametrize("subcommand", ["decompose", "conveyor-verify", "tdse", "calibrate"])
+def test_oracle_flag_is_a_usage_error_outside_walk(tmp_path, subcommand, capsys):
+    cfg = write_config(tmp_path, small_gate_config(target_transfer=0.5))
+    with pytest.raises(SystemExit) as exit_info:
+        main([subcommand, "--config", cfg, "--out", str(tmp_path / "out"), "--oracle"])
+    assert exit_info.value.code == EXIT_CONFIG
+    assert "--oracle" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -18,7 +18,7 @@ from gridwalk.conveyor import (
     shift_register,
 )
 from gridwalk.decompose import PairRotation, Stage, apply_stage, cs_decompose, stage_pairs
-from gridwalk.errors import ProtocolIncompleteError, ShiftOutOfRangeError
+from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import random_unitary
 from gridwalk.walk import CoinPlan, WalkState, evolve, init_localized
@@ -279,3 +279,8 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
     physical = run_walk_physical(s0, plan)
     assert len(calls) == n
     assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+
+
+def test_nan_physical_grid_is_rejected():
+    with pytest.raises(InvariantViolation):
+        PhysicalGrid(2, np.full((4, 4), np.nan, dtype=complex))

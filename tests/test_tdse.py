@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import gatecfg
 import oracles
+from gridwalk import tdse
 from gridwalk.errors import (
     CalibrationUnreachableError,
     InvariantViolation,
@@ -14,6 +17,7 @@ from gridwalk.tdse import (
     BarrierTimeline,
     ChebyshevParams,
     DoubleWellSpec,
+    HoldScan,
     SpatialGrid,
     WaveFunction,
     apply_hamiltonian,
@@ -28,6 +32,7 @@ from gridwalk.tdse import (
     gaussian_packet,
     normalized,
     qubit_projection,
+    timeline_steps,
     trajectory_to_text,
     well_ground_states,
 )
@@ -500,3 +505,131 @@ def test_timeline_accepts_an_equal_but_distinct_grid():
     other = evolve_timeline(phi_left, gatecfg.gate_grid(m=64), spec, timeline, params,
                             sample_stride=10**9)
     assert np.array_equal(same.final().psi, other.final().psi)
+
+
+def test_wavefunction_rejects_nan_amplitudes():
+    grid = gatecfg.gate_grid(m=64)
+    with pytest.raises(InvariantViolation):
+        WaveFunction(grid, np.full(grid.m, np.nan, dtype=complex))
+
+
+def test_chebyshev_step_rejects_a_nan_state():
+    grid = gatecfg.gate_grid(m=64)
+    psi = tdse._propagated(grid, np.full(grid.m, np.nan, dtype=complex))
+    v = build_double_well(grid, gatecfg.gate_spec())
+    e_min, e_max = energy_bounds(grid, v)
+    with pytest.raises(ToleranceFailure):
+        chebyshev_step(psi, v, ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max))
+
+
+def test_wavefunction_compares_and_hashes_by_value():
+    grid = gatecfg.gate_grid(m=64)
+    a = gaussian_packet(grid, 0.0, 1.0)
+    b = gaussian_packet(gatecfg.gate_grid(m=64), 0.0, 1.0)
+    assert a == b and a is not b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != gaussian_packet(grid, 0.1, 1.0)
+    assert a != gaussian_packet(gatecfg.gate_grid(m=128), 0.0, 1.0)
+    assert a != a.psi
+
+
+# ---------------------------------------------------------------------------
+# Separable calibration
+
+
+def test_timeline_steps_cover_each_segment():
+    timeline = gatecfg.gate_timeline(hold=1.05)
+    (t_down, down), (t_hold, hold), (t_up, up) = timeline_steps(timeline, 0.1)
+    assert (t_down, t_hold, t_up) == (0.0, 4.0, 5.05)
+    assert [len(down), len(hold), len(up)] == [40, 11, 40]
+    assert sum(dt for _, dt in down + hold + up) == pytest.approx(timeline.total_duration)
+    assert {b for b, _ in hold} == {gatecfg.BARRIER_LOW}
+    assert timeline_steps(gatecfg.gate_timeline(), 0.1)[1] == (4.0, [])
+
+
+def test_backward_chebyshev_step_undoes_a_forward_step():
+    grid = gatecfg.gate_grid(m=64)
+    v = build_double_well(grid, gatecfg.gate_spec(), 15.0)
+    e_min, e_max = energy_bounds(grid, v)
+    forward = ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max)
+    psi0 = gaussian_packet(grid, -0.8, 0.5, 1.0)
+    back = chebyshev_step(chebyshev_step(psi0, v, forward), v, replace(forward, dt=-0.1))
+    assert np.max(np.abs(back.psi - psi0.psi)) < 1e-12
+
+
+@settings(max_examples=25)
+@given(
+    low=st.floats(11.0, 13.0),
+    tilt=st.floats(-0.05, 0.05),
+    fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.05)),
+)
+@example(low=12.0, tilt=0.0, fraction=0.0)
+def test_hold_scan_matches_timeline_replays(low, tilt, fraction):
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec(tilt=tilt)
+    template = gatecfg.gate_timeline(low=low)
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
+    scan = HoldScan.from_pulse(grid, spec, template, params)
+    hold = fraction * scan.period
+    phi_left, phi_right = well_ground_states(grid, spec)
+    traj = evolve_timeline(phi_left, grid, spec, replace(template, hold_duration=hold), params,
+                           sample_stride=10**9)
+    _, beta, leak = qubit_projection(traj.final(), phi_left, phi_right)
+    assert abs(scan.transfer(hold) - abs(beta) ** 2) <= 1e-9
+    assert abs(scan.leakage(hold) - leak) <= 1e-9
+
+
+def test_hold_scan_period_is_the_low_barrier_doublet_period():
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline()
+    scan = HoldScan.from_pulse(grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1))
+    splitting = doublet_splitting(grid, spec, gatecfg.BARRIER_LOW)
+    assert scan.period == pytest.approx(2 * np.pi / splitting, rel=1e-10)
+
+
+def test_calibration_makes_no_timeline_replay(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("calibrate_hold_time replayed the timeline")
+
+    monkeypatch.setattr(tdse, "evolve_timeline", forbidden)
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline()
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
+    for target in (1.0, 0.5):
+        calibrate_hold_time(grid, spec, template, target, params=params)
+
+
+@pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
+def test_calibrate_half_lands_on_one_half(low):
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline(low=low)
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
+    result = calibrate_hold_time(grid, spec, template, 0.5, params=params)
+    assert abs(result.achieved_transfer - 0.5) <= 1e-6
+    assert result.hold_duration < result.period_estimate / 2
+
+
+@pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
+def test_calibrate_pi_tops_its_scan_bracket(low):
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline(low=low)
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
+    result = calibrate_hold_time(grid, spec, template, 1.0, params=params)
+    holds, values = np.array(result.scan).T
+    # the first maximum of the scan and its neighbours bracket the result
+    i = next(i for i in range(1, len(values) - 1) if values[i - 1] <= values[i] >= values[i + 1])
+    assert holds[i - 1] <= result.hold_duration <= holds[i + 1]
+    assert result.achieved_transfer >= values[i - 1:i + 2].max()
+    assert result.achieved_transfer >= 0.99
+
+
+def test_calibrate_needs_two_scan_points():
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline()
+    with pytest.raises(ValueError):
+        calibrate_hold_time(grid, spec, template, 0.5, scan_points=1, dt=0.1)

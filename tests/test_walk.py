@@ -7,7 +7,7 @@ import oracles
 from gridwalk import walk
 from gridwalk.errors import InvariantViolation, UnitarityError
 from gridwalk.graph import Graph, complete_graph, cycle_graph, edge_mask, remove_edge
-from gridwalk.util import random_unitary, unitarity_defect
+from gridwalk.util import check_unitary, random_unitary, unitarity_defect
 from gridwalk.walk import (
     CoinGroup,
     CoinPlan,
@@ -475,3 +475,23 @@ def test_coin_set_checks_only_the_sub_block():
 def test_coin_set_rejects_bad_groups(lines, states, reason):
     with pytest.raises(ValueError, match=reason):
         CoinSet(3, (CoinGroup(np.array(lines), np.array(states), hadamard_coin()),))
+
+
+def test_nan_matrix_is_not_unitary():
+    with pytest.raises(UnitarityError):
+        check_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-12)
+
+
+def test_nan_coin_is_rejected():
+    with pytest.raises(UnitarityError):
+        CoinPlan.uniform(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1)
+
+
+def test_nan_walk_state_is_rejected():
+    with pytest.raises(InvariantViolation):
+        WalkState(2, np.full((2, 2), np.nan, dtype=complex))
+
+
+def test_nan_distribution_is_rejected():
+    with pytest.raises(InvariantViolation):
+        walk.Distribution(np.array([np.nan, 0.5]))
