@@ -18,7 +18,6 @@ from .conveyor import (
     run_walk_physical,
 )
 from .decompose import (
-    PairRotation,
     Stage,
     StageSequence,
     apply_stage,

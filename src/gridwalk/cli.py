@@ -189,11 +189,7 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
     trace = conveyor.ProtocolTrace()
     for _ in range(trials):
         d = int(rng.choice(strides))
-        rotations = tuple(
-            decompose.PairRotation(a, b, random_unitary(2, rng))
-            for a, b in decompose.stage_pairs(n, d)
-        )
-        stage = decompose.Stage(d, rotations)
+        stage = decompose.Stage(d, np.stack([random_unitary(2, rng) for _ in range(n // 2)]))
         amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         amp /= np.linalg.norm(amp)
         state = walk.WalkState(n, amp)
@@ -207,6 +203,7 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
         else:
             expected[:, line - 1] = decompose.apply_stage(expected[:, line - 1], stage)
         worst = max(worst, float(np.max(np.abs(physical.amp - expected))))
+    _atomic_write(out_dir, "trace.txt", conveyor.format_trace(trace))
     _write_report(out_dir, {
         "version": CONFIG_VERSION,
         "subcommand": "conveyor-verify",

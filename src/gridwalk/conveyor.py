@@ -20,15 +20,20 @@ phase a physical two-level swap would add is treated as absorbed into the
 stage rotations by gate calibration. Register motion is an exact permutation
 (ideal adiabatic transport). Pair schedules satisfy k·d+r+d/2 ≤ n, so a +d
 shift never crosses the grid boundary.
+
+The primitives and the stage runner work in place on the 2n cells of one
+line, a view into one amplitude buffer; given a whole PhysicalGrid instead,
+they work on a copy and return a new grid.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import Stage, StageSequence, cs_decompose, pad_unitary
+from .decompose import Stage, StageSequence, cs_decompose, pad_unitary, rotate_in_place, stage_sites
 from .errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from .util import frozen, is_power_of_two
 from .walk import CoinPlan, WalkState
@@ -40,9 +45,15 @@ ROW = "row"
 COLUMN = "column"
 
 
-@dataclass(frozen=True)
+def _check_norm(amp: np.ndarray) -> None:
+    norm = float(np.sum(np.abs(amp) ** 2))
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise InvariantViolation(f"grid norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
+
+
+@dataclass(frozen=True, eq=False)
 class PhysicalGrid:
-    """2n×2n amplitude grid; odd physical rows/columns are data sites."""
+    """2n×2n amplitude grid; odd physical rows/columns are data sites. Compared by value."""
 
     n: int
     amp: np.ndarray
@@ -53,10 +64,18 @@ class PhysicalGrid:
             raise InvariantViolation(
                 f"physical grid shape {a.shape}, expected {(2 * self.n, 2 * self.n)}"
             )
-        norm = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise InvariantViolation(f"grid norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
+        _check_norm(a)
         object.__setattr__(self, "amp", frozen(a))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PhysicalGrid)
+            and self.n == other.n
+            and self.amp.tobytes() == other.amp.tobytes()
+        )
+
+    def __hash__(self):
+        return hash((self.n, self.amp.tobytes()))
 
     def data_view(self) -> np.ndarray:
         return self.amp[0::2, 0::2]
@@ -121,6 +140,27 @@ def _line_view(amp: np.ndarray, orientation: str, line: int, n: int) -> np.ndarr
     return amp[phys, :] if orientation == ROW else amp[:, phys]
 
 
+def _on_line(op):
+    """Let an in-place line operation take a whole PhysicalGrid as well.
+
+    ``op(cells, arg, orientation, line, ...)`` changes the 2n cells of one
+    line (a writable complex 1-D array) in place and returns them. Given a
+    PhysicalGrid instead, the operation runs on that line of a copy of the
+    grid and a new, norm-checked grid is returned.
+    """
+
+    @functools.wraps(op)
+    def operation(g, arg, orientation: str, line: int, *rest, **options):
+        _check_orientation(orientation)
+        if not isinstance(g, PhysicalGrid):
+            return op(g, arg, orientation, line, *rest, **options)
+        amp = g.amp.copy()
+        op(_line_view(amp, orientation, line, g.n), arg, orientation, line, *rest, **options)
+        return PhysicalGrid(g.n, amp)
+
+    return operation
+
+
 def embed(s: WalkState) -> PhysicalGrid:
     """Place walk amplitudes on the data sites of an otherwise empty grid."""
     amp = np.zeros((2 * s.n, 2 * s.n), dtype=complex)
@@ -138,117 +178,115 @@ def extract(g: PhysicalGrid) -> WalkState:
     return WalkState(g.n, g.data_view().copy())
 
 
-def pi_transfer(g: PhysicalGrid, positions: list[int], orientation: str, line: int) -> PhysicalGrid:
+@_on_line
+def pi_transfer(cells: np.ndarray, positions, orientation: str, line: int) -> np.ndarray:
     """Exchange data and adjacent register amplitudes at the listed positions.
 
     An ideal π rotation moves an amplitude entirely between the two sites;
-    applying it twice restores the original grid exactly.
+    applying it twice restores the original line exactly.
     """
-    _check_orientation(orientation)
-    amp = g.amp.copy()
-    cells = _line_view(amp, orientation, line, g.n)
-    for p in positions:
-        if not (1 <= p <= g.n):
-            raise ValueError(f"position {p} outside 1..{g.n}")
-        data, reg = 2 * (p - 1), 2 * (p - 1) + 1
-        cells[data], cells[reg] = cells[reg], cells[data]
-    return PhysicalGrid(g.n, amp)
+    data = 2 * np.asarray(positions, dtype=np.intp) - 2
+    if data.size and not (0 <= data.min() and data.max() < len(cells)):
+        raise ValueError(f"positions {np.asarray(positions).tolist()} outside 1..{len(cells) // 2}")
+    cells[data], cells[data + 1] = cells[data + 1], cells[data]
+    return cells
 
 
-def shift_register(g: PhysicalGrid, offset: int, orientation: str, line: int) -> PhysicalGrid:
+@_on_line
+def shift_register(cells: np.ndarray, offset: int, orientation: str, line: int) -> np.ndarray:
     """Translate the register-site amplitudes of one line by `offset` physical cells.
 
     The offset must be even so register sites land on register sites; any
     nonzero amplitude that would leave the grid raises ShiftOutOfRangeError
     (there is no wraparound).
     """
-    _check_orientation(orientation)
     if offset % 2 != 0:
         raise ValueError(f"offset must be even, got {offset}")
-    amp = g.amp.copy()
-    cells = _line_view(amp, orientation, line, g.n)
-    regs = cells[1::2].copy()
+    regs = cells[1::2]
     slots = offset // 2
     if slots == 0:
-        return PhysicalGrid(g.n, amp)
-    moved = np.zeros_like(regs)
-    if slots > 0:
-        lost = regs[len(regs) - slots:]
-        moved[slots:] = regs[: len(regs) - slots]
-    else:
-        lost = regs[:-slots]
-        moved[:slots] = regs[-slots:]
-    if np.any(lost != 0):
+        return cells
+    lost = regs[-slots:] if slots > 0 else regs[:-slots]
+    if lost.any():
         raise ShiftOutOfRangeError(
             f"shift by {offset} cells would move amplitude outside the grid on line {line}"
         )
-    cells[1::2] = moved
-    return PhysicalGrid(g.n, amp)
+    if slots > 0:
+        regs[slots:] = regs[:-slots]
+        regs[:slots] = 0
+    else:
+        regs[:slots] = regs[-slots:]
+        regs[slots:] = 0
+    return cells
 
 
-def rotate_pairs(g: PhysicalGrid, stage: Stage, orientation: str, line: int) -> PhysicalGrid:
+@functools.cache
+def _carried_sites(n: int, d: int) -> np.ndarray:
+    """Cells (register next to b, data of b) of every pair after the +d shift."""
+    data_b = 2 * stage_sites(n, d)[:, 1]
+    return frozen(np.stack([data_b + 1, data_b], axis=1))
+
+
+@_on_line
+def rotate_pairs(cells: np.ndarray, stage: Stage, orientation: str, line: int) -> np.ndarray:
     """Apply each pair rotation between a carried register amplitude and its partner.
 
     Assumes the stage's first-member amplitudes were shifted +d cells, so the
     amplitude of logical a sits on the register site adjacent to the data site
     of logical b = a + d/2. The 2×2 rotation acts on (carried a, data b).
     """
-    _check_orientation(orientation)
-    if stage.n != g.n:
-        raise ValueError(f"stage dimension {stage.n} does not match grid n={g.n}")
-    amp = g.amp.copy()
-    cells = _line_view(amp, orientation, line, g.n)
-    for r in stage.rotations:
-        data_b = 2 * (r.b - 1)
-        reg = data_b + 1
-        xa, xb = cells[reg], cells[data_b]
-        cells[reg] = r.u[0, 0] * xa + r.u[0, 1] * xb
-        cells[data_b] = r.u[1, 0] * xa + r.u[1, 1] * xb
-    return PhysicalGrid(g.n, amp)
+    if 2 * stage.n != len(cells):
+        raise ValueError(f"stage dimension {stage.n} does not match a line of {len(cells)} cells")
+    rotate_in_place(cells, _carried_sites(stage.n, stage.d), stage)
+    return cells
 
 
+@_on_line
 def run_stage(
-    g: PhysicalGrid,
+    cells: np.ndarray,
     stage: Stage,
     orientation: str,
     line: int,
     trace: ProtocolTrace | None = None,
-) -> PhysicalGrid:
-    """Execute the five-step conveyor protocol for one stage on one line."""
-    positions = stage.positions
-    d = stage.d
-    g = pi_transfer(g, positions, orientation, line)
+) -> np.ndarray:
+    """Execute the five-step conveyor protocol for one stage on one line.
+
+    The line's register sites must be empty again afterwards.
+    """
+    positions, d = stage.positions, stage.d
+    pi_transfer(cells, positions, orientation, line)
+    shift_register(cells, d, orientation, line)
+    rotate_pairs(cells, stage, orientation, line)
+    shift_register(cells, -d, orientation, line)
+    pi_transfer(cells, positions, orientation, line)
     if trace is not None:
-        trace.record(1, "pi_transfer", orientation, line,
-                     "positions=" + ",".join(map(str, positions)))
-    g = shift_register(g, d, orientation, line)
-    if trace is not None:
+        transfer = "positions=" + ",".join(map(str, positions.tolist()))
+        pairs = ",".join(f"({a},{b})" for a, b in stage.pairs.tolist())
+        trace.record(1, "pi_transfer", orientation, line, transfer)
         trace.record(2, "shift", orientation, line, f"offset={d}")
-    g = rotate_pairs(g, stage, orientation, line)
-    if trace is not None:
-        pairs = ",".join(f"({r.a},{r.b})" for r in stage.rotations)
         trace.record(3, "rotate", orientation, line, f"d={d};pairs={pairs}")
-    g = shift_register(g, -d, orientation, line)
-    if trace is not None:
         trace.record(4, "shift", orientation, line, f"offset={-d}")
-    g = pi_transfer(g, positions, orientation, line)
-    if trace is not None:
-        trace.record(5, "pi_transfer", orientation, line,
-                     "positions=" + ",".join(map(str, positions)))
-    return g
+        trace.record(5, "pi_transfer", orientation, line, transfer)
+    worst = float(np.abs(cells[1::2]).max())
+    if not worst <= REGISTER_TOL:
+        raise ProtocolIncompleteError(
+            f"register amplitude {worst:.3e} left on line {line} exceeds {REGISTER_TOL:.0e}"
+        )
+    return cells
 
 
+@_on_line
 def run_sequence(
-    g: PhysicalGrid,
+    cells: np.ndarray,
     seq: StageSequence,
     orientation: str,
     line: int,
     trace: ProtocolTrace | None = None,
-) -> PhysicalGrid:
+) -> np.ndarray:
     """Run all stages of a sequence on one line, in application order."""
     for stage in seq.stages:
-        g = run_stage(g, stage, orientation, line, trace)
-    return g
+        run_stage(cells, stage, orientation, line, trace)
+    return cells
 
 
 def run_walk_physical(
@@ -257,9 +295,11 @@ def run_walk_physical(
     """Evolve a walk entirely through the physical conveyor protocol.
 
     Every step's per-line coins are synthesized into stage sequences and run
-    line by line: odd steps over the rows, even steps over the columns, which
-    reproduces the alternating grid evolution of walk.evolve. Lines within one
-    step are independent; the sequential order here is immaterial.
+    line by line, in place on one amplitude buffer: odd steps over the rows,
+    even steps over the columns, which reproduces the alternating grid
+    evolution of walk.evolve. Lines within one step are independent; the
+    sequential order here is immaterial. The norm is checked after every
+    step and again on the final grid, whose register extract checks.
 
     Dimensions that are not powers of two are padded with identity-fixed
     indices for the synthesis and stripped again on extraction.
@@ -277,7 +317,7 @@ def run_walk_physical(
     else:
         state = s0
 
-    g = embed(state)
+    amp = embed(state).amp.copy()
     # coins_for_step hands out the plan's own coin objects, the same on every
     # step that shares a coin set, so each coin is synthesized once per run
     seq_cache: dict[int, StageSequence] = {}
@@ -289,8 +329,10 @@ def run_walk_physical(
             key = id(coin)
             if key not in seq_cache:
                 seq_cache[key] = cs_decompose(pad_unitary(coin)[0] if padded else coin)
-            g = run_sequence(g, seq_cache[key], orientation, line, trace)
-    out = extract(g)
+            cells = _line_view(amp, orientation, line, state.n)
+            run_sequence(cells, seq_cache[key], orientation, line, trace)
+        _check_norm(amp)
+    out = extract(PhysicalGrid(state.n, amp))
     if padded:
         return WalkState(n, out.amp[:n, :n])
     return out

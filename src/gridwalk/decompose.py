@@ -21,65 +21,82 @@ the two halves, so the stride range deliberately includes d = n.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cossin
+from scipy.linalg import get_lapack_funcs
 
-from .util import check_unitary, frozen, is_power_of_two, next_power_of_two
+from .util import (
+    check_unitary,
+    check_version,
+    complex_from_json,
+    complex_to_json,
+    frozen,
+    is_power_of_two,
+    next_power_of_two,
+)
 
 RECONSTRUCTION_TOL = 1e-10
+ROTATION_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class PairRotation:
-    """2×2 unitary acting on 1-based indices a < b."""
+@dataclass(frozen=True, eq=False)
+class Stage:
+    """One layer of n/2 disjoint 2×2 rotations at a common stride d; compared by value.
 
-    a: int
-    b: int
+    ``u[k]`` acts on pair k of ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``:
+    row 0 of ``u[k]`` yields the new amplitude at a, row 1 the one at b.
+    """
+
+    d: int
     u: np.ndarray
 
     def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"pair indices must differ, got ({self.a},{self.b})")
-        if self.a > self.b:
-            raise ValueError(f"pair must be ordered a < b, got ({self.a},{self.b})")
+        d = operator.index(self.d)
         u = np.asarray(self.u, dtype=complex)
-        if u.shape != (2, 2):
-            raise ValueError(f"rotation must be 2×2, got {u.shape}")
-        check_unitary(u, 1e-12, "pair rotation")
+        if u.ndim != 3 or u.shape[1:] != (2, 2) or len(u) == 0:
+            raise ValueError(f"stage rotations must be a nonempty (n/2, 2, 2) stack, got {u.shape}")
+        stage_sites(2 * len(u), d)  # rejects n and d that no stride pattern fits
+        check_unitary(u, ROTATION_TOL, f"stride-{d} stage rotation")
+        object.__setattr__(self, "d", d)
         object.__setattr__(self, "u", frozen(u))
 
+    def __eq__(self, other):
+        return isinstance(other, Stage) and self.d == other.d and self.u.tobytes() == other.u.tobytes()
 
-@dataclass(frozen=True)
-class Stage:
-    """One layer of disjoint pairwise rotations at a common stride d."""
-
-    d: int
-    rotations: tuple[PairRotation, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rotations", tuple(self.rotations))
-        n = 2 * len(self.rotations)
-        if n == 0:
-            raise ValueError("stage must contain at least one rotation")
-        expected = set(stage_pairs(n, self.d))
-        got = [(r.a, r.b) for r in self.rotations]
-        if len(set(got)) != len(got):
-            raise ValueError("stage contains duplicate index pairs")
-        if set(got) != expected:
-            raise ValueError(
-                f"stage pairs {sorted(got)} do not match the stride-{self.d} pattern on n={n}"
-            )
+    def __hash__(self):
+        return hash((self.d, self.u.tobytes()))
 
     @property
     def n(self) -> int:
-        return 2 * len(self.rotations)
+        return 2 * len(self.u)
 
-    @property
-    def positions(self) -> list[int]:
+    @cached_property
+    def pairs(self) -> np.ndarray:
+        """Read-only (n/2, 2) array of the 1-based pairs (a, b), sorted by a."""
+        return frozen(stage_sites(self.n, self.d) + 1)
+
+    @cached_property
+    def positions(self) -> np.ndarray:
         """First-member indices k·d + r of every pair, sorted."""
-        return sorted(r.a for r in self.rotations)
+        return self.pairs[:, 0]
+
+    @cached_property
+    def real_form(self) -> np.ndarray:
+        """Coefficients [k, i, c, j, t] of the real-arithmetic products, see rotate_in_place.
+
+        Component c (re, im) of u_ij·x_j is the sum over t of the coefficient
+        times part t (re, im) of x_j: re = ur·xr + (−ui)·xi, im = ui·xr + ur·xi.
+        """
+        ur, ui = self.u.real, self.u.imag
+        form = np.empty((len(self.u), 2, 2, 2, 2))
+        form[:, :, 0, :, 0] = ur
+        form[:, :, 0, :, 1] = -ui
+        form[:, :, 1, :, 0] = ui
+        form[:, :, 1, :, 1] = ur
+        return frozen(form)
 
 
 @dataclass(frozen=True)
@@ -110,14 +127,16 @@ def stage_pairs(n: int, d: int) -> list[tuple[int, int]]:
     return pairs
 
 
+@cache
+def stage_sites(n: int, d: int) -> np.ndarray:
+    """Read-only (n/2, 2) array of ``stage_pairs(n, d)`` as 0-based indices."""
+    return frozen(np.array(stage_pairs(n, d)) - 1)
+
+
 def identity_sequence(n: int) -> StageSequence:
     """The n−1 identity stages of the trivial decomposition."""
-    eye = np.eye(2, dtype=complex)
-    stages = [
-        Stage(d, tuple(PairRotation(a, b, eye) for a, b in stage_pairs(n, d)))
-        for d in _stride_schedule(n)
-    ]
-    return StageSequence(n, tuple(stages))
+    eye = np.broadcast_to(np.eye(2), (n // 2, 2, 2))
+    return StageSequence(n, tuple(Stage(d, eye) for d in _stride_schedule(n)))
 
 
 def _stride_schedule(n: int) -> list[int]:
@@ -143,54 +162,77 @@ def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
     if n == 1:
         # 1×1 input is a bare phase; nothing to schedule.
         return StageSequence(1, ())
-    stages = _decompose_blocks([u], n)
+    stages = _decompose_blocks([u])
     return StageSequence(n, tuple(stages))
 
 
-def _decompose_blocks(blocks: list[np.ndarray], n: int) -> list[Stage]:
+def _decompose_blocks(blocks: list[np.ndarray]) -> list[Stage]:
     """Decompose a block-diagonal unitary; block t spans indices t·m+1..(t+1)·m."""
     m = blocks[0].shape[0]
     if m == 2:
-        rots = tuple(
-            PairRotation(2 * t + 1, 2 * t + 2, blk) for t, blk in enumerate(blocks)
-        )
-        return [Stage(2, rots)]
+        return [Stage(2, np.stack(blocks))]
 
     h = m // 2
+    eye = np.eye(m)
     left_blocks: list[np.ndarray] = []
     right_blocks: list[np.ndarray] = []
-    middle_rots: list[PairRotation] = []
-    eye = np.eye(m)
+    # rotation r of block t couples its indices r and r + h
+    middle = np.zeros((len(blocks), h, 2, 2))
     for t, blk in enumerate(blocks):
         if np.array_equal(blk, eye):
             # Exact identity blocks decompose into exact identity factors;
             # skip the factorization so identity inputs stay bit-clean.
-            uu = csm = vdh = eye
-        else:
-            uu, csm, vdh = cossin(blk, p=h, q=h)
-        left_blocks.extend([uu[:h, :h], uu[h:, h:]])
-        right_blocks.extend([vdh[:h, :h], vdh[h:, h:]])
-        base = t * m
-        for r in range(h):
-            rot = np.array(
-                [[csm[r, r], csm[r, r + h]], [csm[r + h, r], csm[r + h, r + h]]],
-                dtype=complex,
-            )
-            middle_rots.append(PairRotation(base + r + 1, base + r + 1 + h, rot))
-    middle = Stage(m, tuple(middle_rots))
-    return _decompose_blocks(right_blocks, n) + [middle] + _decompose_blocks(left_blocks, n)
+            left_blocks.extend([eye[:h, :h], eye[h:, h:]])
+            right_blocks.extend([eye[:h, :h], eye[h:, h:]])
+            middle[t, :, 0, 0] = middle[t, :, 1, 1] = 1.0
+            continue
+        (u1, u2), theta, (v1h, v2h) = cs_factor(blk)
+        left_blocks.extend([u1, u2])
+        right_blocks.extend([v1h, v2h])
+        # the CS middle factor is [[C, −S], [S, C]]
+        c, s = np.cos(theta), np.sin(theta)
+        middle[t, :, 0, 0] = middle[t, :, 1, 1] = c
+        middle[t, :, 0, 1] = -s
+        middle[t, :, 1, 0] = s
+    stage = Stage(m, middle.reshape(-1, 2, 2))
+    return _decompose_blocks(right_blocks) + [stage] + _decompose_blocks(left_blocks)
+
+
+@cache
+def _uncsd(m: int):
+    """LAPACK's complex CS decomposition routine and its workspace sizes for m×m halves."""
+    csd, csd_lwork = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
+    work, rwork, _ = csd_lwork(m=m, p=m // 2, q=m // 2)
+    return csd, int(work.real), int(rwork)
+
+
+def cs_factor(blk: np.ndarray):
+    """``scipy.linalg.cossin(blk, p=m/2, q=m/2, separate=True)`` of an m×m unitary.
+
+    Returns ((u1, u2), theta, (v1h, v2h)) with blk = diag(u1, u2) ·
+    [[C, −S], [S, C]] · diag(v1h, v2h). It calls the LAPACK routine with the
+    arguments cossin passes it, so the factors are the same to the bit;
+    cossin's own argument handling costs several times the factorization on
+    the 4×4 and 8×8 blocks that dominate the recursion.
+    """
+    m = blk.shape[0]
+    h = m // 2
+    csd, lwork, lrwork = _uncsd(m)
+    *_, theta, u1, u2, v1h, v2h, info = csd(
+        x11=blk[:h, :h], x12=blk[:h, h:], x21=blk[h:, :h], x22=blk[h:, h:],
+        compute_u1=True, compute_u2=True, compute_v1t=True, compute_v2t=True,
+        trans=False, signs=False, lwork=lwork, lrwork=lrwork,
+    )
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zuncsd failed on a {m}×{m} block (info={info})")
+    return (u1, u2), theta, (v1h, v2h)
 
 
 def stage_matrix(stage: Stage) -> np.ndarray:
     """Dense n×n matrix of a stage: 2×2 blocks scattered onto its index pairs."""
-    n = stage.n
-    out = np.eye(n, dtype=complex)
-    for r in stage.rotations:
-        ia, ib = r.a - 1, r.b - 1
-        out[ia, ia] = r.u[0, 0]
-        out[ia, ib] = r.u[0, 1]
-        out[ib, ia] = r.u[1, 0]
-        out[ib, ib] = r.u[1, 1]
+    out = np.eye(stage.n, dtype=complex)
+    sites = stage_sites(stage.n, stage.d)
+    out[sites[:, :, None], sites[:, None, :]] = stage.u
     return out
 
 
@@ -202,20 +244,33 @@ def reconstruct(seq: StageSequence) -> np.ndarray:
     return out
 
 
+def rotate_in_place(cells: np.ndarray, sites: np.ndarray, stage: Stage) -> None:
+    """Apply rotation k of a stage to the amplitudes ``cells[sites[k]]``, in place.
+
+    ``cells`` is a complex 1-D array of any stride; ``sites[k]`` holds the
+    positions of the a and the b operand of pair k, which also receive the
+    results. The products are formed in real arithmetic term by term, as
+    scalar complex multiplication forms them, so the result is bit-identical
+    to applying each 2×2 rotation on its own; numpy's vectorized complex
+    multiply may fuse multiply-adds and is not.
+    """
+    x = cells[sites].view(float).reshape(-1, 1, 1, 2, 2)  # [k, ·, ·, j, t]
+    terms = stage.real_form * x  # [k, i, c, j, t]
+    products = terms[..., 0] + terms[..., 1]  # component c of u_ij·x_j
+    cells[sites] = (products[..., 0] + products[..., 1]).view(complex)[..., 0]
+
+
 def apply_stage(line: np.ndarray, stage: Stage) -> np.ndarray:
     """Apply a stage's rotations to a length-n amplitude vector.
 
-    Pairs are disjoint, so the update order is immaterial and results are
-    bit-reproducible under any permutation of the rotations.
+    Pairs are disjoint, so all rotations act at once and the result does not
+    depend on the order of the pairs.
     """
     line = np.asarray(line, dtype=complex)
     if line.shape != (stage.n,):
         raise ValueError(f"line length {line.shape} does not match stage n={stage.n}")
     out = line.copy()
-    for r in stage.rotations:
-        xa, xb = out[r.a - 1], out[r.b - 1]
-        out[r.a - 1] = r.u[0, 0] * xa + r.u[0, 1] * xb
-        out[r.b - 1] = r.u[1, 0] * xa + r.u[1, 1] * xb
+    rotate_in_place(out, stage_sites(stage.n, stage.d), stage)
     return out
 
 
@@ -244,38 +299,36 @@ _SEQ_VERSION = 1
 def sequence_to_json(seq: StageSequence) -> str:
     stages = []
     for s in seq.stages:
-        pairs = []
-        for r in s.rotations:
-            flat = r.u.reshape(-1)
-            pairs.append({"a": r.a, "b": r.b, "u": [[float(z.real), float(z.imag)] for z in flat]})
+        entries = complex_to_json(s.u)
+        pairs = [
+            {"a": a, "b": b, "u": entries[4 * k:4 * k + 4]}
+            for k, (a, b) in enumerate(s.pairs.tolist())
+        ]
         stages.append({"d": s.d, "pairs": pairs})
     return json.dumps({"version": _SEQ_VERSION, "n": seq.n, "stages": stages})
 
 
 def sequence_from_json(text: str) -> StageSequence:
+    """Read a sequence_to_json document; each stage lists its pairs in stage_pairs order."""
     doc = json.loads(text)
+    check_version(doc, _SEQ_VERSION, "stage sequence")
     stages = []
     for sdoc in doc["stages"]:
-        rots = []
-        for p in sdoc["pairs"]:
-            u = np.array([complex(re, im) for re, im in p["u"]]).reshape(2, 2)
-            rots.append(PairRotation(p["a"], p["b"], u))
-        stages.append(Stage(sdoc["d"], tuple(rots)))
+        n, d = 2 * len(sdoc["pairs"]), sdoc["d"]
+        got = [(p["a"], p["b"]) for p in sdoc["pairs"]]
+        if got != stage_pairs(n, d):
+            raise ValueError(f"stage pairs {got} do not match the stride-{d} pattern on n={n}")
+        u = [complex_from_json(p["u"], (2, 2), "pair rotation") for p in sdoc["pairs"]]
+        stages.append(Stage(d, np.stack(u)))
     return StageSequence(doc["n"], tuple(stages))
 
 
 def unitary_to_json(u: np.ndarray) -> str:
     u = np.asarray(u, dtype=complex)
-    flat = u.reshape(-1)
-    return json.dumps(
-        {"n": u.shape[0], "entries": [[float(z.real), float(z.imag)] for z in flat]}
-    )
+    return json.dumps({"n": u.shape[0], "entries": complex_to_json(u)})
 
 
 def unitary_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
     n = doc["n"]
-    entries = doc["entries"]
-    if len(entries) != n * n:
-        raise ValueError(f"expected {n * n} entries, got {len(entries)}")
-    return np.array([complex(re, im) for re, im in entries]).reshape(n, n)
+    return complex_from_json(doc["entries"], (n, n), "unitary entries")

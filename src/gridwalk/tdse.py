@@ -43,7 +43,7 @@ from .errors import (
     SpectralBoundsError,
     ToleranceFailure,
 )
-from .util import frozen
+from .util import check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 # largest norm change allowed over one Chebyshev step and over a trajectory
@@ -500,21 +500,20 @@ _WF_VERSION = 1
 
 def wavefunction_to_json(wf: WaveFunction) -> str:
     """Full-ψ snapshot: grid extent plus row of (re, im) samples."""
-    pairs = [[float(z.real), float(z.imag)] for z in wf.psi]
     return json.dumps({
         "version": _WF_VERSION,
         "x_min": wf.grid.x_min,
         "x_max": wf.grid.x_max,
         "m": wf.grid.m,
-        "psi": pairs,
+        "psi": complex_to_json(wf.psi),
     })
 
 
 def wavefunction_from_json(text: str) -> WaveFunction:
     doc = json.loads(text)
+    check_version(doc, _WF_VERSION, "wave function")
     grid = SpatialGrid(doc["x_min"], doc["x_max"], doc["m"])
-    psi = np.array([complex(re, im) for re, im in doc["psi"]])
-    return WaveFunction(grid, psi)
+    return WaveFunction(grid, complex_from_json(doc["psi"], (grid.m,), "ψ samples"))
 
 
 def trajectory_to_text(

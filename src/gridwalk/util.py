@@ -1,5 +1,7 @@
 """Small numeric helpers used by several modules."""
 
+import math
+
 import numpy as np
 from scipy.stats import unitary_group
 
@@ -7,9 +9,9 @@ from .errors import UnitarityError
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of u†u − I."""
-    n = u.shape[0]
-    return float(np.max(np.abs(u.conj().T @ u - np.eye(n))))
+    """Max-norm of u†u − I; for a stack of matrices, the worst over the stack."""
+    gram = u.conj().swapaxes(-1, -2) @ u
+    return float(np.abs(gram - np.eye(u.shape[-1])).max())
 
 
 def check_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> None:
@@ -39,3 +41,31 @@ def frozen(a: np.ndarray) -> np.ndarray:
     out = np.array(a)
     out.setflags(write=False)
     return out
+
+
+# ---------------------------------------------------------------------------
+# JSON documents
+
+
+def complex_to_json(a: np.ndarray) -> list[list[float]]:
+    """The entries of a complex array in C order as [re, im] pairs of floats."""
+    flat = np.asarray(a, dtype=complex).reshape(-1)
+    return np.stack((flat.real, flat.imag), axis=-1).tolist()
+
+
+def complex_from_json(pairs, shape: tuple[int, ...], what: str = "array") -> np.ndarray:
+    """Inverse of complex_to_json: a complex array of the given shape, exact to the bit."""
+    size = math.prod(shape)
+    try:
+        parts = np.array(pairs, dtype=float)
+    except (TypeError, ValueError) as e:
+        raise ValueError(f"{what} must be a list of [re, im] number pairs") from e
+    if parts.shape != (size, 2) and not (size == 0 and parts.size == 0):
+        raise ValueError(f"expected {size} [re, im] pairs for {what}, got shape {parts.shape}")
+    return parts.reshape(size, 2).view(complex).reshape(shape)
+
+
+def check_version(doc: dict, expected: int, what: str) -> None:
+    """Reject a document whose "version" field is not the one this reader knows."""
+    if doc.get("version") != expected:
+        raise ValueError(f"{what} version must be {expected}, got {doc.get('version')!r}")

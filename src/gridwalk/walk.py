@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import EdgeMask, Graph, edge_mask
-from .util import check_unitary, frozen
+from .util import check_unitary, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 
@@ -453,19 +453,17 @@ _STATE_VERSION = 1
 
 
 def state_to_json(s: WalkState) -> str:
-    flat = s.amp.reshape(-1)
-    pairs = [[float(z.real), float(z.imag)] for z in flat]
-    return json.dumps({"version": _STATE_VERSION, "n": s.n, "amplitudes": pairs})
+    return json.dumps({"version": _STATE_VERSION, "n": s.n, "amplitudes": complex_to_json(s.amp)})
 
 
 def state_from_json(text: str) -> WalkState:
     doc = json.loads(text)
+    check_version(doc, _STATE_VERSION, "walk state")
     n = doc["n"]
     pairs = doc["amplitudes"]
     if len(pairs) != n * n:
         raise InvariantViolation(f"expected {n * n} amplitudes, got {len(pairs)}")
-    flat = np.array([complex(re, im) for re, im in pairs])
-    return WalkState(n, flat.reshape(n, n))
+    return WalkState(n, complex_from_json(pairs, (n, n), "walk state amplitudes"))
 
 
 def distribution_to_text(d: Distribution) -> str:

@@ -11,7 +11,7 @@ import numpy as np
 import gatecfg
 import oracles
 from gridwalk.conveyor import ROW, COLUMN, embed, extract, run_stage, run_walk_physical
-from gridwalk.decompose import PairRotation, Stage, apply_stage, cs_decompose, reconstruct, stage_pairs
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, reconstruct, stage_pairs
 from gridwalk.graph import cycle_graph
 from gridwalk.tdse import (
     ChebyshevParams,
@@ -112,7 +112,7 @@ def test_criterion_3_decomposition_round_trip():
             seq = cs_decompose(u)
             assert len(seq.stages) == n - 1
             for stage in seq.stages:
-                assert {(r.a, r.b) for r in stage.rotations} == valid_pairs[stage.d]
+                assert set(map(tuple, stage.pairs.tolist())) == valid_pairs[stage.d]
             worst = max(worst, float(np.max(np.abs(reconstruct(seq) - u))))
     elapsed = time.perf_counter() - start
     report(3, "staged decomposition round-trip", worst <= 1e-10,
@@ -129,9 +129,7 @@ def test_criterion_4_conveyor_equivalence():
         strides = [d for d in (2, 4, 8, 16) if d <= n]
         for _ in range(200):
             d = int(rng.choice(strides))
-            stage = Stage(d, tuple(
-                PairRotation(a, b, random_unitary(2, rng)) for a, b in stage_pairs(n, d)
-            ))
+            stage = Stage(d, np.stack([random_unitary(2, rng) for _ in stage_pairs(n, d)]))
             s = random_state(n, rng)
             orientation = ROW if rng.integers(2) else COLUMN
             line = int(rng.integers(1, n + 1))

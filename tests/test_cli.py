@@ -193,6 +193,20 @@ def test_conveyor_verify_passes_and_repeats(tmp_path):
     assert (out / "report.json").read_bytes() == first
 
 
+def test_conveyor_verify_writes_its_trace(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "n": 8, "stages": 6})
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    lines = (out / "trace.txt").read_text().splitlines()
+    assert len(lines) == report["trace_actions"] == 30
+    assert [line.split()[1] for line in lines[:5]] == ["1", "2", "3", "4", "5"]
+    assert lines[0].startswith("STEP 1 ACTION=pi_transfer line=")
+    first = (out / "trace.txt").read_bytes()
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(out), "--seed", "3"]) == EXIT_OK
+    assert (out / "trace.txt").read_bytes() == first
+
+
 def test_conveyor_verify_seed_changes_report(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     cfg = write_config(tmp_path, {"version": 1, "n": 4, "stages": 5})

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gridwalk import conveyor
 from gridwalk.conveyor import (
@@ -17,7 +19,7 @@ from gridwalk.conveyor import (
     run_walk_physical,
     shift_register,
 )
-from gridwalk.decompose import PairRotation, Stage, apply_stage, cs_decompose, stage_pairs
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, stage_pairs
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import random_unitary
@@ -30,12 +32,11 @@ def random_state(n, rng):
 
 
 def random_stage(n, d, rng):
-    return Stage(d, tuple(PairRotation(a, b, random_unitary(2, rng)) for a, b in stage_pairs(n, d)))
+    return Stage(d, np.stack([random_unitary(2, rng) for _ in stage_pairs(n, d)]))
 
 
 def identity_stage(n, d):
-    eye = np.eye(2, dtype=complex)
-    return Stage(d, tuple(PairRotation(a, b, eye) for a, b in stage_pairs(n, d)))
+    return Stage(d, np.broadcast_to(np.eye(2), (n // 2, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +149,7 @@ def test_run_stage_identity_rotations(rng):
 def test_run_stage_swap_via_full_protocol():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    stage = Stage(4, (PairRotation(1, 3, swap), PairRotation(2, 4, eye)))
+    stage = Stage(4, np.stack([swap, eye]))  # pairs (1,3), (2,4)
     s = init_localized(4, 1, 1)  # amplitude at logical (1,1)
     out = extract(run_stage(embed(s), stage, ROW, 1))
     # row line 1: position 1 and 3 swapped end to end
@@ -284,3 +285,90 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
 def test_nan_physical_grid_is_rejected():
     with pytest.raises(InvariantViolation):
         PhysicalGrid(2, np.full((4, 4), np.nan, dtype=complex))
+
+
+# ---------------------------------------------------------------------------
+# Line-local protocol
+
+
+@given(st.integers(1, 6), st.data(), st.sampled_from([ROW, COLUMN]), st.integers(0, 2**32 - 1))
+def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
+    # every stride 2..n for n up to 64, in place on one line of one buffer
+    n = 2**log_n
+    d = 2 ** data.draw(st.integers(1, log_n))
+    line = data.draw(st.integers(1, n))
+    rng = np.random.default_rng(seed)
+    stage = random_stage(n, d, rng)
+    amp = embed(random_state(n, rng)).amp.copy()
+    before = amp.copy()
+    cells = conveyor._line_view(amp, orientation, line, n)
+    logical = apply_stage(cells[0::2], stage)
+    assert run_stage(cells, stage, orientation, line) is cells
+    assert cells[0::2].tobytes() == logical.tobytes()
+    assert not cells[1::2].any()
+    # nothing off the line moved
+    cells[:] = before[2 * line - 2] if orientation == ROW else before[:, 2 * line - 2]
+    assert amp.tobytes() == before.tobytes()
+
+
+def test_grid_run_stage_wraps_the_line_protocol(rng):
+    n, d, line = 8, 4, 3
+    stage = random_stage(n, d, rng)
+    g = embed(random_state(n, rng))
+    amp = g.amp.copy()
+    trace_grid, trace_line = ProtocolTrace(), ProtocolTrace()
+    out = run_stage(g, stage, COLUMN, line, trace_grid)
+    run_stage(conveyor._line_view(amp, COLUMN, line, n), stage, COLUMN, line, trace_line)
+    assert isinstance(out, PhysicalGrid) and out.amp.tobytes() == amp.tobytes()
+    assert format_trace(trace_grid) == format_trace(trace_line)
+    assert np.array_equal(g.amp, embed(extract(g)).amp)  # the input grid is untouched
+
+
+def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
+    amp = embed(random_state(4, rng)).amp.copy()
+    amp[0] *= np.sqrt(0.5)
+    amp[0, 1] = np.sqrt(1 - np.sum(np.abs(amp) ** 2))  # register cell after position 1
+    with pytest.raises(ProtocolIncompleteError):
+        run_stage(conveyor._line_view(amp, ROW, 1, 4), identity_stage(4, 2), ROW, 1)
+    with pytest.raises(ProtocolIncompleteError):
+        run_stage(PhysicalGrid(4, amp), identity_stage(4, 2), ROW, 1)
+
+
+def test_line_primitives_work_in_place():
+    cells = np.zeros(8, dtype=complex)
+    cells[2] = 1.0  # data site of position 2
+    assert pi_transfer(cells, [2], ROW, 1) is cells
+    assert cells[3] == 1 and cells[2] == 0
+    shift_register(cells, 4, ROW, 1)
+    assert cells[7] == 1 and not cells[:7].any()
+    with pytest.raises(ShiftOutOfRangeError):
+        shift_register(cells, 2, ROW, 1)
+    assert cells[7] == 1  # a rejected shift leaves the line as it was
+
+
+@pytest.mark.parametrize("positions", [[0], [5], [2, 5]])
+def test_pi_transfer_rejects_bad_positions(positions, rng):
+    g = embed(random_state(4, rng))
+    with pytest.raises(ValueError):
+        pi_transfer(g, positions, ROW, 1)
+    with pytest.raises(ValueError):
+        pi_transfer(g.amp.copy()[0], positions, ROW, 1)
+
+
+def test_physical_walk_checks_the_norm_after_every_step(monkeypatch, rng):
+    n, steps = 4, 3
+    plan = CoinPlan.uniform(random_unitary(n, rng), steps)
+    checked = []
+    check_norm = conveyor._check_norm
+    monkeypatch.setattr(conveyor, "_check_norm", lambda amp: checked.append(1) or check_norm(amp))
+    run_walk_physical(random_state(n, rng), plan)
+    assert len(checked) == steps + 2  # the embedded grid, every step, the extracted grid
+
+
+def test_physical_grid_compares_and_hashes_by_value(rng):
+    s = random_state(4, rng)
+    a, b = embed(s), embed(WalkState(4, s.amp.copy()))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != embed(random_state(4, rng))
+    assert a != PhysicalGrid(2, embed(init_localized(2, 1, 1)).amp)

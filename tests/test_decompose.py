@@ -1,13 +1,18 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.linalg import cossin
 
 import oracles
 from gridwalk.decompose import (
-    PairRotation,
     Stage,
     StageSequence,
     apply_stage,
     cs_decompose,
+    cs_factor,
     identity_sequence,
     pad_unitary,
     reconstruct,
@@ -33,8 +38,19 @@ def enumerate_pairs(n, d):
 
 
 def random_stage(n, d, rng):
-    rots = tuple(PairRotation(a, b, random_unitary(2, rng)) for a, b in stage_pairs(n, d))
-    return Stage(d, rots)
+    return Stage(d, np.stack([random_unitary(2, rng) for _ in stage_pairs(n, d)]))
+
+
+def identity_stage(n, d):
+    return Stage(d, np.broadcast_to(np.eye(2), (n // 2, 2, 2)))
+
+
+def one_stage_json(d, pairs, u):
+    doc = {"version": 1, "n": 2 * len(pairs), "stages": [{"d": d, "pairs": [
+        {"a": a, "b": b, "u": [[z.real, z.imag] for z in np.asarray(u, dtype=complex).reshape(-1)]}
+        for a, b in pairs
+    ]}]}
+    return json.dumps(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -78,15 +94,23 @@ def test_stage_pairs_cover_all_indices():
 
 def test_stage_validates_pattern(rng):
     u = random_unitary(2, rng)
+    # the stride-4 pairs (1,3), (2,4) declared as a stride-2 stage
     with pytest.raises(ValueError):
-        Stage(2, (PairRotation(1, 3, u), PairRotation(2, 4, u)))
+        sequence_from_json(one_stage_json(2, [(1, 3), (2, 4)], u))
+    # a stack of rotations that no stride-d pattern on n = 2·len fits
+    with pytest.raises(ValueError):
+        Stage(8, np.stack([u, u]))
+    with pytest.raises(ValueError):
+        Stage(2, np.stack([u, u, u]))
 
 
 def test_pair_rotation_validates():
     with pytest.raises(ValueError):
-        PairRotation(2, 1, np.eye(2, dtype=complex))
+        sequence_from_json(one_stage_json(2, [(2, 1)], np.eye(2)))
+    with pytest.raises(ValueError):
+        Stage(2, np.eye(3, dtype=complex)[None])
     with pytest.raises(UnitarityError):
-        PairRotation(1, 2, np.ones((2, 2), dtype=complex))
+        Stage(2, np.ones((1, 2, 2), dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -97,8 +121,7 @@ def test_identity_decomposes_to_identity_stages():
     seq = cs_decompose(np.eye(4, dtype=complex))
     assert len(seq.stages) == 3
     for stage in seq.stages:
-        for rot in stage.rotations:
-            assert np.array_equal(rot.u, np.eye(2))
+        assert np.array_equal(stage.u, identity_stage(4, stage.d).u)
 
 
 def test_hadamard_tensor_round_trip():
@@ -155,7 +178,7 @@ def test_reconstruct_empty_sequence():
 
 
 def test_reconstruct_single_hadamard_stage():
-    stage = Stage(2, (PairRotation(1, 2, hadamard_coin()),))
+    stage = Stage(2, hadamard_coin()[None])
     assert np.allclose(reconstruct(StageSequence(2, (stage,))), hadamard_coin())
 
 
@@ -176,14 +199,14 @@ def test_reconstruction_is_unitary(rng):
 
 def test_apply_stage_identity_rotations(rng):
     line = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    stage = Stage(2, tuple(PairRotation(a, b, np.eye(2, dtype=complex)) for a, b in stage_pairs(4, 2)))
+    stage = identity_stage(4, 2)
     assert np.array_equal(apply_stage(line, stage), line)
 
 
 def test_apply_stage_swap():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
-    stage = Stage(2, (PairRotation(1, 2, swap), PairRotation(3, 4, eye)))
+    stage = Stage(2, np.stack([swap, eye]))
     out = apply_stage(np.array([1, 0, 0, 0], dtype=complex), stage)
     assert out.tolist() == [0, 1, 0, 0]
 
@@ -198,8 +221,8 @@ def test_apply_stage_norm_preserved(rng):
 def test_apply_stage_matches_dense_oracle(rng):
     n, d = 8, 4
     stage = random_stage(n, d, rng)
-    pairs = [(r.a, r.b) for r in stage.rotations]
-    units = [r.u for r in stage.rotations]
+    pairs = [tuple(p) for p in stage.pairs.tolist()]
+    units = list(stage.u)
     dense = oracles.stage_matrix_dense(n, pairs, units)
     line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     assert np.max(np.abs(apply_stage(line, stage) - dense @ line)) < 1e-12
@@ -212,9 +235,15 @@ def test_apply_stage_order_insensitive(rng):
     line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     base = apply_stage(line, stage)
     for perm_seed in range(4):
-        perm = np.random.default_rng(perm_seed).permutation(len(stage.rotations))
-        shuffled = Stage(d, tuple(stage.rotations[i] for i in perm))
-        assert np.array_equal(apply_stage(line, shuffled), base)
+        # one 2×2 rotation at a time, in a shuffled pair order
+        perm = np.random.default_rng(perm_seed).permutation(n // 2)
+        shuffled = line.copy()
+        for k in perm:
+            a, b = stage.pairs[k] - 1
+            xa, xb = shuffled[a], shuffled[b]
+            shuffled[a] = stage.u[k, 0, 0] * xa + stage.u[k, 0, 1] * xb
+            shuffled[b] = stage.u[k, 1, 0] * xa + stage.u[k, 1, 1] * xb
+        assert shuffled.tobytes() == base.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -232,3 +261,70 @@ def test_sequence_json_round_trip(rng):
 def test_unitary_json_round_trip(rng):
     u = random_unitary(4, rng)
     assert np.array_equal(unitary_from_json(unitary_to_json(u)), u)
+
+
+def test_sequence_json_keeps_every_bit(rng):
+    seq = cs_decompose(random_unitary(16, rng))
+    text = sequence_to_json(seq)
+    back = sequence_from_json(text)
+    assert back == seq
+    assert sequence_to_json(back) == text
+
+
+def test_sequence_from_json_rejects_other_versions(rng):
+    doc = json.loads(sequence_to_json(cs_decompose(random_unitary(4, rng))))
+    for version in (99, None):
+        doc["version"] = version
+        with pytest.raises(ValueError, match="version"):
+            sequence_from_json(json.dumps(doc))
+
+
+def test_sequence_from_json_rejects_reordered_pairs(rng):
+    u = np.stack([random_unitary(2, rng), random_unitary(2, rng)])
+    with pytest.raises(ValueError):
+        sequence_from_json(one_stage_json(4, [(2, 4), (1, 3)], u))
+    with pytest.raises(ValueError):
+        sequence_from_json(one_stage_json(4, [(1, 3), (1, 3)], u))
+
+
+# ---------------------------------------------------------------------------
+# Value semantics
+
+
+def test_stage_and_sequence_compare_and_hash_by_value(rng):
+    u = random_unitary(8, rng)
+    a, b = cs_decompose(u), cs_decompose(u.copy())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a.stages[3] == b.stages[3] and hash(a.stages[3]) == hash(b.stages[3])
+    assert len({a, b}) == 1
+    assert a != cs_decompose(random_unitary(8, rng))
+    assert a.stages[0] != a.stages[1]
+    # the same stack of rotations at another stride is another stage
+    stack = random_stage(4, 2, rng).u
+    assert Stage(2, stack) != Stage(4, stack)
+    assert Stage(2, stack) != stack
+
+
+def test_stage_arrays_are_read_only(rng):
+    stage = random_stage(8, 4, rng)
+    for array in (stage.u, stage.pairs, stage.positions):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    assert stage.positions.tolist() == [a for a, _ in stage_pairs(8, 4)]
+
+
+def test_stage_rejects_nan():
+    u = np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)).copy()
+    u[2, 1, 0] = np.nan
+    with pytest.raises(UnitarityError):
+        Stage(4, u)
+
+
+@given(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1))
+def test_cs_factor_is_bitwise_cossin(m, seed):
+    blk = random_unitary(m, np.random.default_rng(seed))
+    (u1, u2), theta, (v1h, v2h) = cs_factor(blk)
+    expected = cossin(blk, p=m // 2, q=m // 2, separate=True)
+    (e1, e2), etheta, (ev1h, ev2h) = expected
+    for got, want in ((u1, e1), (u2, e2), (theta, etheta), (v1h, ev1h), (v2h, ev2h)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -1,0 +1,46 @@
+"""Byte-level golden outputs of the synthesis and the physical walk.
+
+The digests were recorded from the pair-by-pair implementation (one 2×2
+rotation object per pair, one copied grid per conveyor primitive). Any
+rewrite of the stage layout or the conveyor must reproduce the same bytes on
+the same platform (numpy 2.4, scipy 1.17, x86-64).
+"""
+
+import hashlib
+
+import numpy as np
+
+from gridwalk.conveyor import ProtocolTrace, format_trace, run_walk_physical
+from gridwalk.decompose import cs_decompose, sequence_to_json
+from gridwalk.util import random_unitary
+from gridwalk.walk import CoinPlan, WalkState
+
+PHYSICAL_TRACE_SHA256 = "bae159d7a96a9c298f80bae9365c262c0bbba3a8bdd495dce14481abc7f1d8da"
+PHYSICAL_STATE_SHA256 = "f4963d67055e43d6ff54c575e25669bc3a1832b7d17f77e5a052a4efa461c6f3"
+SEQUENCE16_SHA256 = "7ad495b46d9b169da9ad87bdf9abf6cc62745abbe973d5bc40b361f525d0534d"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_traced_padded_physical_walk_is_byte_identical():
+    # n = 6 pads to 8: every coin goes through pad_unitary, every line through
+    # seven stages, three steps alternate rows, columns, rows
+    rng = np.random.default_rng(5)
+    n, steps = 6, 3
+    plan = CoinPlan.from_step_coins(
+        [[random_unitary(n, rng) for _ in range(n)] for _ in range(steps)]
+    )
+    amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    s0 = WalkState(n, amp / np.linalg.norm(amp))
+    trace = ProtocolTrace()
+    out = run_walk_physical(s0, plan, trace)
+    assert len(trace.actions) == steps * n * 7 * 5
+    assert sha256(format_trace(trace).encode()) == PHYSICAL_TRACE_SHA256
+    assert sha256(out.amp.tobytes()) == PHYSICAL_STATE_SHA256
+
+
+def test_sequence_json_of_a_seeded_16x16_unitary_is_byte_identical():
+    u = random_unitary(16, np.random.default_rng(16))
+    assert sha256(sequence_to_json(cs_decompose(u)).encode()) == SEQUENCE16_SHA256

@@ -1,0 +1,81 @@
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+
+from gridwalk.decompose import cs_decompose, sequence_from_json, sequence_to_json, unitary_from_json, unitary_to_json
+from gridwalk.tdse import SpatialGrid, WaveFunction, wavefunction_from_json, wavefunction_to_json
+from gridwalk.util import check_version, complex_from_json, complex_to_json, random_unitary
+from gridwalk.walk import WalkState, state_from_json, state_to_json
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+complex_arrays = hnp.arrays(
+    np.complex128,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+    elements=st.builds(complex, finite, finite),
+)
+
+
+@given(complex_arrays)
+def test_complex_json_round_trip_keeps_every_bit(a):
+    text = json.dumps(complex_to_json(a))
+    back = complex_from_json(json.loads(text), a.shape)
+    assert back.shape == a.shape and back.tobytes() == a.tobytes()
+    assert json.dumps(complex_to_json(back)) == text
+
+
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_document_writers_round_trip(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    state_text = state_to_json(WalkState(n, amp / np.linalg.norm(amp)))
+    assert state_to_json(state_from_json(state_text)) == state_text
+    u = random_unitary(2**n, rng)
+    unitary_text = unitary_to_json(u)
+    assert unitary_to_json(unitary_from_json(unitary_text)) == unitary_text
+    seq_text = sequence_to_json(cs_decompose(u))
+    assert sequence_to_json(sequence_from_json(seq_text)) == seq_text
+    grid = SpatialGrid(-4.0, 4.0, 16 * n)
+    psi = rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)
+    wf_text = wavefunction_to_json(WaveFunction(grid, psi / np.sqrt(np.sum(np.abs(psi) ** 2) * grid.dx)))
+    assert wavefunction_to_json(wavefunction_from_json(wf_text)) == wf_text
+
+
+def test_complex_json_writes_float_pairs_in_c_order():
+    a = np.array([[1 + 2j, -0.0 + 0j], [3.5, -1j]])
+    assert complex_to_json(a) == [[1.0, 2.0], [-0.0, 0.0], [3.5, 0.0], [0.0, -1.0]]
+
+
+@pytest.mark.parametrize("pairs", [[[1, 0], [0, 1]], [[1, 0, 0]], [[1, 0], [0]], [["a", 0]], [1, 0]])
+def test_complex_from_json_rejects_malformed_pairs(pairs):
+    with pytest.raises(ValueError):
+        complex_from_json(pairs, (1,))
+
+
+def test_versioned_readers_reject_other_versions(rng):
+    amp = np.zeros((2, 2), dtype=complex)
+    amp[0, 0] = 1
+    grid = SpatialGrid(-4.0, 4.0, 16)
+    documents = [
+        (state_to_json(WalkState(2, amp)), state_from_json),
+        (sequence_to_json(cs_decompose(random_unitary(4, rng))), sequence_from_json),
+        (wavefunction_to_json(WaveFunction(grid, np.full(16, 1 / np.sqrt(8.0)))), wavefunction_from_json),
+    ]
+    for text, read in documents:
+        read(text)
+        doc = json.loads(text)
+        doc["version"] = 99
+        with pytest.raises(ValueError, match="version must be 1"):
+            read(json.dumps(doc))
+        del doc["version"]
+        with pytest.raises(ValueError, match="version must be 1"):
+            read(json.dumps(doc))
+
+
+def test_check_version():
+    check_version({"version": 2}, 2, "thing")
+    with pytest.raises(ValueError, match="thing version must be 2, got 1"):
+        check_version({"version": 1}, 2, "thing")
