@@ -68,9 +68,10 @@ def _get(config: dict, key: str, kind, default=None, required: bool = False):
             raise ConfigError(f"config field {key!r} is required")
         return default
     value = config[key]
-    if kind is float and isinstance(value, int):
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind):
+    # JSON true and false load as bools, which are ints, but are no numbers
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -100,7 +101,7 @@ def _initial_state(config: dict, base: Path, g: Graph) -> walk.WalkState:
         return walk.state_from_json(_resolve(base, init["snapshot"]).read_text())
     node = _get(init, "node", int, required=True)
     coin = init.get("coin")
-    if isinstance(coin, int):
+    if type(coin) is int:
         return walk.init_localized(g.n, node, coin)
     if coin == "balanced":
         from .graph import edge_mask
@@ -195,13 +196,13 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
         state = walk.WalkState(n, amp)
         orientation = conveyor.ROW if rng.integers(2) else conveyor.COLUMN
         line = int(rng.integers(1, n + 1))
-        g = conveyor.run_stage(conveyor.embed(state), stage, orientation, line, trace)
-        physical = conveyor.extract(g)
+        amp = conveyor.embed(state).amp.copy()
+        cells = conveyor.data_lines(amp, orientation)[line - 1]
+        conveyor.run_stage(cells, stage, orientation, line, trace)
+        physical = conveyor.extract(conveyor.PhysicalGrid(n, amp))
         expected = state.amp.copy()
-        if orientation == conveyor.ROW:
-            expected[line - 1, :] = decompose.apply_stage(expected[line - 1, :], stage)
-        else:
-            expected[:, line - 1] = decompose.apply_stage(expected[:, line - 1], stage)
+        lines = expected if orientation == conveyor.ROW else expected.T
+        lines[line - 1] = decompose.apply_stage(lines[line - 1], stage)
         worst = max(worst, float(np.max(np.abs(physical.amp - expected))))
     _atomic_write(out_dir, "trace.txt", conveyor.format_trace(trace))
     _write_report(out_dir, {

@@ -21,9 +21,9 @@ stage rotations by gate calibration. Register motion is an exact permutation
 (ideal adiabatic transport). Pair schedules satisfy k·d+r+d/2 ≤ n, so a +d
 shift never crosses the grid boundary.
 
-The primitives and the stage runner work in place on the 2n cells of one
-line, a view into one amplitude buffer; given a whole PhysicalGrid instead,
-they work on a copy and return a new grid.
+The primitives and the stage runner work in place on an array whose last
+axis holds the 2n cells of a line: one line, or the block of all n data
+lines of one orientation (``data_lines``), a view into one amplitude buffer.
 """
 
 from __future__ import annotations
@@ -33,10 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import Stage, StageSequence, cs_decompose, pad_unitary, rotate_in_place, stage_sites
+from .decompose import Stage, StageSequence, cs_decompose, rotate_in_place, stage_sites
 from .errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
-from .util import frozen, is_power_of_two
-from .walk import CoinPlan, WalkState
+from .util import frozen, next_power_of_two
+from .walk import CoinPlan, CoinSet, WalkState
 
 NORM_TOL = 1e-12
 REGISTER_TOL = 1e-10
@@ -112,8 +112,23 @@ class ProtocolTrace:
             raise InvariantViolation(f"step {step} must be {expected[step]}, got {action}")
         self.actions.append(TraceAction(step, action, orientation, line, params))
 
+    def record_stage(self, n: int, d: int, orientation: str, line: int) -> None:
+        """The five actions of a stride-d stage on a line of n data sites."""
+        for step, action, params in _stage_actions(n, d):
+            self.record(step, action, orientation, line, params)
+
     def stage_count(self) -> int:
         return sum(1 for a in self.actions if a.step == 1)
+
+
+@functools.cache
+def _stage_actions(n: int, d: int) -> tuple[tuple[int, str, str], ...]:
+    """(step, action, params) of the five actions of a stride-d stage on n data sites."""
+    pairs = stage_sites(n, d) + 1
+    transfer = "positions=" + ",".join(map(str, pairs[:, 0].tolist()))
+    rotate = f"d={d};pairs=" + ",".join(f"({a},{b})" for a, b in pairs.tolist())
+    actions = ("pi_transfer", "shift", "rotate", "shift", "pi_transfer")
+    return tuple(zip(range(1, 6), actions, (transfer, f"offset={d}", rotate, f"offset={-d}", transfer)))
 
 
 def format_trace(trace: ProtocolTrace) -> str:
@@ -127,38 +142,17 @@ def format_trace(trace: ProtocolTrace) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _check_orientation(orientation: str) -> None:
-    if orientation not in (ROW, COLUMN):
-        raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}, got {orientation!r}")
+def data_lines(amp: np.ndarray, orientation: str) -> np.ndarray:
+    """The (n, 2n) block of data lines of a 2n×2n grid buffer, a writable view.
 
-
-def _line_view(amp: np.ndarray, orientation: str, line: int, n: int) -> np.ndarray:
-    """The 2n physical cells of a logical line; a view into amp."""
-    if not (1 <= line <= n):
-        raise ValueError(f"line {line} outside 1..{n}")
-    phys = 2 * (line - 1)
-    return amp[phys, :] if orientation == ROW else amp[:, phys]
-
-
-def _on_line(op):
-    """Let an in-place line operation take a whole PhysicalGrid as well.
-
-    ``op(cells, arg, orientation, line, ...)`` changes the 2n cells of one
-    line (a writable complex 1-D array) in place and returns them. Given a
-    PhysicalGrid instead, the operation runs on that line of a copy of the
-    grid and a new, norm-checked grid is returned.
+    Row t of the block is the physical row (ROW) or column (COLUMN) 2t+1,
+    1-based, that carries logical line t+1.
     """
-
-    @functools.wraps(op)
-    def operation(g, arg, orientation: str, line: int, *rest, **options):
-        _check_orientation(orientation)
-        if not isinstance(g, PhysicalGrid):
-            return op(g, arg, orientation, line, *rest, **options)
-        amp = g.amp.copy()
-        op(_line_view(amp, orientation, line, g.n), arg, orientation, line, *rest, **options)
-        return PhysicalGrid(g.n, amp)
-
-    return operation
+    if orientation == ROW:
+        return amp[0::2]
+    if orientation == COLUMN:
+        return amp[:, 0::2].T
+    raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}, got {orientation!r}")
 
 
 def embed(s: WalkState) -> PhysicalGrid:
@@ -178,45 +172,47 @@ def extract(g: PhysicalGrid) -> WalkState:
     return WalkState(g.n, g.data_view().copy())
 
 
-@_on_line
-def pi_transfer(cells: np.ndarray, positions, orientation: str, line: int) -> np.ndarray:
+def pi_transfer(cells: np.ndarray, positions) -> np.ndarray:
     """Exchange data and adjacent register amplitudes at the listed positions.
 
-    An ideal π rotation moves an amplitude entirely between the two sites;
-    applying it twice restores the original line exactly.
+    Works in place on every line of ``cells``, one line or a block of lines
+    along its last axis. An ideal π rotation moves an amplitude entirely
+    between the two sites; applying it twice restores the original lines
+    exactly.
     """
     data = 2 * np.asarray(positions, dtype=np.intp) - 2
-    if data.size and not (0 <= data.min() and data.max() < len(cells)):
-        raise ValueError(f"positions {np.asarray(positions).tolist()} outside 1..{len(cells) // 2}")
-    cells[data], cells[data + 1] = cells[data + 1], cells[data]
+    if data.size and not (0 <= data.min() and data.max() < cells.shape[-1]):
+        raise ValueError(f"positions {np.asarray(positions).tolist()} outside 1..{cells.shape[-1] // 2}")
+    cells[..., data], cells[..., data + 1] = cells[..., data + 1], cells[..., data]
     return cells
 
 
-@_on_line
-def shift_register(cells: np.ndarray, offset: int, orientation: str, line: int) -> np.ndarray:
-    """Translate the register-site amplitudes of one line by `offset` physical cells.
+def shift_register(cells: np.ndarray, offset: int, line: int = 1) -> np.ndarray:
+    """Translate the register-site amplitudes of each line by `offset` physical cells.
 
     The offset must be even so register sites land on register sites; any
-    nonzero amplitude that would leave the grid raises ShiftOutOfRangeError
-    (there is no wraparound).
+    nonzero amplitude that would leave its line raises ShiftOutOfRangeError
+    (there is no wraparound), naming the line counted from ``line``, the
+    number of the first line in ``cells``, and leaving every line as it was.
     """
     if offset % 2 != 0:
         raise ValueError(f"offset must be even, got {offset}")
-    regs = cells[1::2]
+    regs = cells[..., 1::2]
     slots = offset // 2
     if slots == 0:
         return cells
-    lost = regs[-slots:] if slots > 0 else regs[:-slots]
-    if lost.any():
+    lost = regs[..., -slots:] if slots > 0 else regs[..., :-slots]
+    dirty = np.flatnonzero(lost.any(axis=-1))
+    if dirty.size:
         raise ShiftOutOfRangeError(
-            f"shift by {offset} cells would move amplitude outside the grid on line {line}"
+            f"shift by {offset} cells would move amplitude outside the grid on line {line + dirty[0]}"
         )
     if slots > 0:
-        regs[slots:] = regs[:-slots]
-        regs[:slots] = 0
+        regs[..., slots:] = regs[..., :-slots]
+        regs[..., :slots] = 0
     else:
-        regs[:slots] = regs[-slots:]
-        regs[slots:] = 0
+        regs[..., :slots] = regs[..., -slots:]
+        regs[..., slots:] = 0
     return cells
 
 
@@ -227,21 +223,22 @@ def _carried_sites(n: int, d: int) -> np.ndarray:
     return frozen(np.stack([data_b + 1, data_b], axis=1))
 
 
-@_on_line
-def rotate_pairs(cells: np.ndarray, stage: Stage, orientation: str, line: int) -> np.ndarray:
+def rotate_pairs(cells: np.ndarray, stage: Stage) -> np.ndarray:
     """Apply each pair rotation between a carried register amplitude and its partner.
 
     Assumes the stage's first-member amplitudes were shifted +d cells, so the
     amplitude of logical a sits on the register site adjacent to the data site
-    of logical b = a + d/2. The 2×2 rotation acts on (carried a, data b).
+    of logical b = a + d/2. The 2×2 rotation acts on (carried a, data b). On a
+    block of L lines of 2n cells the stage spans L·n indices, line t taking
+    its rows t·n/2 … (t+1)·n/2 − 1, as ``cs_decompose`` lays out a stack.
     """
-    if 2 * stage.n != len(cells):
-        raise ValueError(f"stage dimension {stage.n} does not match a line of {len(cells)} cells")
-    rotate_in_place(cells, _carried_sites(stage.n, stage.d), stage)
+    n = cells.shape[-1] // 2
+    if stage.n != cells.size // 2:
+        raise ValueError(f"stage dimension {stage.n} does not match {cells.size // 2} data sites")
+    rotate_in_place(cells, _carried_sites(n, stage.d), stage)
     return cells
 
 
-@_on_line
 def run_stage(
     cells: np.ndarray,
     stage: Stage,
@@ -249,43 +246,30 @@ def run_stage(
     line: int,
     trace: ProtocolTrace | None = None,
 ) -> np.ndarray:
-    """Execute the five-step conveyor protocol for one stage on one line.
+    """Execute the five-step conveyor protocol for one stage on a line or a block of lines.
 
-    The line's register sites must be empty again afterwards.
+    ``cells`` holds one line, (2n,), or L lines, (L, 2n), numbered from
+    ``line`` on; it is changed in place. Every line's register sites must be
+    empty again afterwards. The trace gets each line's five actions once the
+    stage has succeeded.
     """
-    positions, d = stage.positions, stage.d
-    pi_transfer(cells, positions, orientation, line)
-    shift_register(cells, d, orientation, line)
-    rotate_pairs(cells, stage, orientation, line)
-    shift_register(cells, -d, orientation, line)
-    pi_transfer(cells, positions, orientation, line)
-    if trace is not None:
-        transfer = "positions=" + ",".join(map(str, positions.tolist()))
-        pairs = ",".join(f"({a},{b})" for a, b in stage.pairs.tolist())
-        trace.record(1, "pi_transfer", orientation, line, transfer)
-        trace.record(2, "shift", orientation, line, f"offset={d}")
-        trace.record(3, "rotate", orientation, line, f"d={d};pairs={pairs}")
-        trace.record(4, "shift", orientation, line, f"offset={-d}")
-        trace.record(5, "pi_transfer", orientation, line, transfer)
-    worst = float(np.abs(cells[1::2]).max())
-    if not worst <= REGISTER_TOL:
+    n, d = cells.shape[-1] // 2, stage.d
+    positions = stage_sites(n, d)[:, 0] + 1
+    pi_transfer(cells, positions)
+    shift_register(cells, d, line)
+    rotate_pairs(cells, stage)
+    shift_register(cells, -d, line)
+    pi_transfer(cells, positions)
+    worst = np.abs(cells[..., 1::2]).max(axis=-1)
+    dirty = np.flatnonzero(~(worst <= REGISTER_TOL))
+    if dirty.size:
         raise ProtocolIncompleteError(
-            f"register amplitude {worst:.3e} left on line {line} exceeds {REGISTER_TOL:.0e}"
+            f"register amplitude {worst.flat[dirty[0]]:.3e} left on line {line + dirty[0]} "
+            f"exceeds {REGISTER_TOL:.0e}"
         )
-    return cells
-
-
-@_on_line
-def run_sequence(
-    cells: np.ndarray,
-    seq: StageSequence,
-    orientation: str,
-    line: int,
-    trace: ProtocolTrace | None = None,
-) -> np.ndarray:
-    """Run all stages of a sequence on one line, in application order."""
-    for stage in seq.stages:
-        run_stage(cells, stage, orientation, line, trace)
+    if trace is not None:
+        for t in range(cells.size // (2 * n)):
+            trace.record_stage(n, d, orientation, line + t)
     return cells
 
 
@@ -294,45 +278,40 @@ def run_walk_physical(
 ) -> WalkState:
     """Evolve a walk entirely through the physical conveyor protocol.
 
-    Every step's per-line coins are synthesized into stage sequences and run
-    line by line, in place on one amplitude buffer: odd steps over the rows,
-    even steps over the columns, which reproduces the alternating grid
-    evolution of walk.evolve. Lines within one step are independent; the
-    sequential order here is immaterial. The norm is checked after every
-    step and again on the final grid, whose register extract checks.
+    Each coin set of the plan is synthesized once per run, by one
+    cs_decompose of its stacked line coins. A step runs each of the n−1
+    stages once, on the whole block of data lines of one amplitude buffer:
+    odd steps on the rows, even steps on the columns, which reproduces the
+    alternating grid evolution of walk.evolve. The norm is checked after
+    every step and again on the final grid, whose register extract checks.
+    The trace gets a step's actions line by line once the step has succeeded.
 
-    Dimensions that are not powers of two are padded with identity-fixed
-    indices for the synthesis and stripped again on extraction.
+    Dimensions that are not powers of two are padded with identity lines and
+    identity-fixed indices for the synthesis and stripped again on
+    extraction.
     """
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     n = s0.n
-    padded = not is_power_of_two(n)
-    if padded:
-        probe, _ = pad_unitary(np.eye(n))
-        npad = probe.shape[0]
-        amp = np.zeros((npad, npad), dtype=complex)
-        amp[:n, :n] = s0.amp
-        state = WalkState(npad, amp)
-    else:
-        state = s0
-
-    amp = embed(state).amp.copy()
-    # coins_for_step hands out the plan's own coin objects, the same on every
-    # step that shares a coin set, so each coin is synthesized once per run
-    seq_cache: dict[int, StageSequence] = {}
+    npad = next_power_of_two(n)
+    amp = np.zeros((npad, npad), dtype=complex)
+    amp[:n, :n] = s0.amp
+    amp = embed(WalkState(npad, amp)).amp.copy()
+    sequences: dict[CoinSet, StageSequence] = {}
     for i in range(1, plan.steps + 1):
-        coins = plan.coins_for_step(i)
+        coins = plan.coin_set(i)
+        if coins not in sequences:
+            stack = np.broadcast_to(np.eye(npad, dtype=complex), (npad, npad, npad)).copy()
+            stack[:n, :n, :n] = coins.dense
+            sequences[coins] = cs_decompose(stack)
+        stages = sequences[coins].stages
         orientation = ROW if i % 2 == 1 else COLUMN
-        for line in range(1, n + 1):
-            coin = coins[line - 1]
-            key = id(coin)
-            if key not in seq_cache:
-                seq_cache[key] = cs_decompose(pad_unitary(coin)[0] if padded else coin)
-            cells = _line_view(amp, orientation, line, state.n)
-            run_sequence(cells, seq_cache[key], orientation, line, trace)
+        for stage in stages:
+            run_stage(data_lines(amp, orientation), stage, orientation, 1)
         _check_norm(amp)
-    out = extract(PhysicalGrid(state.n, amp))
-    if padded:
-        return WalkState(n, out.amp[:n, :n])
-    return out
+        if trace is not None:
+            for line in range(1, n + 1):
+                for stage in stages:
+                    trace.record_stage(npad, stage.d, orientation, line)
+    out = extract(PhysicalGrid(npad, amp))
+    return WalkState(n, out.amp[:n, :n]) if npad != n else out

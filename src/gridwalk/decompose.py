@@ -149,21 +149,25 @@ def _stride_schedule(n: int) -> list[int]:
 def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
     """Factor a power-of-two unitary into its n−1 pairwise-rotation stages.
 
-    Raises ValueError for dimensions that are not a power of two (pad first,
-    see pad_unitary) and UnitarityError when ``max|u†u − I| ≥ tol``.
+    An (L, n, n) stack is read as the block-diagonal unitary of its L coins:
+    the n−1 stages span L·n indices, and rows t·n/2 … (t+1)·n/2 − 1 of each
+    stage's ``u`` are coin t's rotations, bit for bit those of
+    ``cs_decompose(u[t])``. Raises ValueError when n or L·n is not a power
+    of two (pad first, see pad_unitary) and UnitarityError when
+    ``max|u†u − I| ≥ tol`` for any coin.
     """
     u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    if u.shape != (n, n):
-        raise ValueError(f"expected a square matrix, got {u.shape}")
-    if not is_power_of_two(n):
-        raise ValueError(f"dimension must be a power of two, got {n} (pad_unitary first)")
-    check_unitary(u, tol, "decomposition input")
+    n = u.shape[-1]
+    if u.ndim not in (2, 3) or u.shape[-2:] != (n, n) or u.size == 0:
+        raise ValueError(f"expected a square matrix or a stack of them, got {u.shape}")
+    blocks = u.reshape(-1, n, n)
+    if not (is_power_of_two(n) and is_power_of_two(len(blocks))):
+        raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad_unitary first)")
+    check_unitary(blocks, tol, "decomposition input")
     if n == 1:
-        # 1×1 input is a bare phase; nothing to schedule.
-        return StageSequence(1, ())
-    stages = _decompose_blocks([u])
-    return StageSequence(n, tuple(stages))
+        # 1×1 coins are bare phases; nothing to schedule.
+        return StageSequence(len(blocks), ())
+    return StageSequence(len(blocks) * n, tuple(_decompose_blocks(list(blocks))))
 
 
 def _decompose_blocks(blocks: list[np.ndarray]) -> list[Stage]:
@@ -245,19 +249,23 @@ def reconstruct(seq: StageSequence) -> np.ndarray:
 
 
 def rotate_in_place(cells: np.ndarray, sites: np.ndarray, stage: Stage) -> None:
-    """Apply rotation k of a stage to the amplitudes ``cells[sites[k]]``, in place.
+    """Apply the stage's rotations to the amplitudes ``cells[..., sites[k]]``, in place.
 
-    ``cells`` is a complex 1-D array of any stride; ``sites[k]`` holds the
-    positions of the a and the b operand of pair k, which also receive the
-    results. The products are formed in real arithmetic term by term, as
-    scalar complex multiplication forms them, so the result is bit-identical
-    to applying each 2×2 rotation on its own; numpy's vectorized complex
-    multiply may fuse multiply-adds and is not.
+    ``cells`` is a complex array of any strides whose last axis is one line;
+    ``sites[k]`` holds the positions of the a and the b operand of pair k on
+    every line, which also receive the results. The stage's rotations are
+    read in C order over the leading axes and then k: line t of an (L, m)
+    block takes rows t·len(sites) … (t+1)·len(sites) − 1. The products are
+    formed in real arithmetic term by term, as scalar complex multiplication
+    forms them, so the result is bit-identical to applying each 2×2 rotation
+    on its own; numpy's vectorized complex multiply may fuse multiply-adds
+    and is not.
     """
-    x = cells[sites].view(float).reshape(-1, 1, 1, 2, 2)  # [k, ·, ·, j, t]
-    terms = stage.real_form * x  # [k, i, c, j, t]
-    products = terms[..., 0] + terms[..., 1]  # component c of u_ij·x_j
-    cells[sites] = (products[..., 0] + products[..., 1]).view(complex)[..., 0]
+    x = np.ascontiguousarray(cells[..., sites])
+    lead = x.shape[:-1]  # [..., k]
+    terms = stage.real_form.reshape(lead + (2, 2, 2, 2)) * x.view(float).reshape(lead + (1, 1, 2, 2))
+    products = terms[..., 0] + terms[..., 1]  # [..., k, i, c, j]: component c of u_ij·x_j
+    cells[..., sites] = (products[..., 0] + products[..., 1]).view(complex)[..., 0]
 
 
 def apply_stage(line: np.ndarray, stage: Stage) -> np.ndarray:

@@ -132,14 +132,14 @@ def _parse_graph_json(text: str) -> Graph:
     if doc.get("directed"):
         raise GraphParseError("directed graphs are not supported")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:  # JSON true and false load as bools, which are ints
         raise GraphParseError(f"'n' must be a positive integer, got {n!r}")
     edges = set()
     for i, pair in enumerate(doc.get("edges", [])):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphParseError(f"edge #{i + 1} must be a pair [j, k], got {pair!r}")
         j, k = pair
-        if not (isinstance(j, int) and isinstance(k, int)):
+        if not (type(j) is int and type(k) is int):
             raise GraphParseError(f"edge #{i + 1} has non-integer endpoints: {pair!r}")
         if not (1 <= j <= n and 1 <= k <= n):
             raise GraphParseError(f"edge #{i + 1} ({j},{k}) outside node range 1..{n}")

@@ -291,7 +291,7 @@ class CoinSet:
 
     @cached_property
     def dense(self) -> tuple[np.ndarray, ...]:
-        """Read-only n×n coin of every line, built once so each coin keeps its id."""
+        """Read-only n×n coin of every line, built once per coin set."""
         n = self.n
         coins = np.zeros((n, n, n), dtype=complex)
         coins[:, np.arange(n), np.arange(n)] = 1.0
@@ -351,7 +351,7 @@ class CoinPlan:
         return self.coin_sets[step - 1]
 
     def coins_for_step(self, step: int) -> tuple[np.ndarray, ...]:
-        """Dense n×n coins for 1-based step index; the same objects on every call."""
+        """Dense n×n coins for 1-based step index, built once per coin set."""
         return self.coin_set(step).dense
 
     @staticmethod

@@ -10,7 +10,16 @@ import numpy as np
 
 import gatecfg
 import oracles
-from gridwalk.conveyor import ROW, COLUMN, embed, extract, run_stage, run_walk_physical
+from gridwalk.conveyor import (
+    COLUMN,
+    ROW,
+    PhysicalGrid,
+    data_lines,
+    embed,
+    extract,
+    run_stage,
+    run_walk_physical,
+)
 from gridwalk.decompose import Stage, apply_stage, cs_decompose, reconstruct, stage_pairs
 from gridwalk.graph import cycle_graph
 from gridwalk.tdse import (
@@ -133,7 +142,9 @@ def test_criterion_4_conveyor_equivalence():
             s = random_state(n, rng)
             orientation = ROW if rng.integers(2) else COLUMN
             line = int(rng.integers(1, n + 1))
-            g = run_stage(embed(s), stage, orientation, line)
+            amp = embed(s).amp.copy()
+            run_stage(data_lines(amp, orientation)[line - 1], stage, orientation, line)
+            g = PhysicalGrid(n, amp)
             worst_register = max(worst_register, g.max_register_amplitude())
             physical = extract(g)
             expected = s.amp.copy()

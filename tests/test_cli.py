@@ -52,6 +52,24 @@ def test_wrong_version(tmp_path):
     assert main(["walk", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("doc", [
+    {"steps": True, "initial": {"node": 1, "coin": 1}},
+    {"steps": 2, "initial": {"node": True, "coin": 1}},
+    {"steps": 2, "initial": {"node": 1, "coin": True}},
+    {"steps": 2, "initial": {"node": 1, "coin": 1}, "graph": {"n": True, "edges": [[True, True]]}},
+])
+def test_walk_rejects_booleans_as_numbers(tmp_path, doc):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "graph": k_graph_doc(2), **doc})
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "report.json").exists()
+
+
+def test_tdse_rejects_a_boolean_float_field(tmp_path):
+    cfg = write_config(tmp_path, gate_config(solver={"dt": True}))
+    assert main(["tdse", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
 def test_missing_required_field(tmp_path):
     cfg = write_config(tmp_path, {"version": 1, "graph": k_graph_doc(2),
                                   "initial": {"node": 1, "coin": 1}})

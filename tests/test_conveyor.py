@@ -9,12 +9,12 @@ from gridwalk.conveyor import (
     ROW,
     PhysicalGrid,
     ProtocolTrace,
+    data_lines,
     embed,
     extract,
     format_trace,
     pi_transfer,
     rotate_pairs,
-    run_sequence,
     run_stage,
     run_walk_physical,
     shift_register,
@@ -23,7 +23,7 @@ from gridwalk.decompose import Stage, apply_stage, cs_decompose, stage_pairs
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import random_unitary
-from gridwalk.walk import CoinPlan, WalkState, evolve, init_localized
+from gridwalk.walk import CoinPlan, CoinSet, WalkState, evolve, init_localized
 
 
 def random_state(n, rng):
@@ -37,6 +37,20 @@ def random_stage(n, d, rng):
 
 def identity_stage(n, d):
     return Stage(d, np.broadcast_to(np.eye(2), (n // 2, 2, 2)))
+
+
+def buffer(s):
+    """A writable 2n×2n grid buffer holding the walk state on its data sites."""
+    return embed(s).amp.copy()
+
+
+def line_of(amp, orientation, line):
+    return data_lines(amp, orientation)[line - 1]
+
+
+def line_stage(stage, n, t):
+    """Line t's rotations (0-based) of a stage laid out over a block of n-site lines."""
+    return Stage(stage.d, stage.u[t * n // 2:(t + 1) * n // 2])
 
 
 # ---------------------------------------------------------------------------
@@ -69,69 +83,81 @@ def test_extract_rejects_dirty_register(rng):
 
 
 def test_pi_transfer_moves_amplitude():
-    g = embed(init_localized(2, 1, 1))
-    g2 = pi_transfer(g, [1], ROW, 1)
-    assert g2.amp[0, 0] == 0 and g2.amp[0, 1] == 1
+    amp = buffer(init_localized(2, 1, 1))
+    pi_transfer(line_of(amp, ROW, 1), [1])
+    assert amp[0, 0] == 0 and amp[0, 1] == 1
 
 
 def test_pi_transfer_involution(rng):
-    s = random_state(4, rng)
-    g = embed(s)
-    g2 = pi_transfer(pi_transfer(g, [1, 3], ROW, 2), [1, 3], ROW, 2)
-    assert np.array_equal(g2.amp, g.amp)
+    amp = buffer(random_state(4, rng))
+    before = amp.copy()
+    cells = line_of(amp, ROW, 2)
+    pi_transfer(pi_transfer(cells, [1, 3]), [1, 3])
+    assert np.array_equal(amp, before)
 
 
 def test_pi_transfer_norm_on_occupied_line(rng):
-    s = random_state(4, rng)
-    g = pi_transfer(embed(s), [1, 2, 3, 4], ROW, 3)
-    assert abs(np.sum(np.abs(g.amp) ** 2) - 1) < 1e-15
+    amp = buffer(random_state(4, rng))
+    pi_transfer(line_of(amp, ROW, 3), [1, 2, 3, 4])
+    assert abs(np.sum(np.abs(amp) ** 2) - 1) < 1e-15
+    PhysicalGrid(4, amp)  # norm-checked
 
 
 def test_pi_transfer_column_orientation():
-    g = embed(init_localized(2, 2, 1))  # amplitude at physical (3,1)
-    g2 = pi_transfer(g, [2], COLUMN, 1)
-    assert g2.amp[2, 0] == 0 and g2.amp[3, 0] == 1
+    amp = buffer(init_localized(2, 2, 1))  # amplitude at physical (3,1)
+    pi_transfer(line_of(amp, COLUMN, 1), [2])
+    assert amp[2, 0] == 0 and amp[3, 0] == 1
 
 
 def test_shift_zero_is_identity(rng):
-    g = embed(random_state(2, rng))
-    assert np.array_equal(shift_register(g, 0, ROW, 1).amp, g.amp)
+    amp = buffer(random_state(2, rng))
+    before = amp.copy()
+    shift_register(line_of(amp, ROW, 1), 0)
+    assert np.array_equal(amp, before)
 
 
 def test_shift_moves_register_cell():
     amp = np.zeros((8, 8), dtype=complex)
     amp[0, 1] = 1.0  # register at physical column 2 (1-based)
-    g = PhysicalGrid(4, amp)
-    g2 = shift_register(g, 4, ROW, 1)
-    assert g2.amp[0, 1] == 0 and g2.amp[0, 5] == 1  # physical column 6
+    shift_register(line_of(amp, ROW, 1), 4)
+    assert amp[0, 1] == 0 and amp[0, 5] == 1  # physical column 6
 
 
 def test_shift_round_trip(rng):
-    s = random_state(4, rng)
-    g = pi_transfer(embed(s), [1, 2], ROW, 1)
-    g2 = shift_register(shift_register(g, 4, ROW, 1), -4, ROW, 1)
-    assert np.array_equal(g2.amp, g.amp)
+    amp = buffer(random_state(4, rng))
+    cells = line_of(amp, ROW, 1)
+    pi_transfer(cells, [1, 2])
+    before = amp.copy()
+    shift_register(shift_register(cells, 4), -4)
+    assert np.array_equal(amp, before)
 
 
 def test_shift_rejects_odd_offset(rng):
-    g = embed(random_state(2, rng))
+    amp = buffer(random_state(2, rng))
     with pytest.raises(ValueError):
-        shift_register(g, 3, ROW, 1)
+        shift_register(line_of(amp, ROW, 1), 3)
 
 
 def test_shift_out_of_range():
     amp = np.zeros((4, 4), dtype=complex)
     amp[0, 3] = 1.0  # last register cell of row line 1
-    g = PhysicalGrid(2, amp)
     with pytest.raises(ShiftOutOfRangeError):
-        shift_register(g, 2, ROW, 1)
+        shift_register(line_of(amp, ROW, 1), 2)
+    # on a block of lines the check runs per line and names the offending one
+    amp = np.zeros((8, 8), dtype=complex)
+    amp[5, 4] = 1.0  # register cell next to position 3 on column line 3
+    with pytest.raises(ShiftOutOfRangeError, match="line 3"):
+        shift_register(data_lines(amp, COLUMN), 4)
+    assert amp[5, 4] == 1.0 and np.count_nonzero(amp) == 1
+    shift_register(data_lines(amp, COLUMN), 2)
+    assert amp[7, 4] == 1.0 and np.count_nonzero(amp) == 1
 
 
 def test_rotate_pairs_identity(rng):
-    s = random_state(4, rng)
-    g = embed(s)
-    g2 = rotate_pairs(g, identity_stage(4, 2), ROW, 1)
-    assert np.array_equal(g2.amp, g.amp)
+    amp = buffer(random_state(4, rng))
+    before = amp.copy()
+    rotate_pairs(line_of(amp, ROW, 1), identity_stage(4, 2))
+    assert np.array_equal(amp, before)
 
 
 # ---------------------------------------------------------------------------
@@ -139,19 +165,20 @@ def test_rotate_pairs_identity(rng):
 
 
 def test_run_stage_identity_rotations(rng):
-    s = random_state(4, rng)
-    g = embed(s)
-    g2 = run_stage(g, identity_stage(4, 4), ROW, 2)
-    assert np.max(np.abs(g2.amp - g.amp)) < 1e-12
-    assert g2.max_register_amplitude() == 0.0
+    amp = buffer(random_state(4, rng))
+    before = amp.copy()
+    run_stage(line_of(amp, ROW, 2), identity_stage(4, 4), ROW, 2)
+    assert np.max(np.abs(amp - before)) < 1e-12
+    assert PhysicalGrid(4, amp).max_register_amplitude() == 0.0
 
 
 def test_run_stage_swap_via_full_protocol():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     stage = Stage(4, np.stack([swap, eye]))  # pairs (1,3), (2,4)
-    s = init_localized(4, 1, 1)  # amplitude at logical (1,1)
-    out = extract(run_stage(embed(s), stage, ROW, 1))
+    amp = buffer(init_localized(4, 1, 1))  # amplitude at logical (1,1)
+    run_stage(line_of(amp, ROW, 1), stage, ROW, 1)
+    out = extract(PhysicalGrid(4, amp))
     # row line 1: position 1 and 3 swapped end to end
     assert out.amp[0, 2] == 1.0 and out.amp[0, 0] == 0.0
 
@@ -160,7 +187,7 @@ def test_run_stage_trace_schedule_matches_five_steps():
     # stride-4 stage on an 8-line: transfers at kd+r = 1,2,5,6, move by 4, rotate, undo
     trace = ProtocolTrace()
     stage = identity_stage(8, 4)
-    run_stage(embed(init_localized(8, 1, 1)), stage, ROW, 1, trace)
+    run_stage(line_of(buffer(init_localized(8, 1, 1)), ROW, 1), stage, ROW, 1, trace)
     kinds = [a.action for a in trace.actions]
     assert kinds == ["pi_transfer", "shift", "rotate", "shift", "pi_transfer"]
     assert [a.step for a in trace.actions] == [1, 2, 3, 4, 5]
@@ -172,7 +199,7 @@ def test_run_stage_trace_schedule_matches_five_steps():
 
 def test_trace_export_format():
     trace = ProtocolTrace()
-    run_stage(embed(init_localized(4, 1, 1)), identity_stage(4, 2), COLUMN, 3, trace)
+    run_stage(line_of(buffer(init_localized(4, 1, 1)), COLUMN, 3), identity_stage(4, 2), COLUMN, 3, trace)
     text = format_trace(trace)
     lines = text.strip().splitlines()
     assert len(lines) == 5
@@ -187,7 +214,9 @@ def test_physical_equals_logical(n, d, orientation, rng):
         stage = random_stage(n, d, rng)
         s = random_state(n, rng)
         line = int(rng.integers(1, n + 1))
-        out = extract(run_stage(embed(s), stage, orientation, line))
+        amp = buffer(s)
+        run_stage(line_of(amp, orientation, line), stage, orientation, line)
+        out = extract(PhysicalGrid(n, amp))
         expected = s.amp.copy()
         if orientation == ROW:
             expected[line - 1, :] = apply_stage(expected[line - 1, :], stage)
@@ -197,17 +226,21 @@ def test_physical_equals_logical(n, d, orientation, rng):
 
 
 def test_register_exactly_empty_after_stage(rng):
-    g = embed(random_state(8, rng))
-    g = run_stage(g, random_stage(8, 8, rng), ROW, 5)
-    assert g.max_register_amplitude() == 0.0
+    amp = buffer(random_state(8, rng))
+    run_stage(line_of(amp, ROW, 5), random_stage(8, 8, rng), ROW, 5)
+    assert PhysicalGrid(8, amp).max_register_amplitude() == 0.0
 
 
 def test_run_sequence_applies_whole_coin(rng):
+    # a full decomposition run stage by stage on one line applies the coin
     n = 8
     u = random_unitary(n, rng)
     seq = cs_decompose(u)
     s = random_state(n, rng)
-    out = extract(run_sequence(embed(s), seq, ROW, 3))
+    amp = buffer(s)
+    for stage in seq.stages:
+        run_stage(line_of(amp, ROW, 3), stage, ROW, 3)
+    out = extract(PhysicalGrid(n, amp))
     expected = s.amp.copy()
     expected[2, :] = u @ expected[2, :]
     assert np.max(np.abs(out.amp - expected)) < 1e-12
@@ -220,7 +253,10 @@ def test_run_sequence_consumes_exported_format(rng):
     u = random_unitary(n, rng)
     seq = sequence_from_json(sequence_to_json(cs_decompose(u)))
     s = random_state(n, rng)
-    out = extract(run_sequence(embed(s), seq, COLUMN, 2))
+    amp = buffer(s)
+    for stage in seq.stages:
+        run_stage(line_of(amp, COLUMN, 2), stage, COLUMN, 2)
+    out = extract(PhysicalGrid(n, amp))
     expected = s.amp.copy()
     expected[:, 1] = u @ expected[:, 1]
     assert np.max(np.abs(out.amp - expected)) < 1e-12
@@ -271,6 +307,7 @@ def test_physical_walk_records_trace(rng):
 
 
 def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
+    # one cs_decompose per coin set per run, on the stack of its line coins
     n, steps = 8, 2
     g = Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)} | {(1, 5), (2, 2), (3, 7)}))
     plan = CoinPlan.from_graph(g, steps, "grover")
@@ -278,8 +315,23 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
     monkeypatch.setattr(conveyor, "cs_decompose", lambda u: calls.append(u) or cs_decompose(u))
     s0 = random_state(n, rng)
     physical = run_walk_physical(s0, plan)
-    assert len(calls) == n
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(plan.coins_for_step(1)))
     assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+
+    # two coin sets taking turns over four steps; n = 6 pads to 8 identity lines
+    n = 6
+    a, b = (CoinSet.from_dense([random_unitary(n, rng) for _ in range(n)]) for _ in range(2))
+    plan = CoinPlan(n, (a, b, a, b))
+    calls.clear()
+    s0 = random_state(n, rng)
+    physical = run_walk_physical(s0, plan)
+    assert len(calls) == 2
+    for stack, coins in zip(calls, (a, b)):
+        assert stack.shape == (8, 8, 8)
+        assert np.array_equal(stack[:n, :n, :n], np.stack(coins.dense))
+        assert np.array_equal(stack[n:], np.broadcast_to(np.eye(8), (2, 8, 8)))
+        assert np.array_equal(stack[:n, n:, :], np.eye(8)[None, n:].repeat(n, 0))
+    assert np.max(np.abs(physical.amp - evolve(s0, 4, plan).amp)) < 1e-10
 
 
 def test_nan_physical_grid_is_rejected():
@@ -288,71 +340,91 @@ def test_nan_physical_grid_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Line-local protocol
+# Line and block protocol
 
 
 @given(st.integers(1, 6), st.data(), st.sampled_from([ROW, COLUMN]), st.integers(0, 2**32 - 1))
 def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
-    # every stride 2..n for n up to 64, in place on one line of one buffer
+    # every stride 2..n for n up to 64, in place on a block of L lines of one
+    # buffer; L = 1 runs on the bare (2n,) line
     n = 2**log_n
     d = 2 ** data.draw(st.integers(1, log_n))
-    line = data.draw(st.integers(1, n))
+    size = 2 ** data.draw(st.integers(0, log_n))
+    first = data.draw(st.integers(1, n - size + 1))
     rng = np.random.default_rng(seed)
-    stage = random_stage(n, d, rng)
-    amp = embed(random_state(n, rng)).amp.copy()
+    stage = random_stage(size * n, d, rng)
+    amp = buffer(random_state(n, rng))
     before = amp.copy()
-    cells = conveyor._line_view(amp, orientation, line, n)
-    logical = apply_stage(cells[0::2], stage)
-    assert run_stage(cells, stage, orientation, line) is cells
-    assert cells[0::2].tobytes() == logical.tobytes()
-    assert not cells[1::2].any()
-    # nothing off the line moved
-    cells[:] = before[2 * line - 2] if orientation == ROW else before[:, 2 * line - 2]
+    lines = data_lines(amp, orientation)[first - 1:first - 1 + size]
+    cells = lines[0] if size == 1 else lines
+    logical = [apply_stage(row[0::2], line_stage(stage, n, t)) for t, row in enumerate(lines)]
+    assert run_stage(cells, stage, orientation, first) is cells
+    for t, row in enumerate(lines):
+        assert row[0::2].tobytes() == logical[t].tobytes()
+    assert not lines[:, 1::2].any()
+    # nothing off the block moved
+    lines[:] = data_lines(before, orientation)[first - 1:first - 1 + size]
     assert amp.tobytes() == before.tobytes()
 
 
 def test_grid_run_stage_wraps_the_line_protocol(rng):
-    n, d, line = 8, 4, 3
-    stage = random_stage(n, d, rng)
-    g = embed(random_state(n, rng))
-    amp = g.amp.copy()
-    trace_grid, trace_line = ProtocolTrace(), ProtocolTrace()
-    out = run_stage(g, stage, COLUMN, line, trace_grid)
-    run_stage(conveyor._line_view(amp, COLUMN, line, n), stage, COLUMN, line, trace_line)
-    assert isinstance(out, PhysicalGrid) and out.amp.tobytes() == amp.tobytes()
-    assert format_trace(trace_grid) == format_trace(trace_line)
-    assert np.array_equal(g.amp, embed(extract(g)).amp)  # the input grid is untouched
+    # one stage on the whole block of a grid's lines equals each line's own run
+    n, d = 8, 4
+    stage = random_stage(n * n, d, rng)
+    amp = buffer(random_state(n, rng))
+    per_line = amp.copy()
+    trace_block, trace_line = ProtocolTrace(), ProtocolTrace()
+    block = data_lines(amp, COLUMN)
+    assert run_stage(block, stage, COLUMN, 1, trace_block) is block
+    for t in range(n):
+        run_stage(line_of(per_line, COLUMN, t + 1), line_stage(stage, n, t), COLUMN, t + 1, trace_line)
+    assert amp.tobytes() == per_line.tobytes()
+    assert format_trace(trace_block) == format_trace(trace_line)
+    assert [a.line for a in trace_block.actions[::5]] == list(range(1, n + 1))
 
 
 def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
-    amp = embed(random_state(4, rng)).amp.copy()
-    amp[0] *= np.sqrt(0.5)
-    amp[0, 1] = np.sqrt(1 - np.sum(np.abs(amp) ** 2))  # register cell after position 1
+    amp = buffer(random_state(4, rng))
+    amp[2] *= np.sqrt(0.5)
+    amp[2, 1] = np.sqrt(1 - np.sum(np.abs(amp) ** 2))  # register cell after position 1
+    with pytest.raises(ProtocolIncompleteError, match="line 2"):
+        run_stage(line_of(amp.copy(), ROW, 2), identity_stage(4, 2), ROW, 2)
+    with pytest.raises(ProtocolIncompleteError, match="line 2"):
+        run_stage(data_lines(amp.copy(), ROW), identity_stage(16, 2), ROW, 1)
+    trace = ProtocolTrace()
     with pytest.raises(ProtocolIncompleteError):
-        run_stage(conveyor._line_view(amp, ROW, 1, 4), identity_stage(4, 2), ROW, 1)
-    with pytest.raises(ProtocolIncompleteError):
-        run_stage(PhysicalGrid(4, amp), identity_stage(4, 2), ROW, 1)
+        run_stage(data_lines(amp.copy(), ROW), identity_stage(16, 2), ROW, 1, trace)
+    assert not trace.actions  # a failed stage records nothing
 
 
 def test_line_primitives_work_in_place():
     cells = np.zeros(8, dtype=complex)
     cells[2] = 1.0  # data site of position 2
-    assert pi_transfer(cells, [2], ROW, 1) is cells
+    assert pi_transfer(cells, [2]) is cells
     assert cells[3] == 1 and cells[2] == 0
-    shift_register(cells, 4, ROW, 1)
+    shift_register(cells, 4)
     assert cells[7] == 1 and not cells[:7].any()
     with pytest.raises(ShiftOutOfRangeError):
-        shift_register(cells, 2, ROW, 1)
+        shift_register(cells, 2)
     assert cells[7] == 1  # a rejected shift leaves the line as it was
 
 
 @pytest.mark.parametrize("positions", [[0], [5], [2, 5]])
 def test_pi_transfer_rejects_bad_positions(positions, rng):
-    g = embed(random_state(4, rng))
+    amp = buffer(random_state(4, rng))
     with pytest.raises(ValueError):
-        pi_transfer(g, positions, ROW, 1)
+        pi_transfer(line_of(amp, ROW, 1), positions)
     with pytest.raises(ValueError):
-        pi_transfer(g.amp.copy()[0], positions, ROW, 1)
+        pi_transfer(data_lines(amp, ROW), positions)
+
+
+def test_data_lines_are_views_of_the_data_rows_and_columns(rng):
+    amp = buffer(random_state(4, rng))
+    assert np.shares_memory(data_lines(amp, ROW), amp) and np.shares_memory(data_lines(amp, COLUMN), amp)
+    assert np.array_equal(data_lines(amp, ROW), amp[[0, 2, 4, 6]])
+    assert np.array_equal(data_lines(amp, COLUMN), amp[:, [0, 2, 4, 6]].T)
+    with pytest.raises(ValueError):
+        data_lines(amp, "diagonal")
 
 
 def test_physical_walk_checks_the_norm_after_every_step(monkeypatch, rng):

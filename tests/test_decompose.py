@@ -24,7 +24,7 @@ from gridwalk.decompose import (
     unitary_to_json,
 )
 from gridwalk.errors import UnitarityError
-from gridwalk.util import random_unitary, unitarity_defect
+from gridwalk.util import next_power_of_two, random_unitary, unitarity_defect
 from gridwalk.walk import hadamard_coin
 
 
@@ -155,6 +155,39 @@ def test_stride_schedule_structure(rng):
 def test_rejects_non_unitary():
     with pytest.raises(UnitarityError):
         cs_decompose(np.ones((4, 4), dtype=complex))
+
+
+@given(st.integers(1, 8), st.sampled_from([2, 4, 8, 16]), st.data(), st.integers(0, 2**32 - 1))
+def test_stack_decomposes_coin_by_coin(coins, n, data, seed):
+    # L = 1..8 coins, Haar and exact identity mixed; a stack whose L·n is not
+    # a power of two is padded with identity coins, as run_walk_physical pads
+    rng = np.random.default_rng(seed)
+    eye = data.draw(st.lists(st.booleans(), min_size=coins, max_size=coins))
+    size = next_power_of_two(coins)
+    stack = np.stack([np.eye(n, dtype=complex) if e else random_unitary(n, rng) for e in eye]
+                     + [np.eye(n, dtype=complex)] * (size - coins))
+    seq = cs_decompose(stack)
+    assert seq.n == size * n and len(seq.stages) == n - 1
+    h = n // 2
+    for t, coin in enumerate(stack):
+        for stage, own in zip(seq.stages, cs_decompose(coin).stages, strict=True):
+            assert stage.d == own.d and stage.u[t * h:(t + 1) * h].tobytes() == own.u.tobytes()
+    assert np.max(np.abs(reconstruct(seq) - oracles.rows_coin_matrix(stack))) < 1e-10
+    if size != coins:
+        with pytest.raises(ValueError):
+            cs_decompose(stack[:coins])
+
+
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 2), (0, 4, 4), (2, 2, 4, 4)])
+def test_rejects_malformed_stacks(shape):
+    with pytest.raises(ValueError):
+        cs_decompose(np.zeros(shape, dtype=complex))
+
+
+def test_rejects_a_non_unitary_coin_in_a_stack(rng):
+    stack = np.stack([random_unitary(4, rng), np.ones((4, 4), dtype=complex)])
+    with pytest.raises(UnitarityError):
+        cs_decompose(stack)
 
 
 def test_rejects_non_power_of_two(rng):

@@ -122,6 +122,17 @@ def test_parse_json_rejects_directed():
         parse_graph('{"n": 2, "edges": [[1, 2]], "directed": true}')
 
 
+@pytest.mark.parametrize("text", [
+    '{"n": true, "edges": [[true, true]]}',
+    '{"n": true, "edges": []}',
+    '{"n": 2, "edges": [[1, true]]}',
+    '{"n": 2, "edges": [[false, 2]]}',
+])
+def test_parse_json_rejects_booleans_as_integers(text):
+    with pytest.raises(GraphParseError):
+        parse_graph(text)
+
+
 def test_json_round_trip():
     g = remove_edge(complete_graph(5), 2, 4)
     assert parse_graph(graph_to_json(g)) == g

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -79,3 +83,22 @@ def test_check_version():
     check_version({"version": 2}, 2, "thing")
     with pytest.raises(ValueError, match="thing version must be 2, got 1"):
         check_version({"version": 1}, 2, "thing")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
+def test_random_unitary_is_scipys_draw_to_the_bit(n):
+    from scipy.stats import unitary_group
+
+    for seed in range(5):
+        ours = random_unitary(n, np.random.default_rng(seed))
+        theirs = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
+        assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    code = "import sys, gridwalk.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
