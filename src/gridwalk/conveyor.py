@@ -286,14 +286,15 @@ def run_walk_physical(
     every step and again on the final grid, whose register extract checks.
     The trace gets a step's actions line by line once the step has succeeded.
 
-    Dimensions that are not powers of two are padded with identity lines and
-    identity-fixed indices for the synthesis and stripped again on
-    extraction.
+    Dimensions that are not powers of two, and n = 1, are padded with
+    identity lines and identity-fixed indices for the synthesis (to at least
+    2, so a 1×1 coin's phase lands in a stride-2 stage) and stripped again
+    on extraction.
     """
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     n = s0.n
-    npad = next_power_of_two(n)
+    npad = max(2, next_power_of_two(n))
     amp = np.zeros((npad, npad), dtype=complex)
     amp[:n, :n] = s0.amp
     amp = embed(WalkState(npad, amp)).amp.copy()

@@ -115,35 +115,18 @@ class StageSequence:
 
 def stage_pairs(n: int, d: int) -> list[tuple[int, int]]:
     """Index pairs (kd+r, kd+r+d/2) of a stride-d stage, sorted by first index."""
-    if not is_power_of_two(n):
-        raise ValueError(f"dimension must be a power of two, got {n}")
-    if d < 2 or d > n or n % d != 0 or not is_power_of_two(d):
-        raise ValueError(f"stride must be a power-of-two divisor of {n} in [2,{n}], got {d}")
-    pairs = []
-    for k in range(n // d):
-        for r in range(1, d // 2 + 1):
-            pairs.append((k * d + r, k * d + r + d // 2))
-    pairs.sort()
-    return pairs
+    return [(a, b) for a, b in (stage_sites(n, d) + 1).tolist()]
 
 
 @cache
 def stage_sites(n: int, d: int) -> np.ndarray:
     """Read-only (n/2, 2) array of ``stage_pairs(n, d)`` as 0-based indices."""
-    return frozen(np.array(stage_pairs(n, d)) - 1)
-
-
-def identity_sequence(n: int) -> StageSequence:
-    """The n−1 identity stages of the trivial decomposition."""
-    eye = np.broadcast_to(np.eye(2), (n // 2, 2, 2))
-    return StageSequence(n, tuple(Stage(d, eye) for d in _stride_schedule(n)))
-
-
-def _stride_schedule(n: int) -> list[int]:
-    if n == 2:
-        return [2]
-    half = _stride_schedule(n // 2)
-    return half + [n] + half
+    if not is_power_of_two(n):
+        raise ValueError(f"dimension must be a power of two, got {n}")
+    if d < 2 or d > n or n % d != 0 or not is_power_of_two(d):
+        raise ValueError(f"stride must be a power-of-two divisor of {n} in [2,{n}], got {d}")
+    first = (d * np.arange(n // d)[:, None] + np.arange(d // 2)).ravel()
+    return frozen(np.stack([first, first + d // 2], axis=1))
 
 
 def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
@@ -152,54 +135,52 @@ def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
     An (L, n, n) stack is read as the block-diagonal unitary of its L coins:
     the n−1 stages span L·n indices, and rows t·n/2 … (t+1)·n/2 − 1 of each
     stage's ``u`` are coin t's rotations, bit for bit those of
-    ``cs_decompose(u[t])``. Raises ValueError when n or L·n is not a power
-    of two (pad first, see pad_unitary) and UnitarityError when
+    ``cs_decompose(u[t])``. Raises ValueError when n < 2 or when n or L·n is
+    not a power of two (pad first, see pad_unitary) and UnitarityError when
     ``max|u†u − I| ≥ tol`` for any coin.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[-1]
     if u.ndim not in (2, 3) or u.shape[-2:] != (n, n) or u.size == 0:
         raise ValueError(f"expected a square matrix or a stack of them, got {u.shape}")
+    if n < 2:
+        raise ValueError(f"a {n}×{n} coin has no pairs to rotate; pad it to 2×2 first")
     blocks = u.reshape(-1, n, n)
     if not (is_power_of_two(n) and is_power_of_two(len(blocks))):
         raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad_unitary first)")
     check_unitary(blocks, tol, "decomposition input")
-    if n == 1:
-        # 1×1 coins are bare phases; nothing to schedule.
-        return StageSequence(len(blocks), ())
-    return StageSequence(len(blocks) * n, tuple(_decompose_blocks(list(blocks))))
+    return StageSequence(len(blocks) * n, tuple(_decompose_blocks(blocks)))
 
 
-def _decompose_blocks(blocks: list[np.ndarray]) -> list[Stage]:
-    """Decompose a block-diagonal unitary; block t spans indices t·m+1..(t+1)·m."""
-    m = blocks[0].shape[0]
+def _decompose_blocks(blocks: np.ndarray) -> list[Stage]:
+    """Stages of the block-diagonal unitary of a (B, m, m) stack.
+
+    Block t spans indices t·m+1..(t+1)·m.
+    """
+    count, m, _ = blocks.shape
     if m == 2:
-        return [Stage(2, np.stack(blocks))]
+        return [Stage(2, blocks)]
 
     h = m // 2
-    eye = np.eye(m)
-    left_blocks: list[np.ndarray] = []
-    right_blocks: list[np.ndarray] = []
-    # rotation r of block t couples its indices r and r + h
-    middle = np.zeros((len(blocks), h, 2, 2))
-    for t, blk in enumerate(blocks):
-        if np.array_equal(blk, eye):
-            # Exact identity blocks decompose into exact identity factors;
-            # skip the factorization so identity inputs stay bit-clean.
-            left_blocks.extend([eye[:h, :h], eye[h:, h:]])
-            right_blocks.extend([eye[:h, :h], eye[h:, h:]])
-            middle[t, :, 0, 0] = middle[t, :, 1, 1] = 1.0
-            continue
-        (u1, u2), theta, (v1h, v2h) = cs_factor(blk)
-        left_blocks.extend([u1, u2])
-        right_blocks.extend([v1h, v2h])
-        # the CS middle factor is [[C, −S], [S, C]]
-        c, s = np.cos(theta), np.sin(theta)
-        middle[t, :, 0, 0] = middle[t, :, 1, 1] = c
-        middle[t, :, 0, 1] = -s
-        middle[t, :, 1, 0] = s
-    stage = Stage(m, middle.reshape(-1, 2, 2))
-    return _decompose_blocks(right_blocks) + [stage] + _decompose_blocks(left_blocks)
+    # Exact identity blocks decompose into exact identity factors; they skip
+    # the factorization so identity inputs stay bit-clean.
+    is_eye = (blocks == np.eye(m)).all(axis=(1, 2))
+    # sides[0, t] = (v1h, v2h) and sides[1, t] = (u1, u2): the right and left
+    # block-diagonal factors, whose h×h halves are the next level's blocks
+    sides = np.broadcast_to(np.eye(h, dtype=complex), (2, count, 2, h, h)).copy()
+    theta = np.zeros((count, h))
+    for t in np.flatnonzero(~is_eye):
+        (u1, u2), theta[t], (v1h, v2h) = cs_factor(blocks[t])
+        sides[:, t] = (v1h, v2h), (u1, u2)
+    # the CS middle factor is [[C, −S], [S, C]]; rotation r of block t
+    # couples its indices r and r + h
+    c, s = np.cos(theta), np.sin(theta)
+    middle = np.empty((count, h, 2, 2))
+    middle[..., 0, 0] = middle[..., 1, 1] = c
+    middle[..., 0, 1] = np.where(is_eye[:, None], 0.0, -s)
+    middle[..., 1, 0] = s
+    right, left = sides.reshape(2, 2 * count, h, h)
+    return _decompose_blocks(right) + [Stage(m, middle.reshape(-1, 2, 2))] + _decompose_blocks(left)
 
 
 @cache

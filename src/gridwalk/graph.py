@@ -45,9 +45,9 @@ class Graph:
         return sum(1 for e in self.edges if j in e)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdgeMask:
-    """Boolean n×n presence matrix; present[j-1, k-1] iff edge (j, k) exists."""
+    """Boolean n×n presence matrix; present[j-1, k-1] iff edge (j, k) exists. Compared by value."""
 
     n: int
     present: np.ndarray
@@ -59,6 +59,13 @@ class EdgeMask:
         if not np.array_equal(p, p.T):
             raise ValueError("edge mask must be symmetric")
         object.__setattr__(self, "present", frozen(p))
+
+    def __eq__(self, other):
+        same_n = isinstance(other, EdgeMask) and self.n == other.n
+        return same_n and self.present.tobytes() == other.present.tobytes()
+
+    def __hash__(self):
+        return hash((self.n, self.present.tobytes()))
 
     def row(self, j: int) -> np.ndarray:
         """Mask over coin states for node j (1-based)."""

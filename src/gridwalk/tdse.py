@@ -74,10 +74,6 @@ class SpatialGrid:
         return (self.x_max - self.x_min) / self.m
 
     @property
-    def center(self) -> float:
-        return 0.5 * (self.x_min + self.x_max)
-
-    @property
     def k_max(self) -> float:
         return np.pi / self.dx
 
@@ -100,7 +96,7 @@ class WaveFunction:
 
     def __eq__(self, other):
         same_grid = isinstance(other, WaveFunction) and self.grid == other.grid
-        return same_grid and np.array_equal(self.psi, other.psi)
+        return same_grid and self.psi.tobytes() == other.psi.tobytes()
 
     def __hash__(self):
         return hash((self.grid, self.psi.tobytes()))

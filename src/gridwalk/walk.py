@@ -34,9 +34,9 @@ from .util import check_unitary, check_version, complex_from_json, complex_to_js
 NORM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkState:
-    """Unit-norm n×n grid of complex amplitudes; rows are nodes, columns coins."""
+    """Unit-norm n×n grid of complex amplitudes; rows are nodes, columns coins. Compared by value."""
 
     n: int
     amp: np.ndarray
@@ -52,14 +52,17 @@ class WalkState:
             raise InvariantViolation(f"state norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "amp", frozen(a))
 
-    def amplitude(self, j: int, k: int) -> complex:
-        """Amplitude of |node j, coin k| (1-based indices)."""
-        return complex(self.amp[j - 1, k - 1])
+    def __eq__(self, other):
+        same_n = isinstance(other, WalkState) and self.n == other.n
+        return same_n and self.amp.tobytes() == other.amp.tobytes()
+
+    def __hash__(self):
+        return hash((self.n, self.amp.tobytes()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """Probabilities over nodes 1..n."""
+    """Probabilities over nodes 1..n; compared by value."""
 
     p: np.ndarray
 
@@ -73,6 +76,13 @@ class Distribution:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "p", frozen(np.clip(p, 0.0, None)))
+
+    def __eq__(self, other):
+        same_n = isinstance(other, Distribution) and self.n == other.n
+        return same_n and self.p.tobytes() == other.p.tobytes()
+
+    def __hash__(self):
+        return hash((self.n, self.p.tobytes()))
 
     @property
     def n(self) -> int:
@@ -95,11 +105,6 @@ def init_localized(n: int, j: int, k: int) -> WalkState:
     amp = np.zeros((n, n), dtype=complex)
     amp[j - 1, k - 1] = 1.0
     return WalkState(n, amp)
-
-
-def state_from_amplitudes(amp: np.ndarray) -> WalkState:
-    a = np.asarray(amp, dtype=complex)
-    return WalkState(a.shape[0], a)
 
 
 def transpose_state(s: WalkState) -> WalkState:

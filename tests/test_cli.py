@@ -195,6 +195,13 @@ def test_decompose_non_unitary_input(tmp_path):
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_TOLERANCE
 
 
+def test_decompose_rejects_a_one_by_one_unitary(tmp_path):
+    upath = tmp_path / "u.json"
+    upath.write_text(unitary_to_json(np.array([[1j]])))
+    cfg = write_config(tmp_path, {"version": 1, "unitary": "u.json"})
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
 # ---------------------------------------------------------------------------
 # conveyor-verify
 

@@ -273,7 +273,8 @@ def test_physical_walk_identity_coins(rng):
     assert np.max(np.abs(out.amp - s0.amp)) < 1e-12
 
 
-@pytest.mark.parametrize("n", [2, 4, 8])
+# n = 1 pads to 2: the 1×1 coins are bare phases, kept by a stride-2 stage
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_physical_walk_equals_grid_walk(n, rng):
     steps = 10
     plan = CoinPlan.from_step_coins(

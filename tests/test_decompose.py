@@ -13,7 +13,6 @@ from gridwalk.decompose import (
     apply_stage,
     cs_decompose,
     cs_factor,
-    identity_sequence,
     pad_unitary,
     reconstruct,
     sequence_from_json,
@@ -178,7 +177,7 @@ def test_stack_decomposes_coin_by_coin(coins, n, data, seed):
             cs_decompose(stack[:coins])
 
 
-@pytest.mark.parametrize("shape", [(4,), (2, 4, 2), (0, 4, 4), (2, 2, 4, 4)])
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 2), (0, 4, 4), (2, 2, 4, 4), (1, 1), (2, 1, 1)])
 def test_rejects_malformed_stacks(shape):
     with pytest.raises(ValueError):
         cs_decompose(np.zeros(shape, dtype=complex))
@@ -215,10 +214,12 @@ def test_reconstruct_single_hadamard_stage():
     assert np.allclose(reconstruct(StageSequence(2, (stage,))), hadamard_coin())
 
 
-def test_identity_sequence_reconstructs_identity():
-    seq = identity_sequence(8)
-    assert len(seq.stages) == 7
-    assert np.array_equal(reconstruct(seq), np.eye(8))
+def test_identity_stack_decomposes_into_exact_identity_stages():
+    # every block of every level is an exact identity and skips the factorization
+    seq = cs_decompose(np.broadcast_to(np.eye(8), (2, 8, 8)))
+    assert [s.d for s in seq.stages] == [2, 4, 2, 8, 2, 4, 2]
+    assert all(s.u.tobytes() == identity_stage(16, s.d).u.tobytes() for s in seq.stages)
+    assert np.array_equal(reconstruct(seq), np.eye(16))
 
 
 def test_reconstruction_is_unitary(rng):

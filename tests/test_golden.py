@@ -10,14 +10,22 @@ import hashlib
 
 import numpy as np
 
+import pytest
+
 from gridwalk.conveyor import ProtocolTrace, format_trace, run_walk_physical
 from gridwalk.decompose import cs_decompose, sequence_to_json
+from gridwalk.graph import Graph
 from gridwalk.util import random_unitary
 from gridwalk.walk import CoinPlan, WalkState
 
 PHYSICAL_TRACE_SHA256 = "bae159d7a96a9c298f80bae9365c262c0bbba3a8bdd495dce14481abc7f1d8da"
 PHYSICAL_STATE_SHA256 = "f4963d67055e43d6ff54c575e25669bc3a1832b7d17f77e5a052a4efa461c6f3"
 SEQUENCE16_SHA256 = "7ad495b46d9b169da9ad87bdf9abf6cc62745abbe973d5bc40b361f525d0534d"
+# recorded from the per-block synthesis (one identity test and one branch per block)
+MASKED_STACK_SHA256 = {
+    "grover": "be25e8e7afb2347120cb5a641f994cfa64bea6277ce9b13bcc448a6e7eaae0df",
+    "dft": "cedaabdf02128a43c3e4f26c2f73517c98dd2e95ef4ca290e38257ed5f480c05",
+}
 
 
 def sha256(data: bytes) -> str:
@@ -44,3 +52,14 @@ def test_traced_padded_physical_walk_is_byte_identical():
 def test_sequence_json_of_a_seeded_16x16_unitary_is_byte_identical():
     u = random_unitary(16, np.random.default_rng(16))
     assert sha256(sequence_to_json(cs_decompose(u)).encode()) == SEQUENCE16_SHA256
+
+
+@pytest.mark.parametrize("kind", sorted(MASKED_STACK_SHA256))
+def test_sequence_json_of_a_masked_coin_stack_is_byte_identical(kind):
+    # degrees 4, 3, 3, 2, 4, 2, 1, 0: node 3 has a self-loop and node 8 is
+    # isolated, so the stack holds exact identity coins (kept +0.0 in the −s
+    # slot) and factorized blocks with θ = 0 (−0.0 there)
+    edges = {(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (3, 3), (4, 5), (5, 6), (5, 7), (2, 6)}
+    plan = CoinPlan.from_graph(Graph(8, frozenset(edges)), 1, kind)
+    seq = cs_decompose(np.stack(plan.coins_for_step(1)))
+    assert sha256(sequence_to_json(seq).encode()) == MASKED_STACK_SHA256[kind]

@@ -168,3 +168,11 @@ def test_remove_then_readd_restores(g):
         return
     j, k = sorted(g.edges)[0]
     assert add_edge(remove_edge(g, j, k), j, k) == g
+
+
+def test_edge_mask_compares_and_hashes_by_value():
+    a, b = edge_mask(cycle_graph(5)), edge_mask(cycle_graph(5))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != edge_mask(remove_edge(cycle_graph(5), 1, 2))
+    assert a != edge_mask(cycle_graph(4)) and a != a.present

@@ -531,6 +531,13 @@ def test_wavefunction_compares_and_hashes_by_value():
     assert a != gaussian_packet(grid, 0.1, 1.0)
     assert a != gaussian_packet(gatecfg.gate_grid(m=128), 0.0, 1.0)
     assert a != a.psi
+    # equal numbers with other bytes: −0.0 and +0.0 differ, as their hashes do
+    psi = a.psi.copy()
+    psi[0] = 0.0
+    pos = normalized(grid, psi)
+    psi = pos.psi.copy()
+    psi[0] = -0.0
+    assert np.array_equal(psi, pos.psi) and WaveFunction(grid, psi) != pos
 
 
 # ---------------------------------------------------------------------------

@@ -495,3 +495,17 @@ def test_nan_walk_state_is_rejected():
 def test_nan_distribution_is_rejected():
     with pytest.raises(InvariantViolation):
         walk.Distribution(np.array([np.nan, 0.5]))
+
+
+def test_walk_state_and_distribution_compare_and_hash_by_value(rng):
+    s = random_state(4, rng)
+    a, b = WalkState(4, s.amp.copy()), WalkState(4, s.amp.copy())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != random_state(4, rng) and a != init_localized(2, 1, 1) and a != a.amp
+    p, q = position_distribution(a), position_distribution(b)
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert p != position_distribution(random_state(4, rng)) and p != p.p
+    # −0.0 and +0.0 are equal numbers with other bytes; a distribution clips −0.0 to +0.0
+    assert WalkState(2, [[1.0, 0.0], [0.0, 0.0]]) != WalkState(2, [[1.0, -0.0], [0.0, 0.0]])
+    assert walk.Distribution(np.array([1.0, -0.0])) == walk.Distribution(np.array([1.0, 0.0]))
