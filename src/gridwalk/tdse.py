@@ -10,13 +10,20 @@ exp(−iH·dt) in Chebyshev polynomials of the normalized Hamiltonian
 
 weighted by Bessel functions J_n(α), α = (E_max − E_min)·dt/2:
 
-    ψ(t+dt) = e^{−i(E_max+E_min)dt/2} · Σ_n c_n J_n(α) φ_n,
-    φ_0 = ψ,  φ_1 = −iH̃ψ,  φ_{n+1} = −2iH̃φ_n + φ_{n−1},
+    ψ(t+dt) = e^{−i(E_max+E_min)dt/2} · Σ_n c_n (−i)^n J_n(α) T_n(H̃)ψ,
+    T_0ψ = ψ,  T_1ψ = H̃ψ,  T_{n+1}ψ = 2H̃·T_nψ − T_{n−1}ψ,
 
 with c_0 = 1 and c_n = 2 for n ≥ 1. The series is truncated at the first
 n > α with |J_n(α)| below the tail tolerance, where the Bessel tail decays
-super-exponentially. The kinetic term is applied spectrally (FFT), so E_max =
-max(V) + k_max²/2 with k_max = π/dx bounds the grid spectrum tightly.
+super-exponentially; the coefficients are computed once per (α, tolerance).
+The kinetic term is spectral: the exact Laplacian of the band-limited grid
+function, so E_max = max(V) + k_max²/2 with k_max = π/dx bounds the grid
+spectrum tightly. On grids of at most DENSE_MAX_M = 128 points a step forms
+2H̃ as one dense m×m matrix from the grid's kinetic matrix (FFTs of the
+identity, built once per grid) and runs the recursion as matrix products, in
+real arithmetic when the potential is real; larger grids apply H by FFTs
+(apply_hamiltonian). Per step the dense path stays ahead up to m = 384 and
+falls behind at m = 512 on a 2-CPU x86-64 host (scripts/chebyshev_crossover.py).
 
 Time-dependent barriers are handled by piecewise-constant midpoint sampling
 of the barrier height per step; steps never straddle ramp boundaries.
@@ -31,10 +38,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import dft
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import jv
 
 from .errors import (
@@ -48,6 +54,8 @@ from .util import check_version, complex_from_json, complex_to_json, frozen
 NORM_TOL = 1e-12
 # largest norm change allowed over one Chebyshev step and over a trajectory
 NORM_DRIFT_TOL = 1e-8
+# largest grid whose Chebyshev steps apply H̃ as a dense matrix; larger ones use FFTs
+DENSE_MAX_M = 128
 
 
 @dataclass(frozen=True)
@@ -76,6 +84,12 @@ class SpatialGrid:
     @property
     def k_max(self) -> float:
         return np.pi / self.dx
+
+    @cached_property
+    def kinetic(self) -> np.ndarray:
+        """Real symmetric m×m matrix of the spectral −½∇², from FFTs of the identity; built once."""
+        cols = np.fft.ifft((self.k**2 / 2)[:, None] * np.fft.fft(np.eye(self.m), axis=0), axis=0)
+        return frozen((cols.real + cols.real.T) / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,67 +275,100 @@ def timeline_energy_bounds(
 
 
 def dense_hamiltonian(grid: SpatialGrid, v: np.ndarray) -> np.ndarray:
-    """Dense Hermitian matrix of the same grid Hamiltonian (desk-scale m)."""
-    f = dft(grid.m)
-    kinetic = (f.conj().T / grid.m) @ np.diag(grid.k**2 / 2) @ f
-    h = kinetic + np.diag(np.asarray(v, dtype=float))
-    return (h + h.conj().T) / 2
+    """Dense real symmetric matrix of the same grid Hamiltonian (desk-scale m)."""
+    return grid.kinetic + np.diag(np.asarray(v, dtype=float))
 
 
 # ---------------------------------------------------------------------------
 # Chebyshev propagation
 
 
-def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) -> WaveFunction:
-    """Advance ψ by params.dt under the static potential v.
+@lru_cache(maxsize=256)
+def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
+    """Weights c_n·(−i)^n·J_n(α) for n = 0..n_max, truncated as in the module docstring.
 
-    A negative dt applies the adjoint step. Raises SpectralBoundsError when the norm
-    grows by more than NORM_DRIFT_TOL (eigenvalues outside [e_min, e_max]) and
-    ToleranceFailure when it falls by more than that or is not a number.
+    Cached per (α, tolerance). Raises ToleranceFailure, on every call, when the tail
+    never falls below the tolerance or only beyond α + 60 terms.
     """
-    if params.dt == 0.0:
-        return psi
-    grid = psi.grid
-    alpha = params.alpha
-    de = params.e_max - params.e_min
-    shift = params.e_max + params.e_min
-
     first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
     bessel = jv(np.arange(limit + 1), alpha)
-    below = np.flatnonzero(np.abs(bessel[first:]) < params.tail_tolerance)
+    below = np.flatnonzero(np.abs(bessel[first:]) < tail_tolerance)
     if below.size == 0:
         raise ToleranceFailure(
-            f"Chebyshev tail |J_n({alpha:.3g})| did not reach {params.tail_tolerance:.1e} "
+            f"Chebyshev tail |J_n({alpha:.3g})| did not reach {tail_tolerance:.1e} "
             f"within {limit} terms"
         )
     n_max = first + int(below[0])
-    if params.tail_tolerance >= 1e-14 and n_max > abs(alpha) + 60:
+    if tail_tolerance >= 1e-14 and n_max > abs(alpha) + 60:
         raise ToleranceFailure(
             f"truncation order {n_max} exceeds α + 60 = {abs(alpha) + 60:.1f}; "
             "reduce dt or widen the tail tolerance"
         )
+    weights = 2 * bessel[: n_max + 1] * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]
+    weights[0] = bessel[0]
+    return frozen(weights)
 
-    def h_tilde(arr: np.ndarray) -> np.ndarray:
-        return (2 * apply_hamiltonian(arr, v, grid) - shift * arr) / de
 
-    phi_prev = psi.psi
-    phi_cur = -1j * h_tilde(phi_prev)
-    acc = bessel[0] * phi_prev + 2 * bessel[1] * phi_cur
-    for n in range(2, n_max + 1):
-        phi_next = -2j * h_tilde(phi_cur) + phi_prev
-        acc += 2 * bessel[n] * phi_next
-        phi_prev, phi_cur = phi_cur, phi_next
-    out = np.exp(-1j * shift * params.dt / 2) * acc
+def chebyshev_block(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
+    """Advance every row of a (k, m) block of states by params.dt under the static potential v.
 
-    norm = float(np.sum(np.abs(out) ** 2) * grid.dx) / psi.norm_squared()
-    if norm > 1 + NORM_DRIFT_TOL:
+    A negative dt applies the adjoint step. Raises SpectralBoundsError when the norm
+    of a row grows by more than NORM_DRIFT_TOL (eigenvalues outside [e_min, e_max])
+    and ToleranceFailure when it falls by more than that or is not a number.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] != grid.m:
+        raise ValueError(f"expected a (k, {grid.m}) block of states, got shape {rows.shape}")
+    if params.dt == 0.0:
+        return rows
+    weights = chebyshev_coefficients(params.alpha, params.tail_tolerance)
+    de = params.e_max - params.e_min
+    shift = params.e_max + params.e_min
+
+    # the states as columns; T_n(H̃) acts on each column alone
+    cols = np.ascontiguousarray(rows.T)
+    if grid.m <= DENSE_MAX_M:
+        two_h = np.multiply(grid.kinetic, 4 / de, dtype=np.result_type(grid.kinetic, v))
+        two_h[np.diag_indices(grid.m)] += (4 * v - 2 * shift) / de
+        # a real 2H̃ acts on the real and imaginary parts apart: two float columns per state
+        work = cols.view(float) if two_h.dtype == float else cols
+
+        def apply_two_h(arr: np.ndarray, out: np.ndarray) -> None:
+            np.matmul(two_h, arr, out=out)
+    else:
+        work = cols
+
+        def apply_two_h(arr: np.ndarray, out: np.ndarray) -> None:
+            out[...] = (4 * apply_hamiltonian(arr.T, v, grid).T - 2 * shift * arr) / de
+
+    terms = np.empty((len(weights), *work.shape), dtype=work.dtype)
+    terms[0] = work
+    apply_two_h(work, terms[1])
+    terms[1] /= 2
+    for n in range(2, len(weights)):
+        apply_two_h(terms[n - 1], terms[n])
+        terms[n] -= terms[n - 2]
+    series = weights @ terms.view(complex).reshape(len(weights), -1)
+    out = np.exp(-1j * shift * params.dt / 2) * np.ascontiguousarray(series.reshape(cols.shape).T)
+
+    norm = np.sum(np.abs(out) ** 2, axis=-1) / np.sum(np.abs(rows) ** 2, axis=-1)
+    grew = norm > 1 + NORM_DRIFT_TOL
+    if grew.any():
         raise SpectralBoundsError(
-            f"norm grew by {norm - 1:.3e} in one step; spectral bounds "
+            f"norm grew by {norm[grew].max() - 1:.3e} in one step; spectral bounds "
             f"({params.e_min}, {params.e_max}) do not bracket the Hamiltonian"
         )
-    if not norm >= 1 - NORM_DRIFT_TOL:
-        raise ToleranceFailure(f"norm fell by {1 - norm:.3e} in one step")
-    return _propagated(grid, out)
+    fell = ~(norm >= 1 - NORM_DRIFT_TOL)
+    if fell.any():
+        raise ToleranceFailure(f"norm fell by {1 - norm[fell].min():.3e} in one step")
+    return out
+
+
+def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) -> WaveFunction:
+    """Advance ψ by params.dt under the static potential v, as a one-row chebyshev_block."""
+    if params.dt == 0.0:
+        return psi
+    return _propagated(psi.grid, chebyshev_block(psi.grid, psi.psi[np.newaxis], v, params)[0])
 
 
 @dataclass
@@ -561,20 +608,23 @@ class HoldScan:
     def from_pulse(
         cls, grid: SpatialGrid, spec: DoubleWellSpec, template: BarrierTimeline, params: ChebyshevParams
     ) -> HoldScan:
-        """Propagate through the template's ramps once; its hold is ignored."""
+        """Propagate through the template's ramps once; its hold is ignored.
+
+        The ramp down carries L forward; the ramp up carries L and R backward as one (2, m) block.
+        """
         phi_left, phi_right = well_ground_states(grid, spec, template.high_barrier)
         (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), params.dt)
         start = phi_left
         for barrier, dt_seg in ramp_down:
             v = build_double_well(grid, spec, barrier)
             start = chebyshev_step(start, v, replace(params, dt=dt_seg))
-        ends = [phi_left, phi_right]
+        ends = np.array([phi_left.psi, phi_right.psi])
         for barrier, dt_seg in reversed(ramp_up):
             v = build_double_well(grid, spec, barrier)
-            ends = [chebyshev_step(phi, v, replace(params, dt=-dt_seg)) for phi in ends]
+            ends = chebyshev_block(grid, ends, v, replace(params, dt=-dt_seg))
         v_low = build_double_well(grid, spec, template.low_barrier)
         energies, basis = np.linalg.eigh(dense_hamiltonian(grid, v_low))
-        coeffs = basis.conj().T @ np.array([start.psi, ends[0].psi, ends[1].psi]).T
+        coeffs = basis.conj().T @ np.vstack([start.psi, ends]).T
         return cls(frozen(energies), frozen(coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx))
 
     @property
@@ -615,6 +665,8 @@ def calibrate_hold_time(
     in order by a bounded minimize_scalar and the first within `tolerance`
     wins. Raises CalibrationUnreachableError when none is.
     """
+    from scipy.optimize import brentq, minimize_scalar  # only calibration needs it
+
     if not 0.0 <= target_transfer <= 1.0:
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
     if scan_points < 2:

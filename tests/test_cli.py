@@ -353,6 +353,17 @@ def test_calibrate_exits_with_tolerance_code_when_the_replay_disagrees(tmp_path,
     assert report["replay_deviation"] == pytest.approx(10 * REPLAY_TOL, rel=1e-3)
 
 
+def test_calibrate_reruns_in_one_process_are_byte_identical(tmp_path):
+    # the first run fills the per-step-length Bessel cache, the second reads it
+    tdse.chebyshev_coefficients.cache_clear()
+    cfg = write_config(tmp_path, small_gate_config(target_transfer=1.0))
+    for run in ("cold", "warm"):
+        assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / run)]) == EXIT_OK
+    assert tdse.chebyshev_coefficients.cache_info().hits > 0
+    for name in ("report.json", "trajectory.txt"):
+        assert (tmp_path / "cold" / name).read_bytes() == (tmp_path / "warm" / name).read_bytes()
+
+
 @pytest.mark.parametrize("subcommand", ["decompose", "conveyor-verify", "tdse", "calibrate"])
 def test_oracle_flag_is_a_usage_error_outside_walk(tmp_path, subcommand, capsys):
     cfg = write_config(tmp_path, small_gate_config(target_transfer=0.5))

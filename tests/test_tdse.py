@@ -1,8 +1,12 @@
+import math
+import re
+
 import numpy as np
 import pytest
 from dataclasses import replace
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 import gatecfg
 import oracles
@@ -24,6 +28,7 @@ from gridwalk.tdse import (
     bloch_trajectory,
     build_double_well,
     calibrate_hold_time,
+    chebyshev_block,
     chebyshev_step,
     dense_hamiltonian,
     doublet_splitting,
@@ -145,6 +150,17 @@ def test_dense_hamiltonian_matches_fft_apply(rng):
     assert np.max(np.abs(h @ psi - apply_hamiltonian(psi, v, grid))) < 1e-10
 
 
+@pytest.mark.parametrize("m", [16, 17, 64, 128])
+def test_dense_hamiltonian_matches_the_explicit_dft_oracle(m, rng):
+    grid = SpatialGrid(-8.0, 8.0, m)
+    v = rng.uniform(-5.0, 5.0, size=m)
+    ref = oracles.dense_grid_hamiltonian(grid.x, v)
+    # relative to the largest entry (about 100 at m = 128): the oracle's own
+    # explicit-DFT products round at about 1e-14 of it
+    assert np.abs(dense_hamiltonian(grid, v) - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert grid.kinetic is grid.kinetic and not grid.kinetic.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Chebyshev propagation
 
@@ -259,6 +275,118 @@ def test_norm_change_in_one_step_raises(gamma, error):
     with pytest.raises(error) as caught:
         chebyshev_step(psi, v + 1j * gamma, params)
     assert ("fell" if gamma < 0 else "grew") in str(caught.value)
+
+
+def fft_reference_step(grid: SpatialGrid, psi: np.ndarray, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
+    """The Chebyshev step term by term on apply_hamiltonian's FFTs, with its own Bessel terms."""
+    alpha = params.alpha
+    de, shift = params.e_max - params.e_min, params.e_max + params.e_min
+    first = int(abs(alpha)) + 1
+    bessel = jv(np.arange(first + 200), alpha)
+    n_max = first + int(np.flatnonzero(np.abs(bessel[first:]) < params.tail_tolerance)[0])
+
+    def h_tilde(arr):
+        return (2 * apply_hamiltonian(arr, v, grid) - shift * arr) / de
+
+    prev, cur = psi, -1j * h_tilde(psi)
+    acc = bessel[0] * prev + 2 * bessel[1] * cur
+    for n in range(2, n_max + 1):
+        prev, cur = cur, -2j * h_tilde(cur) + prev
+        acc = acc + 2 * bessel[n] * cur
+    return np.exp(-1j * shift * params.dt / 2) * acc
+
+
+# grid sizes on both sides of DENSE_MAX_M = 128, even and odd
+STEP_SIZES = [16, 17, 64, 127, 128, 129, 160, 256]
+
+
+def random_states(grid: SpatialGrid, rng: np.random.Generator, k: int) -> np.ndarray:
+    return np.array([normalized(grid, rng.standard_normal(grid.m) + 1j * rng.standard_normal(grid.m)).psi
+                     for _ in range(k)])
+
+
+@settings(max_examples=40)
+@given(m=st.sampled_from(STEP_SIZES), seed=st.integers(0, 2**32 - 1), dt=st.floats(0.005, 0.3),
+       backward=st.booleans())
+def test_chebyshev_step_matches_the_fft_reference_step(m, seed, dt, backward):
+    assert (m <= tdse.DENSE_MAX_M) == (m <= 128)
+    rng = np.random.default_rng(seed)
+    grid = SpatialGrid(-8.0, 8.0, m)
+    v = rng.uniform(-10.0, 10.0, size=m)
+    e_min, e_max = energy_bounds(grid, v)
+    params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
+    psi = WaveFunction(grid, random_states(grid, rng, 1)[0])
+    expected = fft_reference_step(grid, psi.psi, v, params)
+    assert np.abs(chebyshev_step(psi, v, params).psi - expected).max() <= 1e-12
+
+
+@settings(max_examples=30)
+@given(m=st.sampled_from(STEP_SIZES), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1),
+       dt=st.floats(0.005, 0.3), backward=st.booleans())
+def test_a_block_step_matches_single_steps(m, k, seed, dt, backward):
+    rng = np.random.default_rng(seed)
+    grid = SpatialGrid(-8.0, 8.0, m)
+    v = rng.uniform(-10.0, 10.0, size=m)
+    e_min, e_max = energy_bounds(grid, v)
+    params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
+    rows = random_states(grid, rng, k)
+    block = chebyshev_block(grid, rows, v, params)
+    singles = np.array([chebyshev_step(WaveFunction(grid, row), v, params).psi for row in rows])
+    assert block.shape == (k, m)
+    assert np.abs(block - singles).max() <= 1e-13
+
+
+@settings(max_examples=20)
+@given(m=st.sampled_from([64, 128, 160]), k=st.integers(1, 3), gamma=st.floats(1e-6, 1e-4),
+       gain=st.booleans(), backward=st.booleans())
+def test_a_complex_potential_raises_on_either_path(m, k, gamma, gain, backward):
+    # as in test_norm_change_in_one_step_raises: a uniform imaginary potential iγ
+    # scales every row's norm by exp(2γ·dt)
+    grid = SpatialGrid(-8.0, 8.0, m)
+    v = build_double_well(grid, gatecfg.gate_spec(), barrier=gatecfg.BARRIER_LOW)
+    e_min, e_max = energy_bounds(grid, v)
+    dt = -0.2 if backward else 0.2
+    gamma = gamma if gain else -gamma
+    params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)
+    rows = np.array([normalized(grid, np.exp(-((grid.x + 0.85 - 0.3 * i) ** 2))).psi for i in range(k)])
+    change = math.expm1(2 * gamma * dt)
+    with pytest.raises(ToleranceFailure) as caught:
+        chebyshev_block(grid, rows, v + 1j * gamma, params)
+    message = str(caught.value)
+    if change > 0:
+        assert type(caught.value) is SpectralBoundsError
+        found = re.fullmatch(r"norm grew by (\S+) in one step; spectral bounds "
+                             rf"\({re.escape(str(e_min))}, {re.escape(str(e_max))}\) "
+                             r"do not bracket the Hamiltonian", message)
+    else:
+        assert type(caught.value) is ToleranceFailure
+        found = re.fullmatch(r"norm fell by (\S+) in one step", message)
+    assert found and float(found[1]) == pytest.approx(abs(change), rel=1e-3)
+
+
+def test_block_norm_checks_are_per_row():
+    # an imaginary potential that gains on the right and loses on the left: each
+    # row's norm moves by about 3e-5 while the block's total barely does
+    grid, v = double_well_64()
+    e_min, e_max = energy_bounds(grid, v)
+    params = ChebyshevParams(dt=0.2, e_min=e_min, e_max=e_max)
+    bump = {c: np.exp(-((grid.x - c) ** 2) / 0.5) for c in (-3.0, 3.0)}
+    v = v + 1e-4j * (bump[3.0] - bump[-3.0])
+    left, right = (normalized(grid, np.exp(-((grid.x - c) ** 2))).psi for c in (-3.0, 3.0))
+    for rows, error in [([left], ToleranceFailure), ([right], SpectralBoundsError),
+                        ([left, right], SpectralBoundsError), ([right, left], SpectralBoundsError)]:
+        with pytest.raises(ToleranceFailure) as caught:
+            chebyshev_block(grid, np.array(rows), v, params)
+        assert type(caught.value) is error
+
+
+def test_chebyshev_block_rejects_a_block_of_another_grid():
+    grid, v = double_well_64()
+    e_min, e_max = energy_bounds(grid, v)
+    params = ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max)
+    for shape in [(64,), (2, 32), (1, 2, 64)]:
+        with pytest.raises(ValueError):
+            chebyshev_block(grid, np.zeros(shape, dtype=complex), v, params)
 
 
 def test_zero_dt_is_identity():
