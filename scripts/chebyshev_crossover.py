@@ -1,12 +1,20 @@
 #!/usr/bin/env python3
-"""Time one Chebyshev step on the dense and on the FFT path, across grid sizes.
+"""Time the two ways a Chebyshev step applies H̃, across grid sizes.
 
-For each m the shipped double well (low barrier 12) on [-8, 8) is stepped with
-both ways of applying H̃: a dense m×m matrix product (what `chebyshev_step`
-does for m ≤ tdse.DENSE_MAX_M) and two FFTs per term (`apply_hamiltonian`).
-Prints m, the Chebyshev terms per step and the median time per step of each
-path, so the grid size where the two cross can be read off. Run with one BLAS
-thread, as the benchmark does:
+For each m the shipped double well (low barrier 12) on [-8, 8) is set up at
+the given dt, and each way of applying H is timed on its own:
+
+* dense: one product of the real m×m matrix `dense_hamiltonian(grid, v)`
+  with the (m, 2) float view of a complex state, plus the build of that
+  matrix, which a step pays once;
+* fft: one `apply_hamiltonian` call, two FFTs of the complex state.
+
+Prints m, the Chebyshev terms per step (`chebyshev_coefficients`), the median
+time of one build and of one application of each way, and the cost per step
+of each way, build + terms × application, so the grid size where the two
+cross can be read off. The per-term work both ways share (the recursion's
+subtraction and the weighted sum) is left out. Run with one BLAS thread, as
+the benchmark does:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/chebyshev_crossover.py
 """
@@ -15,48 +23,54 @@ import argparse
 import statistics
 import time
 
+import numpy as np
+
 from gridwalk import tdse
+from gridwalk.errors import ToleranceFailure
 from gridwalk.tdse import ChebyshevParams, DoubleWellSpec, SpatialGrid, build_double_well
 
 
-def time_steps(psi, v, params, repeats: int) -> float:
-    """Median seconds per step over `repeats` rounds of 20 steps."""
+def median_seconds(call, repeats: int, inner: int = 50) -> float:
+    """Median seconds per call over `repeats` rounds of `inner` calls."""
     rounds = []
     for _ in range(repeats):
         start = time.perf_counter()
-        for _ in range(20):
-            tdse.chebyshev_step(psi, v, params)
-        rounds.append((time.perf_counter() - start) / 20)
+        for _ in range(inner):
+            call()
+        rounds.append((time.perf_counter() - start) / inner)
     return statistics.median(rounds)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 192, 256, 384, 512])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 192, 256, 320, 384, 448, 512])
     parser.add_argument("--dt", type=float, default=0.01)
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
 
     spec = DoubleWellSpec(well_depth=20.0, well_width=0.9, well_separation=1.7,
                           barrier_width=0.6, barrier_height=28.0)
-    shipped = tdse.DENSE_MAX_M
-    print(f"{'m':>5} {'terms':>6} {'dense µs':>10} {'fft µs':>10}")
-    try:
-        for m in args.sizes:
-            grid = SpatialGrid(-8.0, 8.0, m)
-            v = build_double_well(grid, spec, 12.0)
-            e_min, e_max = tdse.energy_bounds(grid, v)
-            params = ChebyshevParams(dt=args.dt, e_min=e_min, e_max=e_max)
-            psi = tdse.gaussian_packet(grid, -0.85, 0.5)
+    print(f"{'m':>5} {'terms':>6} {'build µs':>9} {'dense µs':>9} {'fft µs':>9} "
+          f"{'dense/step µs':>14} {'fft/step µs':>12}")
+    for m in args.sizes:
+        grid = SpatialGrid(-8.0, 8.0, m)
+        v = build_double_well(grid, spec, 12.0)
+        e_min, e_max = tdse.energy_bounds(grid, v)
+        params = ChebyshevParams(dt=args.dt, e_min=e_min, e_max=e_max)
+        try:
             terms = len(tdse.chebyshev_coefficients(params.alpha, params.tail_tolerance))
-            grid.kinetic  # built once per grid, outside the timed steps
-            times = {}
-            for path, limit in (("dense", m), ("fft", m - 1)):
-                tdse.DENSE_MAX_M = limit
-                times[path] = time_steps(psi, v, params, args.repeats)
-            print(f"{m:>5} {terms:>6} {times['dense'] * 1e6:>10.1f} {times['fft'] * 1e6:>10.1f}")
-    finally:
-        tdse.DENSE_MAX_M = shipped
+        except ToleranceFailure as err:
+            print(f"{m:>5} skipped: {err}")
+            continue
+        psi = tdse.gaussian_packet(grid, -0.85, 0.5).psi
+        column = np.ascontiguousarray(psi[:, np.newaxis]).view(float)
+        grid.kinetic  # built once per grid, outside the timings
+        h = tdse.dense_hamiltonian(grid, v)
+        build = median_seconds(lambda: tdse.dense_hamiltonian(grid, v), args.repeats)
+        dense = median_seconds(lambda: h @ column, args.repeats)
+        fft = median_seconds(lambda: tdse.apply_hamiltonian(psi, v, grid), args.repeats)
+        print(f"{m:>5} {terms:>6} {build * 1e6:>9.1f} {dense * 1e6:>9.1f} {fft * 1e6:>9.1f} "
+              f"{(build + terms * dense) * 1e6:>14.1f} {terms * fft * 1e6:>12.1f}")
 
 
 if __name__ == "__main__":

@@ -45,7 +45,6 @@ from .tdse import (
     bloch_trajectory,
     build_double_well,
     calibrate_hold_time,
-    chebyshev_block,
     chebyshev_step,
     energy_bounds,
     evolve_timeline,

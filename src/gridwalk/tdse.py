@@ -18,12 +18,16 @@ n > α with |J_n(α)| below the tail tolerance, where the Bessel tail decays
 super-exponentially; the coefficients are computed once per (α, tolerance).
 The kinetic term is spectral: the exact Laplacian of the band-limited grid
 function, so E_max = max(V) + k_max²/2 with k_max = π/dx bounds the grid
-spectrum tightly. On grids of at most DENSE_MAX_M = 128 points a step forms
+spectrum tightly. On grids of at most DENSE_MAX_M = 384 points a step forms
 2H̃ as one dense m×m matrix from the grid's kinetic matrix (FFTs of the
 identity, built once per grid) and runs the recursion as matrix products, in
 real arithmetic when the potential is real; larger grids apply H by FFTs
-(apply_hamiltonian). Per step the dense path stays ahead up to m = 384 and
-falls behind at m = 512 on a 2-CPU x86-64 host (scripts/chebyshev_crossover.py).
+(apply_hamiltonian). The cut is the measured per-step crossover: with one
+BLAS thread on a 2-CPU x86-64 host at dt = 0.01, one build plus one product
+per term took 0.37–0.47 ms against 0.93–1.08 ms of FFTs at m = 256, was
+ahead in 4 of 5 runs at m = 384 and behind in 4 of 5 at m = 448
+(scripts/chebyshev_crossover.py). A step keeps at most CHEBYSHEV_RING terms
+at once, so its memory does not grow with the truncation order.
 
 Time-dependent barriers are handled by piecewise-constant midpoint sampling
 of the barrier height per step; steps never straddle ramp boundaries.
@@ -54,8 +58,11 @@ from .util import check_version, complex_from_json, complex_to_json, frozen
 NORM_TOL = 1e-12
 # largest norm change allowed over one Chebyshev step and over a trajectory
 NORM_DRIFT_TOL = 1e-8
-# largest grid whose Chebyshev steps apply H̃ as a dense matrix; larger ones use FFTs
-DENSE_MAX_M = 128
+# largest grid whose Chebyshev steps apply H̃ as a dense matrix (the measured crossover);
+# larger ones use FFTs
+DENSE_MAX_M = 384
+# Chebyshev terms a step keeps at once; a fuller ring is summed by one product with the weights
+CHEBYSHEV_RING = 16
 
 
 @dataclass(frozen=True)
@@ -341,14 +348,23 @@ def chebyshev_block(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: 
         def apply_two_h(arr: np.ndarray, out: np.ndarray) -> None:
             out[...] = (4 * apply_hamiltonian(arr.T, v, grid).T - 2 * shift * arr) / de
 
-    terms = np.empty((len(weights), *work.shape), dtype=work.dtype)
-    terms[0] = work
-    apply_two_h(work, terms[1])
-    terms[1] /= 2
-    for n in range(2, len(weights)):
-        apply_two_h(terms[n - 1], terms[n])
-        terms[n] -= terms[n - 2]
-    series = weights @ terms.view(complex).reshape(len(weights), -1)
+    # T_n(H̃) of the columns go round a ring of CHEBYSHEV_RING terms; each time it fills,
+    # one product with its weights adds them to the sum, so memory does not grow with n_max
+    ring = np.empty((min(CHEBYSHEV_RING, len(weights)), *work.shape), dtype=work.dtype)
+    series = np.zeros(cols.size, dtype=complex)
+    for n in range(len(weights)):
+        term = ring[n % CHEBYSHEV_RING]
+        if n == 0:
+            term[...] = work
+        elif n == 1:
+            apply_two_h(work, term)
+            term /= 2
+        else:
+            apply_two_h(ring[(n - 1) % CHEBYSHEV_RING], term)
+            term -= ring[(n - 2) % CHEBYSHEV_RING]
+        if n % CHEBYSHEV_RING == CHEBYSHEV_RING - 1 or n == len(weights) - 1:
+            first = n - n % CHEBYSHEV_RING
+            series += weights[first : n + 1] @ ring[: n + 1 - first].view(complex).reshape(n + 1 - first, -1)
     out = np.exp(-1j * shift * params.dt / 2) * np.ascontiguousarray(series.reshape(cols.shape).T)
 
     norm = np.sum(np.abs(out) ** 2, axis=-1) / np.sum(np.abs(rows) ** 2, axis=-1)

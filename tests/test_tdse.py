@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -296,8 +297,14 @@ def fft_reference_step(grid: SpatialGrid, psi: np.ndarray, v: np.ndarray, params
     return np.exp(-1j * shift * params.dt / 2) * acc
 
 
-# grid sizes on both sides of DENSE_MAX_M = 128, even and odd
-STEP_SIZES = [16, 17, 64, 127, 128, 129, 160, 256]
+# grid sizes on both sides of DENSE_MAX_M = 384, even and odd
+STEP_SIZES = [16, 17, 64, 127, 128, 256, 383, 384, 385, 400]
+
+
+def step_length(m: int, dt: float) -> float:
+    # α grows as m²: above m = 256 shrink dt so α stays within what m = 256 reaches,
+    # where the default tail tolerance still truncates inside α + 60 terms
+    return dt * min(1.0, (256 / m) ** 2)
 
 
 def random_states(grid: SpatialGrid, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -309,11 +316,12 @@ def random_states(grid: SpatialGrid, rng: np.random.Generator, k: int) -> np.nda
 @given(m=st.sampled_from(STEP_SIZES), seed=st.integers(0, 2**32 - 1), dt=st.floats(0.005, 0.3),
        backward=st.booleans())
 def test_chebyshev_step_matches_the_fft_reference_step(m, seed, dt, backward):
-    assert (m <= tdse.DENSE_MAX_M) == (m <= 128)
+    assert (m <= tdse.DENSE_MAX_M) == (m <= 384)
     rng = np.random.default_rng(seed)
     grid = SpatialGrid(-8.0, 8.0, m)
     v = rng.uniform(-10.0, 10.0, size=m)
     e_min, e_max = energy_bounds(grid, v)
+    dt = step_length(m, dt)
     params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
     psi = WaveFunction(grid, random_states(grid, rng, 1)[0])
     expected = fft_reference_step(grid, psi.psi, v, params)
@@ -328,6 +336,7 @@ def test_a_block_step_matches_single_steps(m, k, seed, dt, backward):
     grid = SpatialGrid(-8.0, 8.0, m)
     v = rng.uniform(-10.0, 10.0, size=m)
     e_min, e_max = energy_bounds(grid, v)
+    dt = step_length(m, dt)
     params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
     rows = random_states(grid, rng, k)
     block = chebyshev_block(grid, rows, v, params)
@@ -337,7 +346,7 @@ def test_a_block_step_matches_single_steps(m, k, seed, dt, backward):
 
 
 @settings(max_examples=20)
-@given(m=st.sampled_from([64, 128, 160]), k=st.integers(1, 3), gamma=st.floats(1e-6, 1e-4),
+@given(m=st.sampled_from([64, 384, 400]), k=st.integers(1, 3), gamma=st.floats(1e-6, 1e-4),
        gain=st.booleans(), backward=st.booleans())
 def test_a_complex_potential_raises_on_either_path(m, k, gamma, gain, backward):
     # as in test_norm_change_in_one_step_raises: a uniform imaginary potential iγ
@@ -345,7 +354,7 @@ def test_a_complex_potential_raises_on_either_path(m, k, gamma, gain, backward):
     grid = SpatialGrid(-8.0, 8.0, m)
     v = build_double_well(grid, gatecfg.gate_spec(), barrier=gatecfg.BARRIER_LOW)
     e_min, e_max = energy_bounds(grid, v)
-    dt = -0.2 if backward else 0.2
+    dt = step_length(m, -0.2 if backward else 0.2)
     gamma = gamma if gain else -gamma
     params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)
     rows = np.array([normalized(grid, np.exp(-((grid.x + 0.85 - 0.3 * i) ** 2))).psi for i in range(k)])
@@ -378,6 +387,30 @@ def test_block_norm_checks_are_per_row():
         with pytest.raises(ToleranceFailure) as caught:
             chebyshev_block(grid, np.array(rows), v, params)
         assert type(caught.value) is error
+
+
+@pytest.mark.parametrize("m", [64, 400])
+def test_step_memory_does_not_grow_with_the_truncation_order(m):
+    # the uncapped tail tolerance lets a long step run to over a thousand terms; the
+    # step's peak allocation stays the ring of CHEBYSHEV_RING terms (plus 2H̃ when dense)
+    grid = SpatialGrid(-8.0, 8.0, m)
+    v = np.zeros(m)
+    e_min, e_max = energy_bounds(grid, v)
+    rows = np.array([normalized(grid, np.exp(-((grid.x - c) ** 2))).psi for c in (-1.0, 1.0)])
+    grid.kinetic
+    peaks, orders = [], []
+    for alpha in (20, 1200):
+        dt = 2 * alpha / (e_max - e_min)
+        params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max, tail_tolerance=1e-15)
+        orders.append(len(tdse.chebyshev_coefficients(params.alpha, params.tail_tolerance)))
+        tracemalloc.start()
+        chebyshev_block(grid, rows, v, params)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert orders[1] > 10 * orders[0] and orders[1] > 1000
+    assert peaks[1] <= peaks[0] + rows.nbytes
+    matrix = 8 * m * m if m <= tdse.DENSE_MAX_M else 0
+    assert peaks[1] <= matrix + (tdse.CHEBYSHEV_RING + 10) * rows.nbytes
 
 
 def test_chebyshev_block_rejects_a_block_of_another_grid():
