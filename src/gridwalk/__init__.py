@@ -9,7 +9,6 @@ rotations the protocol is built from.
 """
 
 from .conveyor import (
-    PhysicalGrid,
     ProtocolTrace,
     embed,
     extract,

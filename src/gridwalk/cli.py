@@ -196,10 +196,10 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
         state = walk.WalkState(n, amp)
         orientation = conveyor.ROW if rng.integers(2) else conveyor.COLUMN
         line = int(rng.integers(1, n + 1))
-        amp = conveyor.embed(state).amp.copy()
+        amp = conveyor.embed(state)
         cells = conveyor.data_lines(amp, orientation)[line - 1]
         conveyor.run_stage(cells, stage, orientation, line, trace)
-        physical = conveyor.extract(conveyor.PhysicalGrid(n, amp))
+        physical = conveyor.extract(amp)
         expected = state.amp.copy()
         lines = expected if orientation == conveyor.ROW else expected.T
         lines[line - 1] = decompose.apply_stage(lines[line - 1], stage)
@@ -212,8 +212,8 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
         "n": n,
         "trials": trials,
         "max_deviation": worst,
-        "trace_actions": len(trace.actions),
-        "trace_stages": trace.stage_count(),
+        "trace_actions": 5 * len(trace.stages),
+        "trace_stages": len(trace.stages),
     })
     print(f"conveyor-verify: n={n} trials={trials} max deviation={worst:.3e} -> {out_dir}")
     if worst > ORACLE_TOL:

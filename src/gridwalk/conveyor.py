@@ -21,9 +21,11 @@ stage rotations by gate calibration. Register motion is an exact permutation
 (ideal adiabatic transport). Pair schedules satisfy k·d+r+d/2 ≤ n, so a +d
 shift never crosses the grid boundary.
 
-The primitives and the stage runner work in place on an array whose last
-axis holds the 2n cells of a line: one line, or the block of all n data
-lines of one orientation (``data_lines``), a view into one amplitude buffer.
+The 2n×2n complex buffer is the conveyor's only state: ``embed`` builds one
+and ``extract`` reads the walk state back off it. The primitives and the
+stage runner work in place on an array whose last axis holds the 2n cells of
+a line: one line, or the block of all n data lines of one orientation
+(``data_lines``), a view into the buffer.
 """
 
 from __future__ import annotations
@@ -51,74 +53,20 @@ def _check_norm(amp: np.ndarray) -> None:
         raise InvariantViolation(f"grid norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
 
 
-@dataclass(frozen=True, eq=False)
-class PhysicalGrid:
-    """2n×2n amplitude grid; odd physical rows/columns are data sites. Compared by value."""
-
-    n: int
-    amp: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.amp, dtype=complex)
-        if a.shape != (2 * self.n, 2 * self.n):
-            raise InvariantViolation(
-                f"physical grid shape {a.shape}, expected {(2 * self.n, 2 * self.n)}"
-            )
-        _check_norm(a)
-        object.__setattr__(self, "amp", frozen(a))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PhysicalGrid)
-            and self.n == other.n
-            and self.amp.tobytes() == other.amp.tobytes()
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.amp.tobytes()))
-
-    def data_view(self) -> np.ndarray:
-        return self.amp[0::2, 0::2]
-
-    def max_register_amplitude(self) -> float:
-        a = self.amp
-        return float(
-            max(
-                np.max(np.abs(a[0::2, 1::2])),
-                np.max(np.abs(a[1::2, 0::2])),
-                np.max(np.abs(a[1::2, 1::2])),
-            )
-        )
-
-
-@dataclass
-class TraceAction:
-    step: int
-    action: str
-    orientation: str
-    line: int
-    params: str
+def register_residue(amp: np.ndarray) -> float:
+    """Largest register-site amplitude of a 2n×2n grid buffer; NaN if any is NaN."""
+    return float(np.maximum(np.abs(amp[1::2]).max(), np.abs(amp[0::2, 1::2]).max()))
 
 
 @dataclass
 class ProtocolTrace:
-    """Ordered audit log of primitive conveyor actions, five per stage."""
+    """Ordered audit log of the conveyor, one record per stage run on a line.
 
-    actions: list[TraceAction] = field(default_factory=list)
+    A record (orientation, line, n, d) stands for the five actions of a
+    stride-d stage on a line of n data sites; ``format_trace`` writes them out.
+    """
 
-    def record(self, step: int, action: str, orientation: str, line: int, params: str) -> None:
-        expected = {1: "pi_transfer", 2: "shift", 3: "rotate", 4: "shift", 5: "pi_transfer"}
-        if expected[step] != action:
-            raise InvariantViolation(f"step {step} must be {expected[step]}, got {action}")
-        self.actions.append(TraceAction(step, action, orientation, line, params))
-
-    def record_stage(self, n: int, d: int, orientation: str, line: int) -> None:
-        """The five actions of a stride-d stage on a line of n data sites."""
-        for step, action, params in _stage_actions(n, d):
-            self.record(step, action, orientation, line, params)
-
-    def stage_count(self) -> int:
-        return sum(1 for a in self.actions if a.step == 1)
+    stages: list[tuple[str, int, int, int]] = field(default_factory=list)
 
 
 @functools.cache
@@ -133,13 +81,12 @@ def _stage_actions(n: int, d: int) -> tuple[tuple[int, str, str], ...]:
 
 def format_trace(trace: ProtocolTrace) -> str:
     """One action per line: STEP k ACTION=… line=… orient=… params=…"""
-    lines = []
-    for a in trace.actions:
-        orient = "H" if a.orientation == ROW else "V"
-        lines.append(
-            f"STEP {a.step} ACTION={a.action} line={a.line} orient={orient} params={a.params}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(
+        f"STEP {step} ACTION={action} line={line} orient={'H' if orientation == ROW else 'V'} "
+        f"params={params}\n"
+        for orientation, line, n, d in trace.stages
+        for step, action, params in _stage_actions(n, d)
+    )
 
 
 def data_lines(amp: np.ndarray, orientation: str) -> np.ndarray:
@@ -155,21 +102,21 @@ def data_lines(amp: np.ndarray, orientation: str) -> np.ndarray:
     raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}, got {orientation!r}")
 
 
-def embed(s: WalkState) -> PhysicalGrid:
-    """Place walk amplitudes on the data sites of an otherwise empty grid."""
+def embed(s: WalkState) -> np.ndarray:
+    """A writable 2n×2n grid buffer holding the walk amplitudes on its data sites."""
     amp = np.zeros((2 * s.n, 2 * s.n), dtype=complex)
     amp[0::2, 0::2] = s.amp
-    return PhysicalGrid(s.n, amp)
+    return amp
 
 
-def extract(g: PhysicalGrid) -> WalkState:
-    """Read the walk state off the data sites; register sites must be empty."""
-    worst = g.max_register_amplitude()
-    if worst > REGISTER_TOL:
+def extract(amp: np.ndarray) -> WalkState:
+    """Read the walk state off the data sites of a grid buffer; register sites must be empty."""
+    worst = register_residue(amp)
+    if not worst <= REGISTER_TOL:
         raise ProtocolIncompleteError(
             f"register amplitude {worst:.3e} exceeds {REGISTER_TOL:.0e}; protocol incomplete"
         )
-    return WalkState(g.n, g.data_view().copy())
+    return WalkState(amp.shape[0] // 2, amp[0::2, 0::2])
 
 
 def pi_transfer(cells: np.ndarray, positions) -> np.ndarray:
@@ -250,7 +197,7 @@ def run_stage(
 
     ``cells`` holds one line, (2n,), or L lines, (L, 2n), numbered from
     ``line`` on; it is changed in place. Every line's register sites must be
-    empty again afterwards. The trace gets each line's five actions once the
+    empty again afterwards. The trace gets one record per line once the
     stage has succeeded.
     """
     n, d = cells.shape[-1] // 2, stage.d
@@ -268,8 +215,7 @@ def run_stage(
             f"exceeds {REGISTER_TOL:.0e}"
         )
     if trace is not None:
-        for t in range(cells.size // (2 * n)):
-            trace.record_stage(n, d, orientation, line + t)
+        trace.stages.extend((orientation, line + t, n, d) for t in range(cells.size // (2 * n)))
     return cells
 
 
@@ -283,8 +229,8 @@ def run_walk_physical(
     stages once, on the whole block of data lines of one amplitude buffer:
     odd steps on the rows, even steps on the columns, which reproduces the
     alternating grid evolution of walk.evolve. The norm is checked after
-    every step and again on the final grid, whose register extract checks.
-    The trace gets a step's actions line by line once the step has succeeded.
+    every step; extract checks the final register and data norm. The trace
+    gets a step's stage records line by line once the step has succeeded.
 
     Dimensions that are not powers of two, and n = 1, are padded with
     identity lines and identity-fixed indices for the synthesis (to at least
@@ -295,9 +241,8 @@ def run_walk_physical(
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     n = s0.n
     npad = max(2, next_power_of_two(n))
-    amp = np.zeros((npad, npad), dtype=complex)
-    amp[:n, :n] = s0.amp
-    amp = embed(WalkState(npad, amp)).amp.copy()
+    amp = np.zeros((2 * npad, 2 * npad), dtype=complex)
+    amp[0:2 * n:2, 0:2 * n:2] = s0.amp
     sequences: dict[CoinSet, StageSequence] = {}
     for i in range(1, plan.steps + 1):
         coins = plan.coin_set(i)
@@ -311,8 +256,8 @@ def run_walk_physical(
             run_stage(data_lines(amp, orientation), stage, orientation, 1)
         _check_norm(amp)
         if trace is not None:
-            for line in range(1, n + 1):
-                for stage in stages:
-                    trace.record_stage(npad, stage.d, orientation, line)
-    out = extract(PhysicalGrid(npad, amp))
+            trace.stages.extend(
+                (orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages
+            )
+    out = extract(amp)
     return WalkState(n, out.amp[:n, :n]) if npad != n else out

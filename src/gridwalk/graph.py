@@ -69,6 +69,8 @@ class EdgeMask:
 
     def row(self, j: int) -> np.ndarray:
         """Mask over coin states for node j (1-based)."""
+        if not 1 <= j <= self.n:
+            raise ValueError(f"node {j} outside 1..{self.n}")
         return self.present[j - 1]
 
 

@@ -63,6 +63,8 @@ NORM_DRIFT_TOL = 1e-8
 DENSE_MAX_M = 384
 # Chebyshev terms a step keeps at once; a fuller ring is summed by one product with the weights
 CHEBYSHEV_RING = 16
+# how close a polished scan extremum must come to a target no scan interval crosses
+CALIBRATION_TOL = 0.005
 
 
 @dataclass(frozen=True)
@@ -666,10 +668,8 @@ def calibrate_hold_time(
     spec: DoubleWellSpec,
     timeline_template: BarrierTimeline,
     target_transfer: float,
-    params: ChebyshevParams | None = None,
+    params: ChebyshevParams,
     scan_points: int = 24,
-    tolerance: float = 0.005,
-    dt: float = 0.01,
 ) -> CalibrationResult:
     """Find the smallest hold duration whose transfer matches the target.
 
@@ -678,8 +678,8 @@ def calibrate_hold_time(
     over slightly more than one tunneling oscillation. The root in the first
     scan interval that crosses the target is found by brentq; if none does
     (targets near 0 or 1), the scan's extrema towards the target are polished
-    in order by a bounded minimize_scalar and the first within `tolerance`
-    wins. Raises CalibrationUnreachableError when none is.
+    in order by a bounded minimize_scalar and the first within
+    CALIBRATION_TOL wins. Raises CalibrationUnreachableError when none is.
     """
     from scipy.optimize import brentq, minimize_scalar  # only calibration needs it
 
@@ -687,9 +687,6 @@ def calibrate_hold_time(
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
     if scan_points < 2:
         raise ValueError(f"scan needs at least 2 points, got {scan_points}")
-    if params is None:
-        e_min, e_max = timeline_energy_bounds(grid, spec, timeline_template)
-        params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)
     pulse = HoldScan.from_pulse(grid, spec, timeline_template, params)
     holds = np.linspace(0.0, 1.05 * pulse.period, scan_points)
     values = pulse.transfer(holds)
@@ -715,12 +712,12 @@ def calibrate_hold_time(
         lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
         polish = minimize_scalar(lambda h: abs(offset(h)), bounds=(lo, hi), method="bounded")
         hold = polish.x if polish.fun < gap[i] else holds[i]
-        if abs(offset(hold)) <= tolerance:
+        if abs(offset(hold)) <= CALIBRATION_TOL:
             return result(hold)
 
     best = float(np.max(values))
     raise CalibrationUnreachableError(
-        f"transfer never came within {tolerance} of {target_transfer} over one "
+        f"transfer never came within {CALIBRATION_TOL} of {target_transfer} over one "
         f"oscillation (max achieved {best:.4f})",
         max_achieved=best,
     )

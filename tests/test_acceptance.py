@@ -13,10 +13,10 @@ import oracles
 from gridwalk.conveyor import (
     COLUMN,
     ROW,
-    PhysicalGrid,
     data_lines,
     embed,
     extract,
+    register_residue,
     run_stage,
     run_walk_physical,
 )
@@ -142,11 +142,10 @@ def test_criterion_4_conveyor_equivalence():
             s = random_state(n, rng)
             orientation = ROW if rng.integers(2) else COLUMN
             line = int(rng.integers(1, n + 1))
-            amp = embed(s).amp.copy()
+            amp = embed(s)
             run_stage(data_lines(amp, orientation)[line - 1], stage, orientation, line)
-            g = PhysicalGrid(n, amp)
-            worst_register = max(worst_register, g.max_register_amplitude())
-            physical = extract(g)
+            worst_register = max(worst_register, register_residue(amp))
+            physical = extract(amp)
             expected = s.amp.copy()
             if orientation == ROW:
                 expected[line - 1, :] = apply_stage(expected[line - 1, :], stage)
@@ -210,8 +209,9 @@ def test_criterion_6_gate_calibration_targets():
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
 
-    pi_result = calibrate_hold_time(grid, spec, template, 1.0, scan_points=24)
-    half_result = calibrate_hold_time(grid, spec, template, 0.5, scan_points=24)
+    params = gatecfg.gate_params(grid, spec, template)
+    pi_result = calibrate_hold_time(grid, spec, template, 1.0, params, scan_points=24)
+    half_result = calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=24)
 
     elapsed = time.perf_counter() - start
     ok = (

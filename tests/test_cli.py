@@ -135,6 +135,17 @@ def test_walk_graph_from_file_and_snapshot(tmp_path):
     assert abs(sum(float(r.split()[1]) for r in rows) - 1) < 1e-12
 
 
+@pytest.mark.parametrize("node", [0, 9])
+def test_walk_rejects_a_balanced_start_outside_the_graph(tmp_path, node):
+    out = tmp_path / "out"
+    ring = {"n": 4, "edges": [[j, j % 4 + 1] for j in range(1, 5)]}
+    cfg = write_config(tmp_path, {
+        "version": 1, "graph": ring, "steps": 2, "initial": {"node": node, "coin": "balanced"},
+    })
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "report.json").exists()
+
+
 def test_walk_deterministic_reruns(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, {

@@ -7,13 +7,13 @@ from gridwalk import conveyor
 from gridwalk.conveyor import (
     COLUMN,
     ROW,
-    PhysicalGrid,
     ProtocolTrace,
     data_lines,
     embed,
     extract,
     format_trace,
     pi_transfer,
+    register_residue,
     rotate_pairs,
     run_stage,
     run_walk_physical,
@@ -39,11 +39,6 @@ def identity_stage(n, d):
     return Stage(d, np.broadcast_to(np.eye(2), (n // 2, 2, 2)))
 
 
-def buffer(s):
-    """A writable 2n×2n grid buffer holding the walk state on its data sites."""
-    return embed(s).amp.copy()
-
-
 def line_of(amp, orientation, line):
     return data_lines(amp, orientation)[line - 1]
 
@@ -58,24 +53,24 @@ def line_stage(stage, n, t):
 
 
 def test_embed_localized():
-    g = embed(init_localized(2, 1, 1))
+    amp = embed(init_localized(2, 1, 1))
     expected = np.zeros((4, 4))
     expected[0, 0] = 1
-    assert np.array_equal(g.amp, expected)
+    assert np.array_equal(amp, expected) and amp.flags.writeable
 
 
 def test_embed_norm_and_round_trip(rng):
     s = random_state(4, rng)
-    g = embed(s)
-    assert abs(np.sum(np.abs(g.amp) ** 2) - 1) < 1e-15
-    assert np.array_equal(extract(g).amp, s.amp)
+    amp = embed(s)
+    assert abs(np.sum(np.abs(amp) ** 2) - 1) < 1e-15
+    assert np.array_equal(extract(amp).amp, s.amp)
 
 
 def test_extract_rejects_dirty_register(rng):
     amp = np.zeros((4, 4), dtype=complex)
     amp[0, 1] = 1.0  # register site
     with pytest.raises(ProtocolIncompleteError):
-        extract(PhysicalGrid(2, amp))
+        extract(amp)
 
 
 # ---------------------------------------------------------------------------
@@ -83,13 +78,13 @@ def test_extract_rejects_dirty_register(rng):
 
 
 def test_pi_transfer_moves_amplitude():
-    amp = buffer(init_localized(2, 1, 1))
+    amp = embed(init_localized(2, 1, 1))
     pi_transfer(line_of(amp, ROW, 1), [1])
     assert amp[0, 0] == 0 and amp[0, 1] == 1
 
 
 def test_pi_transfer_involution(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     before = amp.copy()
     cells = line_of(amp, ROW, 2)
     pi_transfer(pi_transfer(cells, [1, 3]), [1, 3])
@@ -97,20 +92,20 @@ def test_pi_transfer_involution(rng):
 
 
 def test_pi_transfer_norm_on_occupied_line(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     pi_transfer(line_of(amp, ROW, 3), [1, 2, 3, 4])
     assert abs(np.sum(np.abs(amp) ** 2) - 1) < 1e-15
-    PhysicalGrid(4, amp)  # norm-checked
+    assert register_residue(amp) > 0
 
 
 def test_pi_transfer_column_orientation():
-    amp = buffer(init_localized(2, 2, 1))  # amplitude at physical (3,1)
+    amp = embed(init_localized(2, 2, 1))  # amplitude at physical (3,1)
     pi_transfer(line_of(amp, COLUMN, 1), [2])
     assert amp[2, 0] == 0 and amp[3, 0] == 1
 
 
 def test_shift_zero_is_identity(rng):
-    amp = buffer(random_state(2, rng))
+    amp = embed(random_state(2, rng))
     before = amp.copy()
     shift_register(line_of(amp, ROW, 1), 0)
     assert np.array_equal(amp, before)
@@ -124,7 +119,7 @@ def test_shift_moves_register_cell():
 
 
 def test_shift_round_trip(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     cells = line_of(amp, ROW, 1)
     pi_transfer(cells, [1, 2])
     before = amp.copy()
@@ -133,7 +128,7 @@ def test_shift_round_trip(rng):
 
 
 def test_shift_rejects_odd_offset(rng):
-    amp = buffer(random_state(2, rng))
+    amp = embed(random_state(2, rng))
     with pytest.raises(ValueError):
         shift_register(line_of(amp, ROW, 1), 3)
 
@@ -154,7 +149,7 @@ def test_shift_out_of_range():
 
 
 def test_rotate_pairs_identity(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     before = amp.copy()
     rotate_pairs(line_of(amp, ROW, 1), identity_stage(4, 2))
     assert np.array_equal(amp, before)
@@ -165,20 +160,20 @@ def test_rotate_pairs_identity(rng):
 
 
 def test_run_stage_identity_rotations(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     before = amp.copy()
     run_stage(line_of(amp, ROW, 2), identity_stage(4, 4), ROW, 2)
     assert np.max(np.abs(amp - before)) < 1e-12
-    assert PhysicalGrid(4, amp).max_register_amplitude() == 0.0
+    assert register_residue(amp) == 0.0
 
 
 def test_run_stage_swap_via_full_protocol():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     stage = Stage(4, np.stack([swap, eye]))  # pairs (1,3), (2,4)
-    amp = buffer(init_localized(4, 1, 1))  # amplitude at logical (1,1)
+    amp = embed(init_localized(4, 1, 1))  # amplitude at logical (1,1)
     run_stage(line_of(amp, ROW, 1), stage, ROW, 1)
-    out = extract(PhysicalGrid(4, amp))
+    out = extract(amp)
     # row line 1: position 1 and 3 swapped end to end
     assert out.amp[0, 2] == 1.0 and out.amp[0, 0] == 0.0
 
@@ -187,19 +182,21 @@ def test_run_stage_trace_schedule_matches_five_steps():
     # stride-4 stage on an 8-line: transfers at kd+r = 1,2,5,6, move by 4, rotate, undo
     trace = ProtocolTrace()
     stage = identity_stage(8, 4)
-    run_stage(line_of(buffer(init_localized(8, 1, 1)), ROW, 1), stage, ROW, 1, trace)
-    kinds = [a.action for a in trace.actions]
-    assert kinds == ["pi_transfer", "shift", "rotate", "shift", "pi_transfer"]
-    assert [a.step for a in trace.actions] == [1, 2, 3, 4, 5]
-    assert trace.actions[0].params == "positions=1,2,5,6"
-    assert trace.actions[1].params == "offset=4"
-    assert trace.actions[3].params == "offset=-4"
-    assert "(1,3)" in trace.actions[2].params and "(6,8)" in trace.actions[2].params
+    run_stage(line_of(embed(init_localized(8, 1, 1)), ROW, 1), stage, ROW, 1, trace)
+    assert trace.stages == [(ROW, 1, 8, 4)]
+    transfer = "ACTION=pi_transfer line=1 orient=H params=positions=1,2,5,6"
+    assert format_trace(trace).splitlines() == [
+        f"STEP 1 {transfer}",
+        "STEP 2 ACTION=shift line=1 orient=H params=offset=4",
+        "STEP 3 ACTION=rotate line=1 orient=H params=d=4;pairs=(1,3),(2,4),(5,7),(6,8)",
+        "STEP 4 ACTION=shift line=1 orient=H params=offset=-4",
+        f"STEP 5 {transfer}",
+    ]
 
 
 def test_trace_export_format():
     trace = ProtocolTrace()
-    run_stage(line_of(buffer(init_localized(4, 1, 1)), COLUMN, 3), identity_stage(4, 2), COLUMN, 3, trace)
+    run_stage(line_of(embed(init_localized(4, 1, 1)), COLUMN, 3), identity_stage(4, 2), COLUMN, 3, trace)
     text = format_trace(trace)
     lines = text.strip().splitlines()
     assert len(lines) == 5
@@ -214,9 +211,9 @@ def test_physical_equals_logical(n, d, orientation, rng):
         stage = random_stage(n, d, rng)
         s = random_state(n, rng)
         line = int(rng.integers(1, n + 1))
-        amp = buffer(s)
+        amp = embed(s)
         run_stage(line_of(amp, orientation, line), stage, orientation, line)
-        out = extract(PhysicalGrid(n, amp))
+        out = extract(amp)
         expected = s.amp.copy()
         if orientation == ROW:
             expected[line - 1, :] = apply_stage(expected[line - 1, :], stage)
@@ -226,9 +223,9 @@ def test_physical_equals_logical(n, d, orientation, rng):
 
 
 def test_register_exactly_empty_after_stage(rng):
-    amp = buffer(random_state(8, rng))
+    amp = embed(random_state(8, rng))
     run_stage(line_of(amp, ROW, 5), random_stage(8, 8, rng), ROW, 5)
-    assert PhysicalGrid(8, amp).max_register_amplitude() == 0.0
+    assert register_residue(amp) == 0.0
 
 
 def test_run_sequence_applies_whole_coin(rng):
@@ -237,10 +234,10 @@ def test_run_sequence_applies_whole_coin(rng):
     u = random_unitary(n, rng)
     seq = cs_decompose(u)
     s = random_state(n, rng)
-    amp = buffer(s)
+    amp = embed(s)
     for stage in seq.stages:
         run_stage(line_of(amp, ROW, 3), stage, ROW, 3)
-    out = extract(PhysicalGrid(n, amp))
+    out = extract(amp)
     expected = s.amp.copy()
     expected[2, :] = u @ expected[2, :]
     assert np.max(np.abs(out.amp - expected)) < 1e-12
@@ -253,10 +250,10 @@ def test_run_sequence_consumes_exported_format(rng):
     u = random_unitary(n, rng)
     seq = sequence_from_json(sequence_to_json(cs_decompose(u)))
     s = random_state(n, rng)
-    amp = buffer(s)
+    amp = embed(s)
     for stage in seq.stages:
         run_stage(line_of(amp, COLUMN, 2), stage, COLUMN, 2)
-    out = extract(PhysicalGrid(n, amp))
+    out = extract(amp)
     expected = s.amp.copy()
     expected[:, 1] = u @ expected[:, 1]
     assert np.max(np.abs(out.amp - expected)) < 1e-12
@@ -304,7 +301,8 @@ def test_physical_walk_records_trace(rng):
     trace = ProtocolTrace()
     run_walk_physical(random_state(n, rng), plan, trace)
     # steps × lines × (n−1) stages, five actions each
-    assert len(trace.actions) == steps * n * (n - 1) * 5
+    assert len(trace.stages) == steps * n * (n - 1)
+    assert len(format_trace(trace).splitlines()) == 5 * len(trace.stages)
 
 
 def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
@@ -335,9 +333,22 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
     assert np.max(np.abs(physical.amp - evolve(s0, 4, plan).amp)) < 1e-10
 
 
-def test_nan_physical_grid_is_rejected():
+def test_extract_rejects_nan_and_norm_loss(rng):
+    # NaN on a register site, in a data or a register row, fails the register
+    # check, not only the norm check
+    for cell in [(3, 4), (2, 5), (5, 7)]:
+        amp = embed(random_state(4, rng))
+        amp[cell] = np.nan
+        assert np.isnan(register_residue(amp))
+        with pytest.raises(ProtocolIncompleteError):
+            extract(amp)
+    # NaN or a norm away from 1 on the data sites fails the walk state
+    amp = embed(random_state(4, rng))
+    amp[2, 4] = np.nan
     with pytest.raises(InvariantViolation):
-        PhysicalGrid(2, np.full((4, 4), np.nan, dtype=complex))
+        extract(amp)
+    with pytest.raises(InvariantViolation):
+        extract(2 * embed(random_state(4, rng)))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +365,7 @@ def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
     first = data.draw(st.integers(1, n - size + 1))
     rng = np.random.default_rng(seed)
     stage = random_stage(size * n, d, rng)
-    amp = buffer(random_state(n, rng))
+    amp = embed(random_state(n, rng))
     before = amp.copy()
     lines = data_lines(amp, orientation)[first - 1:first - 1 + size]
     cells = lines[0] if size == 1 else lines
@@ -372,7 +383,7 @@ def test_grid_run_stage_wraps_the_line_protocol(rng):
     # one stage on the whole block of a grid's lines equals each line's own run
     n, d = 8, 4
     stage = random_stage(n * n, d, rng)
-    amp = buffer(random_state(n, rng))
+    amp = embed(random_state(n, rng))
     per_line = amp.copy()
     trace_block, trace_line = ProtocolTrace(), ProtocolTrace()
     block = data_lines(amp, COLUMN)
@@ -381,11 +392,11 @@ def test_grid_run_stage_wraps_the_line_protocol(rng):
         run_stage(line_of(per_line, COLUMN, t + 1), line_stage(stage, n, t), COLUMN, t + 1, trace_line)
     assert amp.tobytes() == per_line.tobytes()
     assert format_trace(trace_block) == format_trace(trace_line)
-    assert [a.line for a in trace_block.actions[::5]] == list(range(1, n + 1))
+    assert trace_block.stages == [(COLUMN, t, n, d) for t in range(1, n + 1)]
 
 
 def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     amp[2] *= np.sqrt(0.5)
     amp[2, 1] = np.sqrt(1 - np.sum(np.abs(amp) ** 2))  # register cell after position 1
     with pytest.raises(ProtocolIncompleteError, match="line 2"):
@@ -395,7 +406,7 @@ def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
     trace = ProtocolTrace()
     with pytest.raises(ProtocolIncompleteError):
         run_stage(data_lines(amp.copy(), ROW), identity_stage(16, 2), ROW, 1, trace)
-    assert not trace.actions  # a failed stage records nothing
+    assert not trace.stages  # a failed stage records nothing
 
 
 def test_line_primitives_work_in_place():
@@ -412,7 +423,7 @@ def test_line_primitives_work_in_place():
 
 @pytest.mark.parametrize("positions", [[0], [5], [2, 5]])
 def test_pi_transfer_rejects_bad_positions(positions, rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     with pytest.raises(ValueError):
         pi_transfer(line_of(amp, ROW, 1), positions)
     with pytest.raises(ValueError):
@@ -420,7 +431,7 @@ def test_pi_transfer_rejects_bad_positions(positions, rng):
 
 
 def test_data_lines_are_views_of_the_data_rows_and_columns(rng):
-    amp = buffer(random_state(4, rng))
+    amp = embed(random_state(4, rng))
     assert np.shares_memory(data_lines(amp, ROW), amp) and np.shares_memory(data_lines(amp, COLUMN), amp)
     assert np.array_equal(data_lines(amp, ROW), amp[[0, 2, 4, 6]])
     assert np.array_equal(data_lines(amp, COLUMN), amp[:, [0, 2, 4, 6]].T)
@@ -435,13 +446,5 @@ def test_physical_walk_checks_the_norm_after_every_step(monkeypatch, rng):
     check_norm = conveyor._check_norm
     monkeypatch.setattr(conveyor, "_check_norm", lambda amp: checked.append(1) or check_norm(amp))
     run_walk_physical(random_state(n, rng), plan)
-    assert len(checked) == steps + 2  # the embedded grid, every step, the extracted grid
+    assert len(checked) == steps  # after every step; extract checks the final grid
 
-
-def test_physical_grid_compares_and_hashes_by_value(rng):
-    s = random_state(4, rng)
-    a, b = embed(s), embed(WalkState(4, s.amp.copy()))
-    assert a is not b and a == b and hash(a) == hash(b)
-    assert len({a, b}) == 1
-    assert a != embed(random_state(4, rng))
-    assert a != PhysicalGrid(2, embed(init_localized(2, 1, 1)).amp)

@@ -44,7 +44,7 @@ def test_traced_padded_physical_walk_is_byte_identical():
     s0 = WalkState(n, amp / np.linalg.norm(amp))
     trace = ProtocolTrace()
     out = run_walk_physical(s0, plan, trace)
-    assert len(trace.actions) == steps * n * 7 * 5
+    assert len(trace.stages) == steps * n * 7
     assert sha256(format_trace(trace).encode()) == PHYSICAL_TRACE_SHA256
     assert sha256(out.amp.tobytes()) == PHYSICAL_STATE_SHA256
 

@@ -70,6 +70,15 @@ def test_edge_mask_after_removal():
     assert m.present.tolist() == [[True, False], [False, True]]
 
 
+def test_edge_mask_row_is_one_node_and_rejects_nodes_outside_the_graph():
+    m = edge_mask(Graph(3, frozenset({(1, 2), (2, 3)})))
+    assert m.row(1).tolist() == [False, True, False]
+    assert m.row(3).tolist() == [False, True, False]
+    for j in (0, -1, 4):
+        with pytest.raises(ValueError, match=f"node {j} outside 1..3"):
+            m.row(j)
+
+
 def test_edge_mask_path_graph():
     g = Graph(3, frozenset({(1, 2), (2, 3)}))
     m = edge_mask(g)

@@ -609,7 +609,8 @@ def test_calibrate_half_transfer():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
-    result = calibrate_hold_time(grid, spec, template, 0.5, scan_points=12)
+    params = gatecfg.gate_params(grid, spec, template)
+    result = calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=12)
     assert abs(result.achieved_transfer - 0.5) <= 0.01
     assert result.leakage <= 0.01
     assert result.hold_duration < result.period_estimate / 2
@@ -619,8 +620,9 @@ def test_calibrate_unreachable_with_tilt():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec(tilt=0.5)
     template = gatecfg.gate_timeline()
+    params = gatecfg.gate_params(grid, spec, template)
     with pytest.raises(CalibrationUnreachableError) as err:
-        calibrate_hold_time(grid, spec, template, 1.0, scan_points=10)
+        calibrate_hold_time(grid, spec, template, 1.0, params, scan_points=10)
     assert err.value.max_achieved < 0.5
 
 
@@ -799,5 +801,6 @@ def test_calibrate_needs_two_scan_points():
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
     with pytest.raises(ValueError):
-        calibrate_hold_time(grid, spec, template, 0.5, scan_points=1, dt=0.1)
+        calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=1)
