@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from gridwalk.graph import cycle_graph
-from gridwalk.walk import CoinPlan, WalkState, distribution_to_text, walk_node_distribution
+from gridwalk.walk import CoinPlan, distribution_to_text, init_balanced, walk_node_distribution
 
 
 def main():
@@ -25,10 +25,7 @@ def main():
 
     n, start = args.nodes, args.start
     g = cycle_graph(n)
-    amp = np.zeros((n, n), dtype=complex)
-    amp[start - 1, start - 2] = 1 / np.sqrt(2)
-    amp[start - 1, start % n] = 1j / np.sqrt(2)
-    s0 = WalkState(n, amp)
+    s0 = init_balanced(g, start)
 
     steps_range = range(10, args.max_steps + 1)
     rows = []

@@ -57,7 +57,7 @@ def _load_config(path: str) -> tuple[dict, Path]:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(doc, dict):
         raise ConfigError("config must be a JSON object")
-    if doc.get("version") != CONFIG_VERSION:
+    if _get(doc, "version", int) != CONFIG_VERSION:
         raise ConfigError(f"config version must be {CONFIG_VERSION}, got {doc.get('version')!r}")
     return doc, p.parent
 
@@ -98,24 +98,13 @@ def _initial_state(config: dict, base: Path, g: Graph) -> walk.WalkState:
     if not isinstance(init, dict):
         raise ConfigError("config field 'initial' must be an object")
     if "snapshot" in init:
-        return walk.state_from_json(_resolve(base, init["snapshot"]).read_text())
+        return walk.state_from_json(_resolve(base, _get(init, "snapshot", str)).read_text())
     node = _get(init, "node", int, required=True)
     coin = init.get("coin")
     if type(coin) is int:
         return walk.init_localized(g.n, node, coin)
     if coin == "balanced":
-        from .graph import edge_mask
-
-        row = edge_mask(g).row(node)
-        idx = np.flatnonzero(row)
-        if len(idx) != 2:
-            raise ConfigError(
-                f"'balanced' initial coin needs a degree-2 node, node {node} has degree {len(idx)}"
-            )
-        amp = np.zeros((g.n, g.n), dtype=complex)
-        amp[node - 1, idx[0]] = 1 / np.sqrt(2)
-        amp[node - 1, idx[1]] = 1j / np.sqrt(2)
-        return walk.WalkState(g.n, amp)
+        return walk.init_balanced(g, node)
     raise ConfigError("initial coin must be an integer index or 'balanced'")
 
 
@@ -184,6 +173,8 @@ def cmd_decompose(config: dict, base: Path, out_dir: Path, seed: int) -> int:
 def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     n = _get(config, "n", int, required=True)
     trials = _get(config, "stages", int, default=50)
+    if trials < 1:
+        raise ConfigError("stages must be ≥ 1")
     rng = np.random.default_rng(seed)
     strides = [2**e for e in range(1, n.bit_length()) if n % 2**e == 0]
     worst = 0.0

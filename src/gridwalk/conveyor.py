@@ -36,8 +36,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .decompose import Stage, StageSequence, cs_decompose, rotate_in_place, stage_sites
-from .errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
-from .util import frozen, next_power_of_two
+from .errors import ProtocolIncompleteError, ShiftOutOfRangeError
+from .util import check_norm, frozen, next_power_of_two
 from .walk import CoinPlan, CoinSet, WalkState
 
 NORM_TOL = 1e-12
@@ -45,12 +45,6 @@ REGISTER_TOL = 1e-10
 
 ROW = "row"
 COLUMN = "column"
-
-
-def _check_norm(amp: np.ndarray) -> None:
-    norm = float(np.sum(np.abs(amp) ** 2))
-    if not abs(norm - 1.0) <= NORM_TOL:
-        raise InvariantViolation(f"grid norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
 
 
 def register_residue(amp: np.ndarray) -> float:
@@ -254,7 +248,7 @@ def run_walk_physical(
         orientation = ROW if i % 2 == 1 else COLUMN
         for stage in stages:
             run_stage(data_lines(amp, orientation), stage, orientation, 1)
-        _check_norm(amp)
+        check_norm(amp, NORM_TOL, "grid")
         if trace is not None:
             trace.stages.extend(
                 (orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages

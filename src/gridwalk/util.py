@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .errors import UnitarityError
+from .errors import InvariantViolation, UnitarityError
 
 
 def unitarity_defect(u: np.ndarray) -> float:
@@ -17,6 +17,13 @@ def check_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> None:
     defect = unitarity_defect(u)
     if not defect < tol:
         raise UnitarityError(f"{what} is not unitary: max|u†u − I| = {defect:.3e} ≥ {tol:.1e}")
+
+
+def check_norm(amp: np.ndarray, tol: float, what: str) -> None:
+    """Raise InvariantViolation unless Σ|amp|² is within tol of 1; a NaN entry fails too."""
+    norm = float(np.sum(np.abs(amp) ** 2))
+    if not abs(norm - 1.0) <= tol:
+        raise InvariantViolation(f"{what} norm² = {norm!r} deviates from 1 beyond {tol}")
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -72,6 +79,7 @@ def complex_from_json(pairs, shape: tuple[int, ...], what: str = "array") -> np.
 
 
 def check_version(doc: dict, expected: int, what: str) -> None:
-    """Reject a document whose "version" field is not the one this reader knows."""
-    if doc.get("version") != expected:
+    """Reject a document whose "version" field is not the one this reader knows, as an int."""
+    # JSON true and 1.0 compare equal to 1 but are no version numbers
+    if type(doc.get("version")) is not int or doc["version"] != expected:
         raise ValueError(f"{what} version must be {expected}, got {doc.get('version')!r}")

@@ -7,7 +7,7 @@ pointing to node k". One walk step is either
 * the oracle form: apply per-node coins to the grid rows, then translate by
   transposing the grid (``reference_evolve``), or
 * the in-place grid form: alternate the same coins between rows and columns
-  without ever transposing (``evolve``).
+  of one amplitude buffer without ever transposing (``evolve``).
 
 Both produce the same states, up to rounding, after any even number of
 steps; after an odd number of steps the grid form holds the transpose of the
@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import EdgeMask, Graph, edge_mask
-from .util import check_unitary, check_version, complex_from_json, complex_to_json, frozen
+from .util import check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 
@@ -47,9 +47,7 @@ class WalkState:
             raise InvariantViolation(f"dimension must be positive, got {self.n}")
         if a.shape != (self.n, self.n):
             raise InvariantViolation(f"amplitude grid shape {a.shape}, expected {(self.n, self.n)}")
-        norm = float(np.sum(np.abs(a) ** 2))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise InvariantViolation(f"state norm² = {norm!r} deviates from 1 beyond {NORM_TOL}")
+        check_norm(a, NORM_TOL, "state")
         object.__setattr__(self, "amp", frozen(a))
 
     def __eq__(self, other):
@@ -105,6 +103,18 @@ def init_localized(n: int, j: int, k: int) -> WalkState:
     amp = np.zeros((n, n), dtype=complex)
     amp[j - 1, k - 1] = 1.0
     return WalkState(n, amp)
+
+
+def init_balanced(g: Graph, node: int) -> WalkState:
+    """(|node, a⟩ + i|node, b⟩)/√2 on the two coin states a < b of a degree-2 node."""
+    idx = np.flatnonzero(edge_mask(g).row(node))
+    if len(idx) != 2:
+        raise ValueError(
+            f"'balanced' initial coin needs a degree-2 node, node {node} has degree {len(idx)}"
+        )
+    amp = np.zeros((g.n, g.n), dtype=complex)
+    amp[node - 1, idx] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    return WalkState(g.n, amp)
 
 
 def transpose_state(s: WalkState) -> WalkState:
@@ -175,17 +185,6 @@ def coin_for_degree(kind: str, degree: int) -> np.ndarray:
             raise ValueError(f"hadamard coin needs degree 2, node has degree {degree}")
         return hadamard_coin()
     raise ValueError(f"unknown coin kind {kind!r}; expected one of {_COIN_KINDS}")
-
-
-def masked_node_coins(mask: EdgeMask, kind: str = "grover") -> list[np.ndarray]:
-    """Dense n×n per-node coins embedding the chosen coin on each node's active states.
-
-    The per-node coin dimension follows the node degree; ``grover`` (default)
-    and ``dft`` exist for every degree, ``hadamard`` requires degree 2. The
-    uniform n-ary default is a convention of this package, not a canonical
-    choice; callers may supply their own coins through CoinPlan instead.
-    """
-    return list(CoinSet.from_mask(mask, kind).dense)
 
 
 # ---------------------------------------------------------------------------
@@ -306,21 +305,24 @@ class CoinSet:
         return tuple(coins)
 
 
-def _apply_groups(coins: CoinSet, src: np.ndarray, dst: np.ndarray) -> None:
-    """dst[line, states] = sub · src[line, states] for every group: gather, matmul, scatter."""
+def _buffer(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
+    """``amp`` if it is the complex (n, n) buffer of a coin set's n lines."""
+    if not isinstance(coins, CoinSet):
+        raise TypeError(f"coins must be a CoinSet, got {type(coins).__name__}")
+    if not isinstance(amp, np.ndarray) or amp.dtype != complex or amp.shape != (coins.n, coins.n):
+        raise ValueError(f"expected a complex ({coins.n}, {coins.n}) amplitude buffer, got "
+                         f"{getattr(amp, 'dtype', type(amp).__name__)} {np.shape(amp)}")
+    return amp
+
+
+def _apply_groups(coins: CoinSet, lines: np.ndarray) -> None:
+    """lines[line, states] = sub · lines[line, states] for every group: gather, matmul, scatter.
+
+    Groups hold disjoint lines, so each scatter writes only what its own gather read.
+    """
     for grp in coins.groups:
         rows = grp.lines[:, None]
-        dst[rows, grp.states] = src[rows, grp.states] @ grp.sub.T
-
-
-def _coin_set(coins: CoinSet | Sequence[np.ndarray], n: int, axis: str) -> CoinSet:
-    if not isinstance(coins, CoinSet):
-        if len(coins) != n:
-            raise ValueError(f"{len(coins)} coins supplied for {n} {axis}")
-        coins = CoinSet.from_dense(coins)
-    if coins.n != n:
-        raise ValueError(f"coin set has {coins.n} lines, expected {n} {axis}")
-    return coins
+        lines[rows, grp.states] = lines[rows, grp.states] @ grp.sub.T
 
 
 # ---------------------------------------------------------------------------
@@ -383,38 +385,37 @@ class CoinPlan:
         return CoinPlan(g.n, tuple([one_step] * steps))
 
 
-def apply_coin_rows(s: WalkState, coins: CoinSet | Sequence[np.ndarray]) -> WalkState:
-    """Replace row j by coin_j · row_j (the horizontally grouped application)."""
-    coins = _coin_set(coins, s.n, "rows")
-    out = s.amp.copy()
-    _apply_groups(coins, s.amp, out)
-    return WalkState(s.n, out)
+def apply_coin_rows(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
+    """Replace row j of the buffer by coin_j · row_j, in place (the horizontal grouping)."""
+    _apply_groups(coins, _buffer(amp, coins))
+    return amp
 
 
-def apply_coin_cols(s: WalkState, coins: CoinSet | Sequence[np.ndarray]) -> WalkState:
-    """Replace column k by coin_k · column_k (the vertically grouped application)."""
-    coins = _coin_set(coins, s.n, "columns")
-    out = s.amp.copy()
-    _apply_groups(coins, s.amp.T, out.T)
-    return WalkState(s.n, out)
+def apply_coin_cols(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
+    """Replace column k of the buffer by coin_k · column_k, in place (the vertical grouping)."""
+    _apply_groups(coins, _buffer(amp, coins).T)
+    return amp
 
 
 def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
-    """Alternate row/column coin applications, starting with rows.
+    """Alternate row/column coin applications on one copy of the amplitudes, starting with rows.
 
-    Odd step counts end after a row application, leaving the state in the
-    transposed (columns-index-nodes) convention; transpose_state restores the
-    rows-index-nodes reading.
+    The norm is checked after every step. Odd step counts end after a row
+    application, leaving the state in the transposed (columns-index-nodes)
+    convention; transpose_state restores the rows-index-nodes reading.
     """
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     if plan.steps < steps:
         raise ValueError(f"plan covers {plan.steps} steps, {steps} requested")
-    s = s0
+    if steps == 0:
+        return s0
+    amp = s0.amp.copy()
     for i in range(1, steps + 1):
-        coins = plan.coin_set(i)
-        s = apply_coin_rows(s, coins) if i % 2 == 1 else apply_coin_cols(s, coins)
-    return s
+        apply = apply_coin_rows if i % 2 == 1 else apply_coin_cols
+        apply(amp, plan.coin_set(i))
+        check_norm(amp, NORM_TOL, f"state after step {i}")
+    return WalkState(s0.n, amp)
 
 
 def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:

@@ -52,6 +52,15 @@ def test_wrong_version(tmp_path):
     assert main(["walk", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_a_version_that_only_equals_one_is_a_config_error(tmp_path, version):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": version, "graph": k_graph_doc(2), "steps": 1,
+                                  "initial": {"node": 1, "coin": 1}})
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("doc", [
     {"steps": True, "initial": {"node": 1, "coin": 1}},
     {"steps": 2, "initial": {"node": True, "coin": 1}},
@@ -159,6 +168,16 @@ def test_walk_deterministic_reruns(tmp_path):
     assert first == second
 
 
+def test_walk_snapshot_path_must_be_a_string(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {
+        "version": 1, "graph": k_graph_doc(2), "steps": 1, "initial": {"snapshot": 5},
+    })
+    assert main(["walk", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "'snapshot' must be str" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_walk_corrupt_snapshot_is_invariant_violation(tmp_path):
     bad = tmp_path / "bad_state.json"
     bad.write_text(json.dumps({"version": 1, "n": 2,
@@ -227,6 +246,14 @@ def test_conveyor_verify_passes_and_repeats(tmp_path):
     assert report["trace_actions"] == report["trace_stages"] * 5
     assert main(["conveyor-verify", "--config", cfg, "--out", str(out), "--seed", "11"]) == EXIT_OK
     assert (out / "report.json").read_bytes() == first
+
+
+@pytest.mark.parametrize("stages", [0, -3])
+def test_conveyor_verify_rejects_fewer_than_one_stage(tmp_path, stages):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "n": 8, "stages": stages})
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "report.json").exists() and not (out / "trace.txt").exists()
 
 
 def test_conveyor_verify_writes_its_trace(tmp_path):

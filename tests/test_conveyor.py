@@ -443,8 +443,8 @@ def test_physical_walk_checks_the_norm_after_every_step(monkeypatch, rng):
     n, steps = 4, 3
     plan = CoinPlan.uniform(random_unitary(n, rng), steps)
     checked = []
-    check_norm = conveyor._check_norm
-    monkeypatch.setattr(conveyor, "_check_norm", lambda amp: checked.append(1) or check_norm(amp))
+    check_norm = conveyor.check_norm
+    monkeypatch.setattr(conveyor, "check_norm", lambda *args: checked.append(1) or check_norm(*args))
     run_walk_physical(random_state(n, rng), plan)
     assert len(checked) == steps  # after every step; extract checks the final grid
 

@@ -85,6 +85,16 @@ def test_check_version():
         check_version({"version": 1}, 2, "thing")
 
 
+@pytest.mark.parametrize("version", [True, 1.0])
+def test_versioned_readers_reject_a_version_that_only_equals_one(version):
+    amp = np.zeros((2, 2), dtype=complex)
+    amp[0, 0] = 1
+    doc = json.loads(state_to_json(WalkState(2, amp)))
+    doc["version"] = version
+    with pytest.raises(ValueError, match="version must be 1"):
+        state_from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 16, 64])
 def test_random_unitary_is_scipys_draw_to_the_bit(n):
     from scipy.stats import unitary_group
@@ -95,10 +105,20 @@ def test_random_unitary_is_scipys_draw_to_the_bit(n):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
-def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    code = "import sys, gridwalk.cli; print(sorted({'scipy.stats', 'scipy.optimize'} & set(sys.modules)))"
+def loaded_modules(code: str) -> list[str]:
+    """The module names a fresh interpreter holds after running ``code`` against this checkout."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
-                         env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]"
+    out = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(*sys.modules)"], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    return out.stdout.split()
+
+
+def test_importing_the_cli_leaves_scipy_stats_unloaded():
+    assert not {"scipy.stats", "scipy.optimize"} & set(loaded_modules("import gridwalk.cli"))
+
+
+def test_importing_the_walk_leaves_scipy_and_the_solvers_unloaded():
+    loaded = loaded_modules("import gridwalk.walk")
+    unwanted = [m for m in loaded if m in ("gridwalk.tdse", "gridwalk.decompose") or m.split(".")[0] == "scipy"]
+    assert "gridwalk.walk" in loaded and unwanted == []

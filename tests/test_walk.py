@@ -23,7 +23,6 @@ from gridwalk.walk import (
     hadamard_coin,
     init_localized,
     mask_coin,
-    masked_node_coins,
     position_distribution,
     reference_evolve,
     state_from_json,
@@ -61,6 +60,15 @@ def test_init_localized_offdiagonal():
 
 def test_init_localized_trivial():
     assert init_localized(1, 1, 1).amp.tolist() == [[1]]
+
+
+def test_init_balanced_splits_a_degree_two_node_over_its_two_coin_states():
+    s = walk.init_balanced(cycle_graph(6), 1)
+    expected = np.zeros((6, 6), dtype=complex)
+    expected[0, [1, 5]] = 1 / np.sqrt(2), 1j / np.sqrt(2)
+    assert s.amp.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="needs a degree-2 node, node 1 has degree 3"):
+        walk.init_balanced(complete_graph(3), 1)
 
 
 def test_init_localized_out_of_range():
@@ -151,7 +159,7 @@ def test_mask_coin_dimension_mismatch():
 
 def test_masked_node_coins_degrees():
     g = remove_edge(complete_graph(3), 1, 2)
-    coins = masked_node_coins(edge_mask(g))
+    coins = CoinSet.from_mask(edge_mask(g)).dense
     for j, coin in enumerate(coins, start=1):
         assert unitarity_defect(coin) < 1e-12
     # node 3 keeps degree 3, nodes 1 and 2 drop to 2
@@ -163,43 +171,68 @@ def test_masked_node_coins_degrees():
 
 
 def test_apply_rows_localized():
-    s = apply_coin_rows(init_localized(2, 1, 1), [hadamard_coin()] * 2)
+    out = apply_coin_rows(init_localized(2, 1, 1).amp.copy(), CoinSet.from_dense([hadamard_coin()] * 2))
     h = 1 / np.sqrt(2)
-    assert np.allclose(s.amp, [[h, h], [0, 0]])
+    assert np.allclose(out, [[h, h], [0, 0]])
 
 
 def test_apply_rows_identity():
     s0 = init_localized(3, 2, 3)
-    s = apply_coin_rows(s0, [np.eye(3, dtype=complex)] * 3)
-    assert np.array_equal(s.amp, s0.amp)
+    out = apply_coin_rows(s0.amp.copy(), CoinSet.from_dense([np.eye(3, dtype=complex)] * 3))
+    assert np.array_equal(out, s0.amp)
 
 
 def test_apply_rows_matches_dense_oracle(rng):
     n = 5
     s = random_state(n, rng)
     coins = [random_unitary(n, rng) for _ in range(n)]
-    out = apply_coin_rows(s, coins)
+    out = apply_coin_rows(s.amp.copy(), CoinSet.from_dense(coins))
     expected = oracles.apply_rows_dense(s.amp, coins)
-    assert np.max(np.abs(out.amp - expected)) < 1e-12
-    assert abs(np.sum(np.abs(out.amp) ** 2) - 1) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
+    assert abs(np.sum(np.abs(out) ** 2) - 1) < 1e-12
 
 
 def test_apply_cols_matches_dense_oracle(rng):
     n = 4
     s = random_state(n, rng)
     coins = [random_unitary(n, rng) for _ in range(n)]
-    out = apply_coin_cols(s, coins)
+    out = apply_coin_cols(s.amp.copy(), CoinSet.from_dense(coins))
     expected = oracles.apply_cols_dense(s.amp, coins)
-    assert np.max(np.abs(out.amp - expected)) < 1e-12
+    assert np.max(np.abs(out - expected)) < 1e-12
 
 
 def test_transpose_covariance(rng):
     n = 4
     s = random_state(n, rng)
-    coins = [random_unitary(n, rng) for _ in range(n)]
-    direct = apply_coin_cols(s, coins)
-    via_transpose = transpose_state(apply_coin_rows(transpose_state(s), coins))
-    assert np.array_equal(direct.amp, via_transpose.amp)
+    coins = CoinSet.from_dense([random_unitary(n, rng) for _ in range(n)])
+    direct = apply_coin_cols(s.amp.copy(), coins)
+    via_transpose = apply_coin_rows(transpose_state(s).amp.copy(), coins).T
+    assert np.array_equal(direct, via_transpose)
+
+
+def test_primitives_work_in_place_on_the_buffer(rng):
+    n = 4
+    amp = random_state(n, rng).amp.copy()
+    coins = CoinSet.from_dense([random_unitary(n, rng) for _ in range(n)])
+    expected = oracles.apply_cols_dense(oracles.apply_rows_dense(amp, coins.dense), coins.dense)
+    assert apply_coin_rows(amp, coins) is amp and apply_coin_cols(amp, coins) is amp
+    assert np.max(np.abs(amp - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("apply", [apply_coin_rows, apply_coin_cols])
+def test_primitives_reject_a_wrong_buffer_or_dense_coins(apply, rng):
+    n = 3
+    amp = random_state(n, rng).amp.copy()
+    dense = [mask_coin(hadamard_coin(), np.array([True, True, False]))] * n
+    coins = CoinSet.from_dense(dense)
+    for bad in (amp[:2], amp.reshape(-1), np.zeros((4, 4), dtype=complex), amp.real.copy(),
+                amp.astype(np.complex64), amp.tolist()):
+        with pytest.raises(ValueError, match="amplitude buffer"):
+            apply(bad, coins)
+    with pytest.raises(TypeError, match="CoinSet"):
+        apply(amp, dense)
+    with pytest.raises(ValueError, match="read-only"):
+        apply(random_state(n, rng).amp, coins)
 
 
 def test_masking_isolation(rng):
@@ -208,12 +241,12 @@ def test_masking_isolation(rng):
     sub = random_unitary(4, rng)
     coin = mask_coin(sub, mask)
     s = random_state(n, rng)
-    out = apply_coin_rows(s, [coin] * n)
+    out = apply_coin_rows(s.amp.copy(), CoinSet.from_dense([coin] * n))
     # masked-out columns are untouched, bit for bit
-    assert np.array_equal(out.amp[:, ~mask], s.amp[:, ~mask])
+    assert np.array_equal(out[:, ~mask], s.amp[:, ~mask])
     # probability on the masked-in subspace is conserved row by row
     before = np.sum(np.abs(s.amp[:, mask]) ** 2, axis=1)
-    after = np.sum(np.abs(out.amp[:, mask]) ** 2, axis=1)
+    after = np.sum(np.abs(out[:, mask]) ** 2, axis=1)
     assert np.max(np.abs(before - after)) < 1e-12
 
 
@@ -251,6 +284,42 @@ def test_odd_steps_differ_by_transpose(rng):
     a = evolve(s0, steps, plan)
     b = reference_evolve(s0, steps, plan)
     assert np.max(np.abs(a.amp.T - b.amp)) < 1e-12
+
+
+def test_evolve_builds_one_state_and_checks_the_norm_after_every_step(monkeypatch, rng):
+    n, steps = 4, 5
+    plan = random_plan(n, steps, rng)
+    s0 = random_state(n, rng)
+    checked, built = [], []
+    check_norm, post_init = walk.check_norm, WalkState.__post_init__
+    monkeypatch.setattr(walk, "check_norm", lambda *a: checked.append(a[2]) or check_norm(*a))
+    monkeypatch.setattr(WalkState, "__post_init__", lambda s: built.append(1) or post_init(s))
+    final = evolve(s0, steps, plan)
+    assert len(built) == 1 and final is not s0
+    assert checked == [f"state after step {i}" for i in range(1, steps + 1)] + ["state"]
+    assert np.max(np.abs(final.amp.T - reference_evolve(s0, steps, plan).amp)) < 1e-12
+
+
+@pytest.mark.parametrize("spoil, step", [(lambda amp: amp.fill(np.nan), 2),
+                                         (lambda amp: np.multiply(amp, 0.5, out=amp), 4)],
+                         ids=["nan", "norm_loss"])
+def test_evolve_raises_at_the_step_that_spoils_the_norm(spoil, step, monkeypatch, rng):
+    n = 3
+    plan = random_plan(n, 6, rng)
+    cols = walk.apply_coin_cols
+    calls = []
+
+    def spoiled_cols(amp, coins):
+        calls.append(1)
+        cols(amp, coins)
+        if 2 * len(calls) == step:
+            spoil(amp)
+        return amp
+
+    monkeypatch.setattr(walk, "apply_coin_cols", spoiled_cols)
+    with pytest.raises(InvariantViolation, match=f"state after step {step} norm²"):
+        evolve(random_state(n, rng), 6, plan)
+    assert 2 * len(calls) == step
 
 
 def test_evolve_norm_after_many_steps(rng):
@@ -383,11 +452,11 @@ def random_partial_coin(n, rng):
 
 
 def assert_kernel_matches_oracles(s, coin_set, dense):
-    for grouped in (coin_set, dense):
-        rows = apply_coin_rows(s, grouped)
-        cols = apply_coin_cols(s, grouped)
-        assert np.max(np.abs(rows.amp - oracles.apply_rows_dense(s.amp, dense))) < 1e-12
-        assert np.max(np.abs(cols.amp - oracles.apply_cols_dense(s.amp, dense))) < 1e-12
+    for grouped in (coin_set, CoinSet.from_dense(dense)):
+        rows = apply_coin_rows(s.amp.copy(), grouped)
+        cols = apply_coin_cols(s.amp.copy(), grouped)
+        assert np.max(np.abs(rows - oracles.apply_rows_dense(s.amp, dense))) < 1e-12
+        assert np.max(np.abs(cols - oracles.apply_cols_dense(s.amp, dense))) < 1e-12
 
 
 @given(st.integers(1, 7), st.sampled_from(["grover", "dft"]), st.integers(1, 5),
