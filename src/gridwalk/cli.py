@@ -21,7 +21,7 @@ import numpy as np
 from . import conveyor, decompose, tdse, walk
 from .errors import ConfigError, GridwalkError, InvariantViolation, ToleranceFailure
 from .graph import Graph, parse_graph
-from .util import random_unitary
+from .util import is_power_of_two, random_unitary
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -172,11 +172,13 @@ def cmd_decompose(config: dict, base: Path, out_dir: Path, seed: int) -> int:
 
 def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     n = _get(config, "n", int, required=True)
+    if n < 2 or not is_power_of_two(n):
+        raise ConfigError(f"n must be a power of two ≥ 2, got {n}")
     trials = _get(config, "stages", int, default=50)
     if trials < 1:
         raise ConfigError("stages must be ≥ 1")
     rng = np.random.default_rng(seed)
-    strides = [2**e for e in range(1, n.bit_length()) if n % 2**e == 0]
+    strides = [2**e for e in range(1, n.bit_length())]
     worst = 0.0
     trace = conveyor.ProtocolTrace()
     for _ in range(trials):

@@ -1,71 +1,72 @@
-"""Undirected graphs with optional self-loops and their coin-isolation masks.
+"""Undirected graphs with optional self-loops, held as their coin-isolation masks.
 
 Node indices are 1-based everywhere in the public interface. Edges are
-unordered pairs; a self-loop (j, j) is an ordinary edge. The edge mask of a
-graph marks which walker states |node j, coin k| participate in the walk:
-state (j, k) is active exactly when the edge (j, k) exists.
+unordered pairs; a self-loop (j, j) is an ordinary edge. A graph is its
+symmetric boolean presence matrix, which marks the walker states
+|node j, coin k| that take part in the walk: state (j, k) is active exactly
+when the edge (j, k) exists.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GraphParseError
-from .util import frozen
 
 
-def _canon(j: int, k: int) -> tuple[int, int]:
-    return (j, k) if j <= k else (k, j)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Graph:
-    """Undirected graph on nodes 1..n; edges are unordered pairs, loops allowed."""
+    """Undirected graph on nodes 1..n, loops allowed; compared by value.
 
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"node count must be positive, got {self.n}")
-        canon = frozenset(_canon(j, k) for j, k in self.edges)
-        object.__setattr__(self, "edges", canon)
-        for j, k in canon:
-            if not (1 <= j <= self.n and 1 <= k <= self.n):
-                raise ValueError(f"edge ({j},{k}) outside node range 1..{self.n}")
-
-    def has_edge(self, j: int, k: int) -> bool:
-        return _canon(j, k) in self.edges
-
-    def degree(self, j: int) -> int:
-        """Number of coin states active at node j (a self-loop counts once)."""
-        return sum(1 for e in self.edges if j in e)
-
-
-@dataclass(frozen=True, eq=False)
-class EdgeMask:
-    """Boolean n×n presence matrix; present[j-1, k-1] iff edge (j, k) exists. Compared by value."""
+    ``present`` is the read-only n×n matrix with ``present[j-1, k-1]`` True
+    iff the edge (j, k) exists, so it is symmetric and row j marks the coin
+    states active at node j.
+    """
 
     n: int
     present: np.ndarray
 
-    def __post_init__(self):
-        p = np.asarray(self.present, dtype=bool)
-        if p.shape != (self.n, self.n):
-            raise ValueError(f"mask shape {p.shape} does not match n={self.n}")
-        if not np.array_equal(p, p.T):
-            raise ValueError("edge mask must be symmetric")
-        object.__setattr__(self, "present", frozen(p))
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] | np.ndarray = ()):
+        """Graph on nodes 1..n with the given (j, k) pairs; both orders name one edge."""
+        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or n < 1:
+            raise ValueError(f"node count must be a positive integer, got {n!r}")
+        ends = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges))
+        if ends.size == 0:
+            ends = np.empty((0, 2), dtype=np.intp)
+        if ends.ndim != 2 or ends.shape[1] != 2:
+            raise ValueError(f"edges must be (j, k) pairs, got an array of shape {ends.shape}")
+        # bool is an integer kind to Python, not to numpy
+        if ends.dtype.kind not in "iu":
+            raise ValueError(f"edge endpoints must be integers, got {ends.dtype}")
+        outside = ((ends < 1) | (ends > n)).any(axis=1)
+        if outside.any():
+            j, k = ends[np.argmax(outside)].tolist()
+            raise ValueError(f"edge ({j},{k}) outside node range 1..{n}")
+        present = np.zeros((n, n), dtype=bool)
+        j, k = ends.T - 1
+        present[j, k] = present[k, j] = True
+        present.setflags(write=False)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "present", present)
 
     def __eq__(self, other):
-        same_n = isinstance(other, EdgeMask) and self.n == other.n
+        same_n = isinstance(other, Graph) and self.n == other.n
         return same_n and self.present.tobytes() == other.present.tobytes()
 
     def __hash__(self):
         return hash((self.n, self.present.tobytes()))
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as (j, k) pairs with j ≤ k."""
+        return frozenset(map(tuple, (np.argwhere(np.triu(self.present)) + 1).tolist()))
+
+    def has_edge(self, j: int, k: int) -> bool:
+        return 1 <= j <= self.n and 1 <= k <= self.n and bool(self.present[j - 1, k - 1])
 
     def row(self, j: int) -> np.ndarray:
         """Mask over coin states for node j (1-based)."""
@@ -73,44 +74,44 @@ class EdgeMask:
             raise ValueError(f"node {j} outside 1..{self.n}")
         return self.present[j - 1]
 
+    def degree(self, j: int) -> int:
+        """Number of coin states active at node j (a self-loop counts once)."""
+        return int(self.row(j).sum())
+
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on n nodes including all self-loops: n(n+1)/2 edges."""
     if n < 1:
         raise ValueError(f"node count must be positive, got {n}")
-    edges = frozenset((j, k) for j in range(1, n + 1) for k in range(j, n + 1))
-    return Graph(n, edges)
+    return Graph(n, np.argwhere(np.ones((n, n), dtype=bool)) + 1)
+
+
+def _with_edge(g: Graph, j: int, k: int, present: bool) -> Graph:
+    p = g.present.copy()
+    p[j - 1, k - 1] = p[k - 1, j - 1] = present
+    return Graph(g.n, np.argwhere(p) + 1)
 
 
 def remove_edge(g: Graph, j: int, k: int) -> Graph:
     """Return g without the unordered edge (j, k); both orientations vanish."""
-    e = _canon(j, k)
-    if e not in g.edges:
+    if not g.has_edge(j, k):
         raise KeyError(f"edge ({j},{k}) not present in graph")
-    return Graph(g.n, g.edges - {e})
+    return _with_edge(g, j, k, False)
 
 
 def add_edge(g: Graph, j: int, k: int) -> Graph:
     """Return g with the unordered edge (j, k) added (idempotent)."""
     if not (1 <= j <= g.n and 1 <= k <= g.n):
         raise ValueError(f"edge ({j},{k}) outside node range 1..{g.n}")
-    return Graph(g.n, g.edges | {_canon(j, k)})
+    return _with_edge(g, j, k, True)
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle 1–2–…–n–1 without self-loops; every node has degree 2 for n ≥ 3."""
     if n < 3:
         raise ValueError(f"cycle graph needs at least 3 nodes, got {n}")
-    edges = frozenset(_canon(j, j % n + 1) for j in range(1, n + 1))
-    return Graph(n, edges)
-
-
-def edge_mask(g: Graph) -> EdgeMask:
-    present = np.zeros((g.n, g.n), dtype=bool)
-    for j, k in g.edges:
-        present[j - 1, k - 1] = True
-        present[k - 1, j - 1] = True
-    return EdgeMask(g.n, present)
+    j = np.arange(1, n + 1)
+    return Graph(n, np.column_stack((j, j % n + 1)))
 
 
 def parse_graph(text: str) -> Graph:
@@ -143,8 +144,10 @@ def _parse_graph_json(text: str) -> Graph:
     n = doc["n"]
     if type(n) is not int or n < 1:  # JSON true and false load as bools, which are ints
         raise GraphParseError(f"'n' must be a positive integer, got {n!r}")
-    edges = set()
-    for i, pair in enumerate(doc.get("edges", [])):
+    edges = doc.get("edges", [])
+    if not isinstance(edges, list):
+        raise GraphParseError(f"'edges' must be a list of pairs [j, k], got {edges!r}")
+    for i, pair in enumerate(edges):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise GraphParseError(f"edge #{i + 1} must be a pair [j, k], got {pair!r}")
         j, k = pair
@@ -152,13 +155,12 @@ def _parse_graph_json(text: str) -> Graph:
             raise GraphParseError(f"edge #{i + 1} has non-integer endpoints: {pair!r}")
         if not (1 <= j <= n and 1 <= k <= n):
             raise GraphParseError(f"edge #{i + 1} ({j},{k}) outside node range 1..{n}")
-        edges.add(_canon(j, k))
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def _parse_graph_edgelist(text: str) -> Graph:
     n = None
-    edges = set()
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -182,12 +184,12 @@ def _parse_graph_edgelist(text: str) -> Graph:
             raise GraphParseError(f"non-integer node index in {line!r}", line=lineno)
         if not (1 <= j <= n and 1 <= k <= n):
             raise GraphParseError(f"edge ({j},{k}) outside node range 1..{n}", line=lineno)
-        edges.add(_canon(j, k))
+        edges.append((j, k))
     if n is None:
         raise GraphParseError("empty graph document")
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def graph_to_json(g: Graph) -> str:
-    edges = sorted(g.edges)
-    return json.dumps({"n": g.n, "edges": [list(e) for e in edges]})
+    edges = np.argwhere(np.triu(g.present)) + 1
+    return json.dumps({"n": g.n, "edges": edges.tolist()})

@@ -79,7 +79,9 @@ def complex_from_json(pairs, shape: tuple[int, ...], what: str = "array") -> np.
 
 
 def check_version(doc: dict, expected: int, what: str) -> None:
-    """Reject a document whose "version" field is not the one this reader knows, as an int."""
+    """Reject a document that is no JSON object or whose "version" is not this reader's int."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
     # JSON true and 1.0 compare equal to 1 but are no version numbers
     if type(doc.get("version")) is not int or doc["version"] != expected:
         raise ValueError(f"{what} version must be {expected}, got {doc.get('version')!r}")

@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvariantViolation
-from .graph import EdgeMask, Graph, edge_mask
+from .graph import Graph
 from .util import check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
@@ -107,7 +107,7 @@ def init_localized(n: int, j: int, k: int) -> WalkState:
 
 def init_balanced(g: Graph, node: int) -> WalkState:
     """(|node, a⟩ + i|node, b⟩)/√2 on the two coin states a < b of a degree-2 node."""
-    idx = np.flatnonzero(edge_mask(g).row(node))
+    idx = np.flatnonzero(g.row(node))
     if len(idx) != 2:
         raise ValueError(
             f"'balanced' initial coin needs a degree-2 node, node {node} has degree {len(idx)}"
@@ -144,32 +144,6 @@ def dft_coin(n: int) -> np.ndarray:
         raise ValueError(f"coin dimension must be positive, got {n}")
     jk = np.outer(np.arange(n), np.arange(n))
     return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
-
-
-def mask_coin(sub_coin: np.ndarray | None, row_mask: np.ndarray) -> np.ndarray:
-    """Embed a unitary on the masked-in coin states; masked-out states are fixed.
-
-    ``sub_coin`` must have dimension equal to the number of True entries of
-    ``row_mask`` and is placed on those indices, leaving exact identity rows
-    elsewhere so isolated amplitudes never mix. An all-False mask yields the
-    identity and ``sub_coin`` may be None.
-    """
-    row_mask = np.asarray(row_mask, dtype=bool)
-    n = len(row_mask)
-    idx = np.flatnonzero(row_mask)
-    out = np.eye(n, dtype=complex)
-    if len(idx) == 0:
-        return out
-    if sub_coin is None:
-        raise ValueError("sub-coin required for a non-empty mask")
-    sub = np.asarray(sub_coin, dtype=complex)
-    if sub.shape != (len(idx), len(idx)):
-        raise ValueError(
-            f"sub-coin dimension {sub.shape[0]} does not match {len(idx)} masked-in states"
-        )
-    check_unitary(sub, 1e-12, "sub-coin")
-    out[np.ix_(idx, idx)] = sub
-    return out
 
 
 _COIN_KINDS = ("grover", "dft", "hadamard")
@@ -246,16 +220,16 @@ class CoinSet:
             raise ValueError(f"line {int(np.argmax(uses > 1)) + 1} belongs to two coin groups")
 
     @staticmethod
-    def from_mask(mask: EdgeMask, kind: str = "grover") -> CoinSet:
+    def from_graph(g: Graph, kind: str = "grover") -> CoinSet:
         """``coin_for_degree(kind, d)`` on the active states of every degree-d node."""
-        present = mask.present
+        present = g.present
         degrees = present.sum(axis=1)
         groups = []
         for d in np.unique(degrees[degrees > 0]):
             lines = np.flatnonzero(degrees == d)
             states = np.nonzero(present[lines])[1].reshape(len(lines), d)
             groups.append(CoinGroup(lines, states, coin_for_degree(kind, int(d))))
-        return CoinSet(mask.n, tuple(groups))
+        return CoinSet(g.n, tuple(groups))
 
     @staticmethod
     def from_dense(coins: Sequence[np.ndarray]) -> CoinSet:
@@ -381,7 +355,7 @@ class CoinPlan:
     @staticmethod
     def from_graph(g: Graph, steps: int, kind: str = "grover") -> CoinPlan:
         """Per-degree sub-coins on each node's active states, repeated every step."""
-        one_step = CoinSet.from_mask(edge_mask(g), kind)
+        one_step = CoinSet.from_graph(g, kind)
         return CoinPlan(g.n, tuple([one_step] * steps))
 
 
@@ -466,6 +440,8 @@ def state_from_json(text: str) -> WalkState:
     doc = json.loads(text)
     check_version(doc, _STATE_VERSION, "walk state")
     n = doc["n"]
+    if type(n) is not int:  # JSON true loads as a bool, which is an int
+        raise ValueError(f"walk state 'n' must be an integer, got {n!r}")
     pairs = doc["amplitudes"]
     if len(pairs) != n * n:
         raise InvariantViolation(f"expected {n * n} amplitudes, got {len(pairs)}")

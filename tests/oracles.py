@@ -31,6 +31,31 @@ def two_state_line_walk(n: int, start: int, steps: int) -> np.ndarray:
     return np.abs(a_minus) ** 2 + np.abs(a_plus) ** 2
 
 
+def mask_coin(sub_coin, row_mask) -> np.ndarray:
+    """Embed a sub-coin on the masked-in coin states; masked-out states are fixed.
+
+    ``sub_coin`` must have dimension equal to the number of True entries of
+    ``row_mask`` and is placed on those indices, leaving exact identity rows
+    elsewhere so isolated amplitudes never mix. An all-False mask yields the
+    identity and ``sub_coin`` may be None. Unitarity is left to the code
+    under test: ``CoinSet.from_dense`` checks the sub-block it splits off.
+    """
+    row_mask = np.asarray(row_mask, dtype=bool)
+    idx = np.flatnonzero(row_mask)
+    out = np.eye(len(row_mask), dtype=complex)
+    if len(idx) == 0:
+        return out
+    if sub_coin is None:
+        raise ValueError("sub-coin required for a non-empty mask")
+    sub = np.asarray(sub_coin, dtype=complex)
+    if sub.shape != (len(idx), len(idx)):
+        raise ValueError(
+            f"sub-coin dimension {sub.shape[0]} does not match {len(idx)} masked-in states"
+        )
+    out[np.ix_(idx, idx)] = sub
+    return out
+
+
 def rows_coin_matrix(coins) -> np.ndarray:
     """Dense operator applying coin_j to row j of a row-major flattened grid."""
     return block_diag(*coins)

@@ -189,6 +189,18 @@ def test_walk_corrupt_snapshot_is_invariant_violation(tmp_path):
     assert main(["walk", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_INVARIANT
 
 
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_walk_snapshot_node_count_must_be_an_integer(tmp_path, capsys, n):
+    (tmp_path / "state.json").write_text(json.dumps({"version": 1, "n": n,
+                                                     "amplitudes": [[1.0, 0.0]]}))
+    cfg = write_config(tmp_path, {
+        "version": 1, "graph": k_graph_doc(2), "steps": 1,
+        "initial": {"snapshot": "state.json"},
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "'n' must be an integer" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # decompose
 
@@ -254,6 +266,15 @@ def test_conveyor_verify_rejects_fewer_than_one_stage(tmp_path, stages):
     cfg = write_config(tmp_path, {"version": 1, "n": 8, "stages": stages})
     assert main(["conveyor-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "report.json").exists() and not (out / "trace.txt").exists()
+
+
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_conveyor_verify_rejects_a_size_that_is_no_power_of_two(tmp_path, capsys, n):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "n": n, "stages": 2})
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"n must be a power of two ≥ 2, got {n}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def test_conveyor_verify_writes_its_trace(tmp_path):

@@ -9,7 +9,6 @@ from gridwalk.graph import (
     add_edge,
     complete_graph,
     cycle_graph,
-    edge_mask,
     graph_to_json,
     parse_graph,
     remove_edge,
@@ -60,32 +59,34 @@ def test_remove_absent_edge_raises():
         remove_edge(cycle_graph(4), 1, 3)
 
 
-def test_edge_mask_complete_two():
-    m = edge_mask(complete_graph(2))
+def test_present_complete_two():
+    m = complete_graph(2)
     assert m.present.all()
 
 
-def test_edge_mask_after_removal():
-    m = edge_mask(remove_edge(complete_graph(2), 1, 2))
+def test_present_after_removal():
+    m = remove_edge(complete_graph(2), 1, 2)
     assert m.present.tolist() == [[True, False], [False, True]]
 
 
-def test_edge_mask_row_is_one_node_and_rejects_nodes_outside_the_graph():
-    m = edge_mask(Graph(3, frozenset({(1, 2), (2, 3)})))
+def test_row_is_one_node_and_rejects_nodes_outside_the_graph():
+    m = Graph(3, frozenset({(1, 2), (2, 3)}))
     assert m.row(1).tolist() == [False, True, False]
     assert m.row(3).tolist() == [False, True, False]
     for j in (0, -1, 4):
         with pytest.raises(ValueError, match=f"node {j} outside 1..3"):
             m.row(j)
+        with pytest.raises(ValueError, match=f"node {j} outside 1..3"):
+            m.degree(j)
 
 
-def test_edge_mask_path_graph():
+def test_present_path_graph():
     g = Graph(3, frozenset({(1, 2), (2, 3)}))
-    m = edge_mask(g)
     expected = np.zeros((3, 3), dtype=bool)
     expected[0, 1] = expected[1, 0] = True
     expected[1, 2] = expected[2, 1] = True
-    assert np.array_equal(m.present, expected)
+    assert np.array_equal(g.present, expected)
+    assert not g.present.flags.writeable
 
 
 def test_parse_edgelist():
@@ -142,9 +143,10 @@ def test_parse_json_rejects_booleans_as_integers(text):
         parse_graph(text)
 
 
-def test_json_round_trip():
-    g = remove_edge(complete_graph(5), 2, 4)
-    assert parse_graph(graph_to_json(g)) == g
+@pytest.mark.parametrize("edges", ["5", '"1 2"', '{"1": 2}'])
+def test_parse_json_rejects_edges_that_are_no_list(edges):
+    with pytest.raises(GraphParseError, match="'edges' must be a list"):
+        parse_graph(f'{{"n": 2, "edges": {edges}}}')
 
 
 def test_cycle_graph_degrees():
@@ -162,8 +164,24 @@ def graphs(draw):
 
 @given(graphs())
 def test_mask_symmetric(g):
-    m = edge_mask(g).present
+    m = g.present
     assert np.array_equal(m, m.T)
+
+
+def loop_mask(g):
+    present = np.zeros((g.n, g.n), dtype=bool)
+    for j, k in g.edges:
+        present[j - 1, k - 1] = present[k - 1, j - 1] = True
+    return present
+
+
+@given(graphs())
+def test_json_round_trip(g):
+    assert Graph(g.n, g.edges) == g
+    assert parse_graph(graph_to_json(g)) == g
+    text = "\n".join([str(g.n)] + [f"{j} {k}" for j, k in sorted(g.edges)])
+    assert parse_graph(text) == g
+    assert np.array_equal(g.present, loop_mask(g))
 
 
 @given(st.integers(min_value=1, max_value=64))
@@ -179,9 +197,40 @@ def test_remove_then_readd_restores(g):
     assert add_edge(remove_edge(g, j, k), j, k) == g
 
 
-def test_edge_mask_compares_and_hashes_by_value():
-    a, b = edge_mask(cycle_graph(5)), edge_mask(cycle_graph(5))
+def test_graph_compares_and_hashes_by_value():
+    a, b = cycle_graph(5), cycle_graph(5)
     assert a is not b and a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
-    assert a != edge_mask(remove_edge(cycle_graph(5), 1, 2))
-    assert a != edge_mask(cycle_graph(4)) and a != a.present
+    assert a != remove_edge(cycle_graph(5), 1, 2)
+    assert a != cycle_graph(4) and a != a.present
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 0, -1, "3"])
+def test_graph_rejects_a_node_count_that_is_no_positive_int(n):
+    with pytest.raises(ValueError, match="node count"):
+        Graph(n, frozenset())
+
+
+@pytest.mark.parametrize("edges, reason", [
+    ({(1.0, 2.0)}, "integers"),
+    ({(1, 2.0)}, "integers"),
+    ({(True, True)}, "integers"),
+    ({(0, 1)}, "outside"),
+    ({(1, 4)}, "outside"),
+    ({(-1, 2)}, "outside"),
+    ({(1, 2, 3)}, "pairs"),
+])
+def test_graph_rejects_endpoints_that_are_no_nodes(edges, reason):
+    with pytest.raises(ValueError, match=reason):
+        Graph(3, frozenset(edges))
+
+
+def test_no_node_index_wraps_around():
+    g = Graph(3, frozenset({(3, 3), (1, 3)}))
+    assert g.has_edge(3, 3) and g.has_edge(3, 1)
+    for j, k in [(0, 3), (3, 0), (0, 0), (-2, 1), (4, 3)]:
+        assert not g.has_edge(j, k)
+    with pytest.raises(KeyError):
+        remove_edge(g, 0, 0)
+    with pytest.raises(ValueError, match="outside"):
+        add_edge(g, 0, 1)

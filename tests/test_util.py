@@ -77,6 +77,8 @@ def test_versioned_readers_reject_other_versions(rng):
         del doc["version"]
         with pytest.raises(ValueError, match="version must be 1"):
             read(json.dumps(doc))
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            read(json.dumps([doc]))
 
 
 def test_check_version():

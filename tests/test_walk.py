@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import oracles
 from gridwalk import walk
 from gridwalk.errors import InvariantViolation, UnitarityError
-from gridwalk.graph import Graph, complete_graph, cycle_graph, edge_mask, remove_edge
+from gridwalk.graph import Graph, complete_graph, cycle_graph, remove_edge
 from gridwalk.util import check_unitary, random_unitary, unitarity_defect
 from gridwalk.walk import (
     CoinGroup,
@@ -22,7 +22,6 @@ from gridwalk.walk import (
     grover_coin,
     hadamard_coin,
     init_localized,
-    mask_coin,
     position_distribution,
     reference_evolve,
     state_from_json,
@@ -134,17 +133,17 @@ def test_coin_rejects_zero_dimension():
 
 
 def test_mask_coin_all_false_is_identity():
-    out = mask_coin(None, np.zeros(4, dtype=bool))
+    out = oracles.mask_coin(None, np.zeros(4, dtype=bool))
     assert np.array_equal(out, np.eye(4))
 
 
 def test_mask_coin_all_true_is_coin():
     c = dft_coin(3)
-    assert np.array_equal(mask_coin(c, np.ones(3, dtype=bool)), c)
+    assert np.array_equal(oracles.mask_coin(c, np.ones(3, dtype=bool)), c)
 
 
 def test_mask_coin_embedding():
-    out = mask_coin(hadamard_coin(), np.array([True, False, True]))
+    out = oracles.mask_coin(hadamard_coin(), np.array([True, False, True]))
     h = 1 / np.sqrt(2)
     expected = np.array([[h, 0, h], [0, 1, 0], [h, 0, -h]])
     assert np.allclose(out, expected, atol=1e-15)
@@ -154,12 +153,12 @@ def test_mask_coin_embedding():
 
 def test_mask_coin_dimension_mismatch():
     with pytest.raises(ValueError):
-        mask_coin(hadamard_coin(), np.array([True, True, True]))
+        oracles.mask_coin(hadamard_coin(), np.array([True, True, True]))
 
 
 def test_masked_node_coins_degrees():
     g = remove_edge(complete_graph(3), 1, 2)
-    coins = CoinSet.from_mask(edge_mask(g)).dense
+    coins = CoinSet.from_graph(g).dense
     for j, coin in enumerate(coins, start=1):
         assert unitarity_defect(coin) < 1e-12
     # node 3 keeps degree 3, nodes 1 and 2 drop to 2
@@ -223,7 +222,7 @@ def test_primitives_work_in_place_on_the_buffer(rng):
 def test_primitives_reject_a_wrong_buffer_or_dense_coins(apply, rng):
     n = 3
     amp = random_state(n, rng).amp.copy()
-    dense = [mask_coin(hadamard_coin(), np.array([True, True, False]))] * n
+    dense = [oracles.mask_coin(hadamard_coin(), np.array([True, True, False]))] * n
     coins = CoinSet.from_dense(dense)
     for bad in (amp[:2], amp.reshape(-1), np.zeros((4, 4), dtype=complex), amp.real.copy(),
                 amp.astype(np.complex64), amp.tolist()):
@@ -239,7 +238,7 @@ def test_masking_isolation(rng):
     n = 6
     mask = np.array([True, False, True, True, False, True])
     sub = random_unitary(4, rng)
-    coin = mask_coin(sub, mask)
+    coin = oracles.mask_coin(sub, mask)
     s = random_state(n, rng)
     out = apply_coin_rows(s.amp.copy(), CoinSet.from_dense([coin] * n))
     # masked-out columns are untouched, bit for bit
@@ -435,12 +434,11 @@ def random_graph(data, n):
 
 def dense_graph_coins(g, kind):
     """Per-node dense coins embedded one node at a time, the pre-grouping way."""
-    mask = edge_mask(g)
     coins = []
     for j in range(1, g.n + 1):
-        row = mask.row(j)
+        row = g.row(j)
         degree = int(row.sum())
-        coins.append(mask_coin(coin_for_degree(kind, degree) if degree else None, row))
+        coins.append(oracles.mask_coin(coin_for_degree(kind, degree) if degree else None, row))
     return coins
 
 
@@ -448,7 +446,7 @@ def random_partial_coin(n, rng):
     """A Haar sub-coin on a random subset of the coin states (possibly none)."""
     support = rng.random(n) < rng.random()
     d = int(support.sum())
-    return mask_coin(random_unitary(d, rng) if d else None, support)
+    return oracles.mask_coin(random_unitary(d, rng) if d else None, support)
 
 
 def assert_kernel_matches_oracles(s, coin_set, dense):
@@ -515,7 +513,7 @@ def test_graph_plan_holds_no_dense_coins(which, monkeypatch, rng):
 
 def test_equal_sub_coins_share_one_group():
     sub = hadamard_coin()
-    coins = [mask_coin(sub, np.array(m, dtype=bool))
+    coins = [oracles.mask_coin(sub, np.array(m, dtype=bool))
              for m in ([1, 1, 0], [0, 1, 1], [0, 0, 0])]
     (group,) = CoinSet.from_dense(coins).groups
     assert group.lines.tolist() == [0, 1]
