@@ -35,10 +35,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .decompose import Stage, StageSequence, cs_decompose, rotate_in_place, stage_sites
+from .decompose import Stage, StageSequence, cs_decompose, grover_stages, rotate_in_place, stage_sites
 from .errors import ProtocolIncompleteError, ShiftOutOfRangeError
 from .util import check_norm, frozen, next_power_of_two
-from .walk import CoinPlan, CoinSet, WalkState
+from .walk import CoinPlan, CoinSet, WalkState, grover_coin
 
 NORM_TOL = 1e-12
 REGISTER_TOL = 1e-10
@@ -213,14 +213,34 @@ def run_stage(
     return cells
 
 
+def _synthesize(coins: CoinSet, npad: int) -> StageSequence:
+    """Stages of a coin set's line coins, padded to npad identity-fixed lines and states.
+
+    A coin set whose every sub-coin equals ``grover_coin(d)`` in value gets
+    the closed-form ``grover_stages`` of its active states, 2·log₂npad − 1
+    stages; any other is factorized by one ``cs_decompose`` of its stacked
+    dense coins, npad − 1 stages.
+    """
+    if all(np.array_equal(grp.sub, grover_coin(len(grp.sub))) for grp in coins.groups):
+        active = np.zeros((npad, npad), dtype=bool)
+        for grp in coins.groups:
+            active[grp.lines[:, None], grp.states] = True
+        return grover_stages(active)
+    n = coins.n
+    stack = np.broadcast_to(np.eye(npad, dtype=complex), (npad, npad, npad)).copy()
+    stack[:n, :n, :n] = coins.dense
+    return cs_decompose(stack)
+
+
 def run_walk_physical(
     s0: WalkState, plan: CoinPlan, trace: ProtocolTrace | None = None
 ) -> WalkState:
     """Evolve a walk entirely through the physical conveyor protocol.
 
-    Each coin set of the plan is synthesized once per run, by one
-    cs_decompose of its stacked line coins. A step runs each of the n−1
-    stages once, on the whole block of data lines of one amplitude buffer:
+    Each coin set of the plan is synthesized once per run: in closed form
+    by grover_stages when all its coins are Grover coins, else by one
+    cs_decompose of its stacked line coins. A step runs each stage once, on
+    the whole block of data lines of one amplitude buffer:
     odd steps on the rows, even steps on the columns, which reproduces the
     alternating grid evolution of walk.evolve. The norm is checked after
     every step; extract checks the final register and data norm. The trace
@@ -241,9 +261,7 @@ def run_walk_physical(
     for i in range(1, plan.steps + 1):
         coins = plan.coin_set(i)
         if coins not in sequences:
-            stack = np.broadcast_to(np.eye(npad, dtype=complex), (npad, npad, npad)).copy()
-            stack[:n, :n, :n] = coins.dense
-            sequences[coins] = cs_decompose(stack)
+            sequences[coins] = _synthesize(coins, npad)
         stages = sequences[coins].stages
         orientation = ROW if i % 2 == 1 else COLUMN
         for stage in stages:

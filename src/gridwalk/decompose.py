@@ -16,6 +16,10 @@ the left, so stage 1 acts on a state first.
 The stride schedule is fixed by the recursion, sched(n) = sched(n/2) ++ [n]
 ++ sched(n/2) with sched(2) = [2]; the stride n stage is required to couple
 the two halves, so the stride range deliberately includes d = n.
+
+Grover coins need no factorization: ``grover_stages`` writes their stages in
+closed form, 2·log₂n − 1 of them, on the same stride pattern and in the same
+stacked layout as ``cs_decompose``, which stays the general path.
 """
 
 from __future__ import annotations
@@ -26,7 +30,6 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 from .util import (
     check_unitary,
@@ -183,9 +186,68 @@ def _decompose_blocks(blocks: np.ndarray) -> list[Stage]:
     return _decompose_blocks(right) + [Stage(m, middle.reshape(-1, 2, 2))] + _decompose_blocks(left)
 
 
+def grover_stages(active: np.ndarray) -> StageSequence:
+    """Closed-form stages of the block-diagonal Grover coins of an (L, m) active-state mask.
+
+    Line t's coin is the Grover coin on its active states S and the identity
+    elsewhere: C = D·(I − 2uu†) with u = 1_S/√|S| and D = I − 2Π_S, a
+    diagonal times one Householder reflection (Ivanov, Kyoseva & Vitanov,
+    PRA 74, 022323 (2006)). A Givens tree W on the stride pattern (Reck et
+    al., PRL 73, 58 (1994)) gathers u onto the pair (1, m/2+1): at strides
+    2 … m/2 the first pair of each block rotates by [[c, σ], [−σ, c]] with
+    (c, σ) = (√a, √b)/√(a+b), a and b the active counts of its half-blocks,
+    and every other pair is the identity. One stride-m stage I − 2vv† on
+    that pair, v = (c, σ), is the reflection; Wᵀ at strides m/2 … 2 follows,
+    with D's signs on the rows of the last stage. That makes 2·log₂m − 1
+    stages of real rotations; lines with at most one active state, whose
+    coin is the identity, are exact identities in every stage.
+
+    The stages span L·m indices in ``cs_decompose``'s stacked layout: rows
+    t·m/2 … (t+1)·m/2 − 1 of each stage's ``u`` are line t's. Raises
+    ValueError unless the mask is boolean with m ≥ 2 and L, m powers of two.
+    """
+    active = np.asarray(active)
+    if active.dtype != bool or active.ndim != 2 or active.shape[0] == 0 or active.shape[1] < 2:
+        raise ValueError(f"expected a nonempty (L, m) boolean mask with m ≥ 2, got {active.dtype} {active.shape}")
+    lines, m = active.shape
+    if not (is_power_of_two(lines) and is_power_of_two(m)):
+        raise ValueError(f"dimensions must be powers of two, got {active.shape}")
+    live = active.sum(axis=1) >= 2
+    strides, blocks = [], []
+    counts = active.astype(float)  # active count of every block of the stride below
+    for e in range(1, m.bit_length() - 1):
+        a, b = np.moveaxis(counts.reshape(lines, -1, 2), -1, 0)
+        counts = a + b
+        on = live[:, None] & (counts > 0)
+        total = np.where(on, counts, 1.0)
+        u = np.broadcast_to(np.eye(2), (lines, m // 2**e, 2**(e - 1), 2, 2)).copy()
+        c, sigma = np.where(on, np.sqrt(a / total), 1.0), np.where(on, np.sqrt(b / total), 0.0)
+        u[:, :, 0] = _block(c, sigma, -sigma, c)
+        strides.append(2**e)
+        blocks.append(u.reshape(lines, m // 2, 2, 2))
+    # I − 2vv† on (1, m/2+1) from the half counts: 1 − 2c² = (b − a)/d, 2cσ = 2√(ab)/d
+    a, b = counts.T
+    d = np.where(live, a + b, 1.0)
+    p, q = (b - a) / d, -2 * np.sqrt(a * b) / d
+    middle = np.broadcast_to(np.eye(2), (lines, m // 2, 2, 2)).copy()
+    middle[live, 0] = _block(p, q, q, -p)[live]
+    strides = strides + [m] + strides[::-1]
+    blocks = blocks + [middle] + [u.swapaxes(-1, -2) for u in blocks[::-1]]
+    sign = np.where(live[:, None] & active, -1.0, 1.0)
+    blocks[-1] = blocks[-1] * sign.reshape(lines, m // 2, 2, 1)
+    return StageSequence(lines * m, tuple(Stage(s, u.reshape(-1, 2, 2)) for s, u in zip(strides, blocks)))
+
+
+def _block(w, x, y, z) -> np.ndarray:
+    """The 2×2 blocks [[w, x], [y, z]], stacked over the common shape of the entries."""
+    return np.stack([np.stack([w, x], -1), np.stack([y, z], -1)], -2)
+
+
 @cache
 def _uncsd(m: int):
     """LAPACK's complex CS decomposition routine and its workspace sizes for m×m halves."""
+    from scipy.linalg import get_lapack_funcs  # scipy.linalg takes longer to import than numpy
+
     csd, csd_lwork = get_lapack_funcs(("uncsd", "uncsd_lwork"), dtype=complex)
     work, rwork, _ = csd_lwork(m=m, p=m // 2, q=m // 2)
     return csd, int(work.real), int(rwork)

@@ -440,12 +440,9 @@ def state_from_json(text: str) -> WalkState:
     doc = json.loads(text)
     check_version(doc, _STATE_VERSION, "walk state")
     n = doc["n"]
-    if type(n) is not int:  # JSON true loads as a bool, which is an int
-        raise ValueError(f"walk state 'n' must be an integer, got {n!r}")
-    pairs = doc["amplitudes"]
-    if len(pairs) != n * n:
-        raise InvariantViolation(f"expected {n * n} amplitudes, got {len(pairs)}")
-    return WalkState(n, complex_from_json(pairs, (n, n), "walk state amplitudes"))
+    if type(n) is not int or n < 1:  # JSON true loads as a bool, which is an int
+        raise ValueError(f"walk state 'n' must be an integer ≥ 1, got {n!r}")
+    return WalkState(n, complex_from_json(doc["amplitudes"], (n, n), "walk state amplitudes"))
 
 
 def distribution_to_text(d: Distribution) -> str:

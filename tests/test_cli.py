@@ -201,6 +201,21 @@ def test_walk_snapshot_node_count_must_be_an_integer(tmp_path, capsys, n):
     assert "'n' must be an integer" in capsys.readouterr().err
 
 
+# amplitudes that are no list, one pair short, or for a state of no nodes
+@pytest.mark.parametrize("n, amplitudes", [
+    (2, 5), (2, "1,0"), (2, {"re": 1}), (2, None), (2, [[1.0, 0.0]] * 3), (0, []),
+])
+def test_walk_snapshot_amplitudes_that_do_not_fit_are_config_errors(tmp_path, capsys, n, amplitudes):
+    (tmp_path / "state.json").write_text(json.dumps({"version": 1, "n": n, "amplitudes": amplitudes}))
+    cfg = write_config(tmp_path, {
+        "version": 1, "graph": k_graph_doc(2), "steps": 1,
+        "initial": {"snapshot": "state.json"},
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # decompose
 

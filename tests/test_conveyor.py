@@ -19,11 +19,12 @@ from gridwalk.conveyor import (
     run_walk_physical,
     shift_register,
 )
-from gridwalk.decompose import Stage, apply_stage, cs_decompose, stage_pairs
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, stage_pairs
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
-from gridwalk.util import random_unitary
+from gridwalk.util import next_power_of_two, random_unitary
 from gridwalk.walk import CoinPlan, CoinSet, WalkState, evolve, init_localized
+from strategies import dense_graphs
 
 
 def random_state(n, rng):
@@ -305,32 +306,75 @@ def test_physical_walk_records_trace(rng):
     assert len(format_trace(trace).splitlines()) == 5 * len(trace.stages)
 
 
+def count_synthesis(monkeypatch):
+    """Record the arguments of every cs_decompose and grover_stages call the conveyor makes."""
+    calls = {"cs_decompose": [], "grover_stages": []}
+    for name, fn in [("cs_decompose", cs_decompose), ("grover_stages", grover_stages)]:
+        monkeypatch.setattr(conveyor, name, lambda u, fn=fn, seen=calls[name]: seen.append(u) or fn(u))
+    return calls
+
+
 def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
-    # one cs_decompose per coin set per run, on the stack of its line coins
+    # one grover_stages per Grover coin set per run, on its active states
     n, steps = 8, 2
     g = Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)} | {(1, 5), (2, 2), (3, 7)}))
     plan = CoinPlan.from_graph(g, steps, "grover")
-    calls = []
-    monkeypatch.setattr(conveyor, "cs_decompose", lambda u: calls.append(u) or cs_decompose(u))
+    calls = count_synthesis(monkeypatch)
     s0 = random_state(n, rng)
     physical = run_walk_physical(s0, plan)
-    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(plan.coins_for_step(1)))
+    assert calls["cs_decompose"] == []
+    assert len(calls["grover_stages"]) == 1 and np.array_equal(calls["grover_stages"][0], g.present)
     assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
 
     # two coin sets taking turns over four steps; n = 6 pads to 8 identity lines
     n = 6
     a, b = (CoinSet.from_dense([random_unitary(n, rng) for _ in range(n)]) for _ in range(2))
     plan = CoinPlan(n, (a, b, a, b))
-    calls.clear()
     s0 = random_state(n, rng)
     physical = run_walk_physical(s0, plan)
-    assert len(calls) == 2
-    for stack, coins in zip(calls, (a, b)):
+    assert len(calls["cs_decompose"]) == 2
+    for stack, coins in zip(calls["cs_decompose"], (a, b)):
         assert stack.shape == (8, 8, 8)
         assert np.array_equal(stack[:n, :n, :n], np.stack(coins.dense))
         assert np.array_equal(stack[n:], np.broadcast_to(np.eye(8), (2, 8, 8)))
         assert np.array_equal(stack[:n, n:, :], np.eye(8)[None, n:].repeat(n, 0))
     assert np.max(np.abs(physical.amp - evolve(s0, 4, plan).amp)) < 1e-10
+
+
+@given(dense_graphs(16), st.integers(1, 4), st.integers(0, 2**32 - 1))
+def test_grover_physical_walk_equals_grid_walk(g, steps, seed):
+    # isolated nodes, degree-1 nodes and self-loops all occur among the graphs
+    plan = CoinPlan.from_graph(g, steps)
+    s0 = random_state(g.n, np.random.default_rng(seed))
+    physical = run_walk_physical(s0, plan)
+    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+
+
+def test_physical_walk_falls_back_to_cs_synthesis_for_one_line_that_is_not_grover(monkeypatch, rng):
+    # n = 6 pads to 8; line 4 carries a Haar coin on its active states instead of the Grover coin
+    n, steps = 6, 3
+    g = Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)} | {(1, 4), (5, 5)}))
+    coins = [np.array(c) for c in CoinSet.from_graph(g).dense]
+    states = np.flatnonzero(g.present[3])
+    coins[3][np.ix_(states, states)] = random_unitary(len(states), rng)
+    plan = CoinPlan.from_node_coins(coins, steps)
+    calls = count_synthesis(monkeypatch)
+    s0 = random_state(n, rng)
+    physical = run_walk_physical(s0, plan)
+    assert calls["grover_stages"] == [] and len(calls["cs_decompose"]) == 1
+    assert np.array_equal(calls["cs_decompose"][0][:n, :n, :n], np.stack(coins))
+    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
+def test_grover_walk_records_2_log2_npad_minus_1_stages_per_line_and_step(n):
+    steps = 3
+    g = Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)}))
+    trace = ProtocolTrace()
+    run_walk_physical(init_localized(n, 1, 1), CoinPlan.from_graph(g, steps), trace)
+    npad = max(2, next_power_of_two(n))
+    assert len(trace.stages) == steps * n * (2 * npad.bit_length() - 3)
+    assert {d for _, _, _, d in trace.stages} == {2**e for e in range(1, npad.bit_length())}
 
 
 def test_extract_rejects_nan_and_norm_loss(rng):

@@ -13,6 +13,7 @@ from gridwalk.decompose import (
     apply_stage,
     cs_decompose,
     cs_factor,
+    grover_stages,
     pad_unitary,
     reconstruct,
     sequence_from_json,
@@ -24,7 +25,8 @@ from gridwalk.decompose import (
 )
 from gridwalk.errors import UnitarityError
 from gridwalk.util import next_power_of_two, random_unitary, unitarity_defect
-from gridwalk.walk import hadamard_coin
+from gridwalk.walk import CoinSet, hadamard_coin
+from strategies import dense_graphs
 
 
 def enumerate_pairs(n, d):
@@ -362,3 +364,74 @@ def test_cs_factor_is_bitwise_cossin(m, seed):
     (e1, e2), etheta, (ev1h, ev2h) = expected
     for got, want in ((u1, e1), (u2, e2), (theta, etheta), (v1h, ev1h), (v2h, ev2h)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Closed-form Grover synthesis
+
+
+def padded_stack(coins, npad):
+    """The (npad, npad, npad) stack of a coin set's dense coins, padded with identity lines and states."""
+    stack = np.broadcast_to(np.eye(npad, dtype=complex), (npad, npad, npad)).copy()
+    stack[:coins.n, :coins.n, :coins.n] = coins.dense
+    return stack
+
+
+def grover_mask(g):
+    """The active states of a graph's coins, padded to a power-of-two square of at least 2."""
+    npad = max(2, next_power_of_two(g.n))
+    mask = np.zeros((npad, npad), dtype=bool)
+    mask[:g.n, :g.n] = g.present
+    return mask
+
+
+@pytest.mark.parametrize("lines", [1, 2, 8])
+@pytest.mark.parametrize("m", [2, 4, 8, 16, 32, 64])
+def test_grover_stages_count_is_2_log2_m_minus_1(lines, m, rng):
+    seq = grover_stages(rng.random((lines, m)) < 0.5)
+    assert seq.n == lines * m and len(seq.stages) == 2 * int(np.log2(m)) - 1
+    tree = [2**e for e in range(1, int(np.log2(m)))]
+    assert [s.d for s in seq.stages] == tree + [m] + tree[::-1]
+
+
+@pytest.mark.parametrize("active", [
+    np.ones((2, 3), dtype=bool), np.ones((3, 4), dtype=bool), np.ones((4, 1), dtype=bool),
+    np.ones((0, 4), dtype=bool), np.ones(4, dtype=bool), np.ones((2, 4), dtype=int),
+])
+def test_grover_stages_rejects_masks_that_do_not_fit(active):
+    with pytest.raises(ValueError):
+        grover_stages(active)
+
+
+@given(dense_graphs(16))
+def test_grover_stages_reconstruct_the_coins_of_a_graph(g):
+    # the closed form and the CS factorization of the same padded stack both
+    # give its block-diagonal; lines with at most one active state are exact
+    # identities in every stage, and every rotation is real
+    mask = grover_mask(g)
+    npad = len(mask)
+    stack = padded_stack(CoinSet.from_graph(g), npad)
+    expected = oracles.rows_coin_matrix(stack)
+    seq = grover_stages(mask)
+    assert len(seq.stages) == 2 * npad.bit_length() - 3
+    assert np.max(np.abs(reconstruct(seq) - expected)) < 1e-12
+    assert np.max(np.abs(reconstruct(cs_decompose(stack)) - expected)) < 1e-12
+    idle = mask.sum(axis=1) <= 1
+    for stage in seq.stages:
+        u = stage.u.reshape(npad, npad // 2, 2, 2)
+        assert np.all(u[idle] == np.eye(2)) and not np.any(stage.u.imag)
+
+
+@given(dense_graphs(64), st.integers(0, 2**32 - 1))
+def test_grover_stages_apply_the_coins_of_a_graph_to_vectors(g, seed):
+    # up to 64 lines of 64 states: stage by stage on a vector, not as a 4096² matrix
+    mask = grover_mask(g)
+    npad, n = len(mask), g.n
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(npad * npad) + 1j * rng.standard_normal(npad * npad)
+    y = x
+    for stage in grover_stages(mask).stages:
+        y = apply_stage(y, stage)
+    expected = x.reshape(npad, npad).copy()
+    expected[:n, :n] = np.einsum("tij,tj->ti", np.stack(CoinSet.from_graph(g).dense), expected[:n, :n])
+    assert np.max(np.abs(y - expected.reshape(-1))) < 1e-12

@@ -124,3 +124,12 @@ def test_importing_the_walk_leaves_scipy_and_the_solvers_unloaded():
     loaded = loaded_modules("import gridwalk.walk")
     unwanted = [m for m in loaded if m in ("gridwalk.tdse", "gridwalk.decompose") or m.split(".")[0] == "scipy"]
     assert "gridwalk.walk" in loaded and unwanted == []
+
+
+def test_the_conveyor_and_a_grover_physical_walk_leave_scipy_linalg_unloaded():
+    walk = ("from gridwalk.conveyor import run_walk_physical; from gridwalk.graph import Graph; "
+            "from gridwalk.walk import CoinPlan, init_localized; "
+            "run_walk_physical(init_localized(6, 1, 2), CoinPlan.from_graph(Graph(6, [(1, 2), (2, 3), (3, 3)]), 3))")
+    for code in ["import gridwalk.conveyor", walk]:
+        loaded = loaded_modules(code)
+        assert "gridwalk.conveyor" in loaded and "scipy.linalg" not in loaded
