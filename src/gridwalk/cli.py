@@ -118,7 +118,7 @@ def cmd_walk(config: dict, base: Path, out_dir: Path, seed: int, oracle: bool) -
     if steps < 0:
         raise ConfigError("steps must be ≥ 0")
     kind = _get(config, "coin", str, default="grover")
-    plan = walk.CoinPlan.from_graph(g, max(steps, 1), kind)
+    plan = walk.CoinPlan.from_graph(g, steps, kind)
     s0 = _initial_state(config, base, g)
     final, dist = walk.walk_node_distribution(s0, steps, plan)
 
@@ -261,9 +261,10 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     stride = _get(config, "sample_stride", int, default=10)
     traj = tdse.evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=stride)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
+    final = traj.final()
     if config.get("snapshot"):
-        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(traj.final()))
-    alpha, beta, leak = tdse.qubit_projection(traj.final(), phi_left, phi_right)
+        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(final))
+    alpha, beta, leak = tdse.qubit_projection(final, phi_left, phi_right)
     drift = float(np.max(np.abs(traj.norms() - 1.0)))
     _write_report(out_dir, {
         "version": CONFIG_VERSION,
@@ -294,9 +295,10 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
     traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
-    _, beta, leak = tdse.qubit_projection(traj.final(), phi_left, phi_right)
+    _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)
     achieved = abs(beta) ** 2
     deviation = max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage))
+    drift = float(np.max(np.abs(traj.norms() - 1.0)))
     _write_report(out_dir, {
         "version": CONFIG_VERSION,
         "subcommand": "calibrate",
@@ -306,6 +308,7 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
         "achieved_transfer": achieved,
         "leakage": leak,
         "replay_deviation": deviation,
+        "max_norm_drift": drift,
         "period_estimate": result.period_estimate,
         "scan": [[h, t] for h, t in result.scan],
     })
@@ -316,6 +319,9 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     if deviation > REPLAY_TOL:
         print(f"replay deviates from the closed form by {deviation:.3e}, beyond {REPLAY_TOL:.0e}",
               file=sys.stderr)
+        return EXIT_TOLERANCE
+    if drift > tdse.NORM_DRIFT_TOL:
+        print(f"replay norm drift {drift:.3e} exceeds {tdse.NORM_DRIFT_TOL:.0e}", file=sys.stderr)
         return EXIT_TOLERANCE
     return EXIT_OK
 

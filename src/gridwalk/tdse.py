@@ -30,7 +30,9 @@ ahead in 4 of 5 runs at m = 384 and behind in 4 of 5 at m = 448
 at once, so its memory does not grow with the truncation order.
 
 Time-dependent barriers are handled by piecewise-constant midpoint sampling
-of the barrier height per step; steps never straddle ramp boundaries.
+of the barrier height per step; steps never straddle ramp boundaries. One
+loop carries a (k, m) block of states through the steps, building the
+potential only when the barrier changes.
 
 Calibration is separable (HoldScan): of U_up·e^{−iH_low·h}·U_down only the middle
 factor depends on the hold h, so each ramp is propagated once (the ramp up backwards)
@@ -126,18 +128,6 @@ class WaveFunction:
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
-
-
-def _propagated(grid: SpatialGrid, psi: np.ndarray) -> WaveFunction:
-    """WaveFunction without the construction norm check.
-
-    Propagation legitimately drifts the norm by more than the construction
-    tolerance over long runs; drift is bounded by explicit checks instead.
-    """
-    wf = object.__new__(WaveFunction)
-    object.__setattr__(wf, "grid", grid)
-    object.__setattr__(wf, "psi", frozen(psi))
-    return wf
 
 
 def normalized(grid: SpatialGrid, psi: np.ndarray) -> WaveFunction:
@@ -318,7 +308,7 @@ def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
     return frozen(weights)
 
 
-def chebyshev_block(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
+def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
     """Advance every row of a (k, m) block of states by params.dt under the static potential v.
 
     A negative dt applies the adjoint step. Raises SpectralBoundsError when the norm
@@ -382,26 +372,27 @@ def chebyshev_block(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: 
     return out
 
 
-def chebyshev_step(psi: WaveFunction, v: np.ndarray, params: ChebyshevParams) -> WaveFunction:
-    """Advance ψ by params.dt under the static potential v, as a one-row chebyshev_block."""
-    if params.dt == 0.0:
-        return psi
-    return _propagated(psi.grid, chebyshev_block(psi.grid, psi.psi[np.newaxis], v, params)[0])
-
-
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Sampled states of one propagation run."""
+    """Sampled states of one propagation run: row i of the read-only (k, m) states is ψ at times[i]."""
 
     grid: SpatialGrid
     times: np.ndarray
-    states: list[WaveFunction]
+    states: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "times", frozen(self.times))
+        object.__setattr__(self, "states", frozen(self.states))
 
     def final(self) -> WaveFunction:
-        return self.states[-1]
+        """The last sample, unchecked: NORM_DRIFT_TOL, not NORM_TOL, bounds a propagated norm."""
+        wf = object.__new__(WaveFunction)
+        object.__setattr__(wf, "grid", self.grid)
+        object.__setattr__(wf, "psi", self.states[-1])
+        return wf
 
     def norms(self) -> np.ndarray:
-        return np.array([s.norm_squared() for s in self.states])
+        return np.sum(np.abs(self.states) ** 2, axis=1) * self.grid.dx
 
 
 MIN_RAMP_STEPS = 16
@@ -424,16 +415,34 @@ def timeline_steps(timeline: BarrierTimeline, dt: float) -> list[tuple[float, li
             )
     down, hold, up = timeline.ramp_down_duration, timeline.hold_duration, timeline.ramp_up_duration
     segments = []
-    for t0, duration, is_ramp in [(0.0, down, True), (down, hold, False), (down + hold, up, True)]:
+    for t0, duration in [(0.0, down), (down, hold), (down + hold, up)]:
         steps = []
         if duration > 0:
+            # MIN_RAMP_STEPS·dt is exact (a power of two), so a checked ramp gets ≥ MIN_RAMP_STEPS steps
             n_steps = max(1, math.ceil(duration / dt))
-            if is_ramp:
-                n_steps = max(n_steps, MIN_RAMP_STEPS)
             dt_seg = duration / n_steps
             steps = [(timeline.barrier_at(t0 + (i + 0.5) * dt_seg), dt_seg) for i in range(n_steps)]
         segments.append((t0, steps))
     return segments
+
+
+def _propagate(
+    grid: SpatialGrid, spec: DoubleWellSpec, rows: np.ndarray, steps, params: ChebyshevParams, sample_stride=0
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Carry a (k, m) block of states through (barrier, step length) pairs.
+
+    Returns the final block and the block after every sample_stride-th step (none
+    when 0). A potential is built only when the barrier changes.
+    """
+    samples = []
+    barrier = None
+    for n, (b, dt) in enumerate(steps, 1):
+        if b != barrier:
+            barrier, v = b, build_double_well(grid, spec, b)
+        rows = chebyshev_step(grid, rows, v, replace(params, dt=dt))
+        if sample_stride and n % sample_stride == 0:
+            samples.append(rows)
+    return rows, samples
 
 
 def evolve_timeline(
@@ -453,22 +462,16 @@ def evolve_timeline(
     if sample_stride < 1:
         raise ValueError("sample stride must be ≥ 1")
 
-    times = [0.0]
-    states = [psi0]
-    psi = psi0
-    step_count = 0
-    for t0, steps in timeline_steps(timeline, params.dt):
-        for i, (barrier, dt_seg) in enumerate(steps):
-            v = build_double_well(grid, spec, barrier)
-            psi = chebyshev_step(psi, v, replace(params, dt=dt_seg))
-            step_count += 1
-            if step_count % sample_stride == 0:
-                times.append(t0 + (i + 1) * dt_seg)
-                states.append(psi)
+    segments = timeline_steps(timeline, params.dt)
+    steps = [step for _, seg in segments for step in seg]
+    ends = [t0 + (i + 1) * dt_seg for t0, seg in segments for i, (_, dt_seg) in enumerate(seg)]
+    final, samples = _propagate(grid, spec, psi0.psi[np.newaxis], steps, params, sample_stride)
+    times = [0.0, *ends[sample_stride - 1 :: sample_stride]]
+    states = [psi0.psi, *(block[0] for block in samples)]
     final_t = timeline.total_duration
     if final_t > 0 and abs(times[-1] - final_t) > 1e-12 * max(1.0, final_t):
         times.append(final_t)
-        states.append(psi)
+        states.append(final[0])
     return Trajectory(grid, np.array(times), states)
 
 
@@ -632,17 +635,12 @@ class HoldScan:
         """
         phi_left, phi_right = well_ground_states(grid, spec, template.high_barrier)
         (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), params.dt)
-        start = phi_left
-        for barrier, dt_seg in ramp_down:
-            v = build_double_well(grid, spec, barrier)
-            start = chebyshev_step(start, v, replace(params, dt=dt_seg))
-        ends = np.array([phi_left.psi, phi_right.psi])
-        for barrier, dt_seg in reversed(ramp_up):
-            v = build_double_well(grid, spec, barrier)
-            ends = chebyshev_block(grid, ends, v, replace(params, dt=-dt_seg))
+        start, _ = _propagate(grid, spec, phi_left.psi[np.newaxis], ramp_down, params)
+        backward = [(barrier, -dt_seg) for barrier, dt_seg in reversed(ramp_up)]
+        ends, _ = _propagate(grid, spec, np.array([phi_left.psi, phi_right.psi]), backward, params)
         v_low = build_double_well(grid, spec, template.low_barrier)
         energies, basis = np.linalg.eigh(dense_hamiltonian(grid, v_low))
-        coeffs = basis.conj().T @ np.vstack([start.psi, ends]).T
+        coeffs = basis.conj().T @ np.vstack([start, ends]).T
         return cls(frozen(energies), frozen(coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx))
 
     @property

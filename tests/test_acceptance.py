@@ -171,29 +171,29 @@ def test_criterion_5_chebyshev_propagator_correctness():
     h = oracles.dense_grid_hamiltonian(grid.x, v)
     rng = np.random.default_rng(105)
     psi0 = normalized(grid, rng.standard_normal(64) + 1j * rng.standard_normal(64))
-    psi = psi0
+    psi = psi0.psi[np.newaxis]
     for _ in range(40):
-        psi = chebyshev_step(psi, v, params)
-    dense_dev = float(np.max(np.abs(psi.psi - oracles.dense_propagator(h, 10.0) @ psi0.psi)))
+        psi = chebyshev_step(grid, psi, v, params)
+    dense_dev = float(np.max(np.abs(psi[0] - oracles.dense_propagator(h, 10.0) @ psi0.psi)))
 
     # norm drift over 1000 steps
     params_drift = ChebyshevParams(dt=0.05, e_min=lo, e_max=hi)
-    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2))).psi[np.newaxis]
     for _ in range(1000):
-        psi = chebyshev_step(psi, v, params_drift)
-    drift = abs(psi.norm_squared() - 1)
+        psi = chebyshev_step(grid, psi, v, params_drift)
+    drift = abs(np.sum(np.abs(psi) ** 2) * grid.dx - 1)
 
     # analytic free Gaussian
     free_grid = gatecfg.gate_grid(m=64)
     free_grid = type(free_grid)(-16.0, 16.0, 64)
     x0, sigma, k0 = -4.0, 1.0, 1.0
-    psi_free = gaussian_packet(free_grid, x0, sigma, k0)
+    psi_free = gaussian_packet(free_grid, x0, sigma, k0).psi[np.newaxis]
     v0 = np.zeros(free_grid.m)
     lo0, hi0 = energy_bounds(free_grid, v0)
     params_free = ChebyshevParams(dt=0.1, e_min=lo0, e_max=hi0)
     for _ in range(10):
-        psi_free = chebyshev_step(psi_free, v0, params_free)
-    free_dev = float(np.max(np.abs(psi_free.psi - oracles.free_gaussian(free_grid.x, 1.0, x0, sigma, k0))))
+        psi_free = chebyshev_step(free_grid, psi_free, v0, params_free)
+    free_dev = float(np.max(np.abs(psi_free[0] - oracles.free_gaussian(free_grid.x, 1.0, x0, sigma, k0))))
 
     elapsed = time.perf_counter() - start
     ok = dense_dev <= 1e-8 and drift <= 1e-10 and free_dev <= 1e-8

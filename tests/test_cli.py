@@ -105,6 +105,12 @@ def test_walk_zero_steps_distribution(tmp_path):
     rows = (out / "distribution.txt").read_text().strip().splitlines()
     probs = [float(r.split()[1]) for r in rows]
     assert probs == [0.0, 1.0]
+    # a 0-step plan still checks its coin set: the Hadamard coin needs degree 2
+    cfg = write_config(tmp_path, {
+        "version": 1, "graph": k_graph_doc(3), "steps": 0, "coin": "hadamard",
+        "initial": {"node": 1, "coin": 1},
+    })
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "hadamard")]) == EXIT_CONFIG
 
 
 def test_walk_oracle_flag(tmp_path):
@@ -355,9 +361,9 @@ def test_tdse_norm_drift_beyond_bound_exits_with_tolerance_code(tmp_path, monkey
 
     def leaky(*args, **kwargs):
         traj = evolve_timeline(*args, **kwargs)
-        final = traj.final()
-        traj.states[-1] = tdse._propagated(final.grid, final.psi * np.sqrt(1 - 1e-7))
-        return traj
+        states = traj.states.copy()
+        states[-1] *= np.sqrt(1 - 1e-7)
+        return tdse.Trajectory(traj.grid, traj.times, states)
 
     monkeypatch.setattr(tdse, "evolve_timeline", leaky)
     out = tmp_path / "out"
@@ -425,6 +431,48 @@ def test_calibrate_exits_with_tolerance_code_when_the_replay_disagrees(tmp_path,
     assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
     report = json.loads((out / "report.json").read_text())
     assert report["replay_deviation"] == pytest.approx(10 * REPLAY_TOL, rel=1e-3)
+
+
+def test_calibrate_exits_with_tolerance_code_when_the_replay_drifts(tmp_path, monkeypatch):
+    # a middle sample: the final row, which the replay deviation reads, stays as it was
+    evolve_timeline = tdse.evolve_timeline
+
+    def leaky(*args, **kwargs):
+        traj = evolve_timeline(*args, **kwargs)
+        states = traj.states.copy()
+        states[len(states) // 2] *= np.sqrt(1 - 1e-7)
+        return tdse.Trajectory(traj.grid, traj.times, states)
+
+    monkeypatch.setattr(tdse, "evolve_timeline", leaky)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, small_gate_config(target_transfer=0.5))
+    assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_norm_drift"] == pytest.approx(1e-7, rel=1e-3)
+    assert report["replay_deviation"] <= REPLAY_TOL
+
+
+def test_calibrate_steps_each_ramp_once_and_replays_once(tmp_path, monkeypatch):
+    # HoldScan carries the ramp down forward and the ramp up backward, then the
+    # calibrated pulse is replayed: every one of those steps is a chebyshev_step call
+    calls = []
+    chebyshev_step = tdse.chebyshev_step
+
+    def counted(*args, **kwargs):
+        calls.append(args[-1].dt)
+        return chebyshev_step(*args, **kwargs)
+
+    monkeypatch.setattr(tdse, "chebyshev_step", counted)
+    out = tmp_path / "out"
+    doc = small_gate_config(target_transfer=1.0)
+    cfg = write_config(tmp_path, doc)
+    assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    hold = json.loads((out / "report.json").read_text())["hold_duration"]
+    template = tdse.BarrierTimeline(4.0, 0.0, 4.0, 28.0, 12.0)
+    (_, down), _, (_, up) = tdse.timeline_steps(template, doc["solver"]["dt"])
+    replay = tdse.timeline_steps(replace(template, hold_duration=hold), doc["solver"]["dt"])
+    assert len(calls) == len(down) + len(up) + sum(len(steps) for _, steps in replay)
+    assert sum(dt < 0 for dt in calls) == len(up)
 
 
 def test_calibrate_reruns_in_one_process_are_byte_identical(tmp_path):

@@ -29,7 +29,6 @@ from gridwalk.tdse import (
     bloch_trajectory,
     build_double_well,
     calibrate_hold_time,
-    chebyshev_block,
     chebyshev_step,
     dense_hamiltonian,
     doublet_splitting,
@@ -178,11 +177,11 @@ def test_free_gaussian_matches_analytic():
     v = np.zeros(grid.m)
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.1, e_min=lo, e_max=hi)
-    psi = psi0
+    psi = psi0.psi[np.newaxis]
     for _ in range(10):
-        psi = chebyshev_step(psi, v, params)
+        psi = chebyshev_step(grid, psi, v, params)
     expected = oracles.free_gaussian(grid.x, 1.0, x0, sigma, k0)
-    assert np.max(np.abs(psi.psi - expected)) < 1e-8
+    assert np.max(np.abs(psi[0] - expected)) < 1e-8
 
 
 def test_harmonic_period_returns_up_to_phase():
@@ -194,10 +193,10 @@ def test_harmonic_period_returns_up_to_phase():
     psi = normalized(grid, vecs[:, 0])
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=2 * np.pi / omega / 64, e_min=lo, e_max=hi)
-    out = psi
+    out = psi.psi[np.newaxis]
     for _ in range(64):
-        out = chebyshev_step(out, v, params)
-    fidelity = abs(np.vdot(psi.psi, out.psi) * grid.dx)
+        out = chebyshev_step(grid, out, v, params)
+    fidelity = abs(np.vdot(psi.psi, out[0]) * grid.dx)
     assert fidelity > 1 - 1e-8
 
 
@@ -216,33 +215,33 @@ def test_chebyshev_matches_dense_propagator():
     rng = np.random.default_rng(7)
     raw = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     psi0 = normalized(grid, raw)
-    psi = psi0
+    psi = psi0.psi[np.newaxis]
     steps = 40  # t = 10
     for _ in range(steps):
-        psi = chebyshev_step(psi, v, params)
+        psi = chebyshev_step(grid, psi, v, params)
     expected = oracles.dense_propagator(h, steps * params.dt) @ psi0.psi
-    assert np.max(np.abs(psi.psi - expected)) < 1e-8
+    assert np.max(np.abs(psi[0] - expected)) < 1e-8
 
 
 def test_norm_drift_over_many_steps():
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.05, e_min=lo, e_max=hi)
-    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2))).psi[np.newaxis]
     for _ in range(200):
-        psi = chebyshev_step(psi, v, params)
-    assert abs(psi.norm_squared() - 1) < 1e-10
+        psi = chebyshev_step(grid, psi, v, params)
+    assert abs(np.sum(np.abs(psi) ** 2) * grid.dx - 1) < 1e-10
 
 
 def test_energy_conserved_static_potential():
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.1, e_min=lo, e_max=hi)
-    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
-    e0 = float(np.real(np.vdot(psi.psi, apply_hamiltonian(psi, v, grid))) * grid.dx)
+    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2))).psi[np.newaxis]
+    e0 = float(np.real(np.vdot(psi, apply_hamiltonian(psi, v, grid))) * grid.dx)
     for _ in range(100):
-        psi = chebyshev_step(psi, v, params)
-    e1 = float(np.real(np.vdot(psi.psi, apply_hamiltonian(psi, v, grid))) * grid.dx)
+        psi = chebyshev_step(grid, psi, v, params)
+    e1 = float(np.real(np.vdot(psi, apply_hamiltonian(psi, v, grid))) * grid.dx)
     assert abs(e1 - e0) / abs(e0) < 1e-8
 
 
@@ -252,18 +251,19 @@ def test_time_reversal():
     forward = ChebyshevParams(dt=0.2, e_min=lo, e_max=hi)
     backward = replace(forward, dt=-0.2)
     psi0 = normalized(grid, np.exp(-((grid.x + 0.85) ** 2) + 0.3j * grid.x))
-    psi = chebyshev_step(chebyshev_step(psi0, v, forward), v, backward)
-    assert np.max(np.abs(psi.psi - psi0.psi)) < 1e-9
+    psi = chebyshev_step(grid, chebyshev_step(grid, psi0.psi[np.newaxis], v, forward), v, backward)
+    assert np.max(np.abs(psi[0] - psi0.psi)) < 1e-9
 
 
 def test_bad_bounds_detected():
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.5, e_min=lo, e_max=lo + (hi - lo) / 20)
-    psi = normalized(grid, np.exp(-((grid.x) ** 2) / 0.02))  # sharp: high kinetic content
+    # sharp: high kinetic content
+    psi = normalized(grid, np.exp(-((grid.x) ** 2) / 0.02)).psi[np.newaxis]
     with pytest.raises(SpectralBoundsError):
         for _ in range(4):
-            psi = chebyshev_step(psi, v, params)
+            psi = chebyshev_step(grid, psi, v, params)
 
 
 @pytest.mark.parametrize("gamma, error", [(-1e-6, ToleranceFailure), (1e-6, SpectralBoundsError)])
@@ -272,9 +272,9 @@ def test_norm_change_in_one_step_raises(gamma, error):
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.2, e_min=lo, e_max=hi)
-    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    psi = normalized(grid, np.exp(-((grid.x + 0.85) ** 2))).psi[np.newaxis]
     with pytest.raises(error) as caught:
-        chebyshev_step(psi, v + 1j * gamma, params)
+        chebyshev_step(grid, psi, v + 1j * gamma, params)
     assert ("fell" if gamma < 0 else "grew") in str(caught.value)
 
 
@@ -325,7 +325,7 @@ def test_chebyshev_step_matches_the_fft_reference_step(m, seed, dt, backward):
     params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
     psi = WaveFunction(grid, random_states(grid, rng, 1)[0])
     expected = fft_reference_step(grid, psi.psi, v, params)
-    assert np.abs(chebyshev_step(psi, v, params).psi - expected).max() <= 1e-12
+    assert np.abs(chebyshev_step(grid, psi.psi[np.newaxis], v, params)[0] - expected).max() <= 1e-12
 
 
 @settings(max_examples=30)
@@ -339,8 +339,8 @@ def test_a_block_step_matches_single_steps(m, k, seed, dt, backward):
     dt = step_length(m, dt)
     params = ChebyshevParams(dt=-dt if backward else dt, e_min=e_min, e_max=e_max)
     rows = random_states(grid, rng, k)
-    block = chebyshev_block(grid, rows, v, params)
-    singles = np.array([chebyshev_step(WaveFunction(grid, row), v, params).psi for row in rows])
+    block = chebyshev_step(grid, rows, v, params)
+    singles = np.array([chebyshev_step(grid, row[np.newaxis], v, params)[0] for row in rows])
     assert block.shape == (k, m)
     assert np.abs(block - singles).max() <= 1e-13
 
@@ -360,7 +360,7 @@ def test_a_complex_potential_raises_on_either_path(m, k, gamma, gain, backward):
     rows = np.array([normalized(grid, np.exp(-((grid.x + 0.85 - 0.3 * i) ** 2))).psi for i in range(k)])
     change = math.expm1(2 * gamma * dt)
     with pytest.raises(ToleranceFailure) as caught:
-        chebyshev_block(grid, rows, v + 1j * gamma, params)
+        chebyshev_step(grid, rows, v + 1j * gamma, params)
     message = str(caught.value)
     if change > 0:
         assert type(caught.value) is SpectralBoundsError
@@ -385,7 +385,7 @@ def test_block_norm_checks_are_per_row():
     for rows, error in [([left], ToleranceFailure), ([right], SpectralBoundsError),
                         ([left, right], SpectralBoundsError), ([right, left], SpectralBoundsError)]:
         with pytest.raises(ToleranceFailure) as caught:
-            chebyshev_block(grid, np.array(rows), v, params)
+            chebyshev_step(grid, np.array(rows), v, params)
         assert type(caught.value) is error
 
 
@@ -404,7 +404,7 @@ def test_step_memory_does_not_grow_with_the_truncation_order(m):
         params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max, tail_tolerance=1e-15)
         orders.append(len(tdse.chebyshev_coefficients(params.alpha, params.tail_tolerance)))
         tracemalloc.start()
-        chebyshev_block(grid, rows, v, params)
+        chebyshev_step(grid, rows, v, params)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
     assert orders[1] > 10 * orders[0] and orders[1] > 1000
@@ -413,21 +413,21 @@ def test_step_memory_does_not_grow_with_the_truncation_order(m):
     assert peaks[1] <= matrix + (tdse.CHEBYSHEV_RING + 10) * rows.nbytes
 
 
-def test_chebyshev_block_rejects_a_block_of_another_grid():
+def test_chebyshev_step_rejects_a_block_of_another_grid():
     grid, v = double_well_64()
     e_min, e_max = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max)
     for shape in [(64,), (2, 32), (1, 2, 64)]:
         with pytest.raises(ValueError):
-            chebyshev_block(grid, np.zeros(shape, dtype=complex), v, params)
+            chebyshev_step(grid, np.zeros(shape, dtype=complex), v, params)
 
 
 def test_zero_dt_is_identity():
     grid, v = double_well_64()
     lo, hi = energy_bounds(grid, v)
     params = ChebyshevParams(dt=0.0, e_min=lo, e_max=hi)
-    psi = normalized(grid, np.exp(-(grid.x**2)))
-    assert chebyshev_step(psi, v, params) is psi
+    psi = normalized(grid, np.exp(-(grid.x**2))).psi[np.newaxis]
+    assert chebyshev_step(grid, psi, v, params) is psi
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +442,7 @@ def test_zero_duration_timeline():
     phi_left, _ = well_ground_states(grid, spec)
     traj = evolve_timeline(phi_left, grid, spec, timeline, params)
     assert len(traj.states) == 1
-    assert traj.states[0] is phi_left
+    assert traj.final() == phi_left
 
 
 def test_high_barrier_hold_keeps_packet_left():
@@ -678,11 +678,11 @@ def test_wavefunction_rejects_nan_amplitudes():
 
 def test_chebyshev_step_rejects_a_nan_state():
     grid = gatecfg.gate_grid(m=64)
-    psi = tdse._propagated(grid, np.full(grid.m, np.nan, dtype=complex))
+    psi = np.full((1, grid.m), np.nan, dtype=complex)
     v = build_double_well(grid, gatecfg.gate_spec())
     e_min, e_max = energy_bounds(grid, v)
     with pytest.raises(ToleranceFailure):
-        chebyshev_step(psi, v, ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max))
+        chebyshev_step(grid, psi, v, ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max))
 
 
 def test_wavefunction_compares_and_hashes_by_value():
@@ -717,14 +717,53 @@ def test_timeline_steps_cover_each_segment():
     assert timeline_steps(gatecfg.gate_timeline(), 0.1)[1] == (4.0, [])
 
 
+@settings(max_examples=200)
+@given(down=st.floats(0.0, 50.0), up=st.floats(0.0, 50.0), dt=st.floats(0.005, 5.0))
+@example(down=1.6, up=0.0, dt=0.1)
+@example(down=16 * 0.3, up=16 * 0.3 - 1e-15, dt=0.3)
+def test_every_ramp_that_resolves_gets_min_ramp_steps(down, up, dt):
+    timeline = BarrierTimeline(down, 1.0, up, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_LOW)
+    try:
+        segments = timeline_steps(timeline, dt)
+    except ValueError:
+        assert any(0 < dur < tdse.MIN_RAMP_STEPS * dt for dur in (down, up))
+        return
+    for (_, steps), duration in zip(segments, (down, 1.0, up)):
+        assert sum(step for _, step in steps) == pytest.approx(duration, rel=1e-9, abs=0.0)
+    for (_, steps), duration in [(segments[0], down), (segments[2], up)]:
+        assert len(steps) >= tdse.MIN_RAMP_STEPS or duration == len(steps) == 0
+
+
+def test_evolve_timeline_builds_one_potential_per_barrier(monkeypatch):
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    timeline = gatecfg.gate_timeline(hold=2.05)
+    params = gatecfg.gate_params(grid, spec, timeline, dt=0.1)
+    phi_left = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    built = []
+    build_double_well = tdse.build_double_well
+
+    def counted(grid, spec, barrier=None):
+        built.append(barrier)
+        return build_double_well(grid, spec, barrier)
+
+    monkeypatch.setattr(tdse, "build_double_well", counted)
+    evolve_timeline(phi_left, grid, spec, timeline, params)
+    (_, down), (_, hold), (_, up) = timeline_steps(timeline, params.dt)
+    assert len(hold) == 21
+    assert len(built) == len(down) + 1 + len(up)
+    assert built.count(gatecfg.BARRIER_LOW) == 1
+
+
 def test_backward_chebyshev_step_undoes_a_forward_step():
     grid = gatecfg.gate_grid(m=64)
     v = build_double_well(grid, gatecfg.gate_spec(), 15.0)
     e_min, e_max = energy_bounds(grid, v)
     forward = ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max)
     psi0 = gaussian_packet(grid, -0.8, 0.5, 1.0)
-    back = chebyshev_step(chebyshev_step(psi0, v, forward), v, replace(forward, dt=-0.1))
-    assert np.max(np.abs(back.psi - psi0.psi)) < 1e-12
+    back = chebyshev_step(grid, chebyshev_step(grid, psi0.psi[np.newaxis], v, forward), v,
+                          replace(forward, dt=-0.1))
+    assert np.max(np.abs(back[0] - psi0.psi)) < 1e-12
 
 
 @settings(max_examples=25)
