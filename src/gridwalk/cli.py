@@ -4,7 +4,9 @@ Subcommands: walk, decompose, conveyor-verify, tdse, calibrate. Every run
 reads one JSON config document (versioned with a "version" field), writes its
 artifacts into --out atomically (temp file + rename), and records the seed in
 the report so reruns are byte-identical. Exit codes: 0 success, 2 config
-error, 3 invariant violation, 4 numerical-tolerance failure.
+error, 3 invariant violation, 4 numerical-tolerance failure. Each subcommand
+returns its report and the bound of each value it enforces; ``main`` alone
+writes the report and exits 4 when a value exceeds its bound or is NaN.
 """
 
 from __future__ import annotations
@@ -43,10 +45,6 @@ def _atomic_write(out_dir: Path, name: str, text: str) -> Path:
     return target
 
 
-def _write_report(out_dir: Path, payload: dict) -> Path:
-    return _atomic_write(out_dir, "report.json", json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 def _load_config(path: str) -> tuple[dict, Path]:
     p = Path(path)
     if not p.is_file():
@@ -71,7 +69,7 @@ def _get(config: dict, key: str, kind, default=None, required: bool = False):
     if kind is float and type(value) is int:
         value = float(value)
     # JSON true and false load as bools, which are ints, but are no numbers
-    if not isinstance(value, kind) or isinstance(value, bool):
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {type(value).__name__}")
     return value
 
@@ -109,75 +107,54 @@ def _initial_state(config: dict, base: Path, g: Graph) -> walk.WalkState:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each writes its artifacts, prints its summary line, and returns
+# its report with the bound of every report key it enforces
 
 
-def cmd_walk(config: dict, base: Path, out_dir: Path, seed: int, oracle: bool) -> int:
+def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     g = _load_graph(config, base)
     steps = _get(config, "steps", int, required=True)
     if steps < 0:
         raise ConfigError("steps must be ≥ 0")
     kind = _get(config, "coin", str, default="grover")
+    snapshot = _get(config, "snapshot", bool, default=False)
     plan = walk.CoinPlan.from_graph(g, steps, kind)
     s0 = _initial_state(config, base, g)
     final, dist = walk.walk_node_distribution(s0, steps, plan)
 
     _atomic_write(out_dir, "distribution.txt", walk.distribution_to_text(dist))
-    report = {
-        "version": CONFIG_VERSION,
-        "subcommand": "walk",
-        "seed": seed,
-        "n": g.n,
-        "steps": steps,
-        "coin": kind,
-        "position_mean": dist.mean(),
-        "position_std": dist.std(),
-    }
-    if config.get("snapshot"):
+    report = {"n": g.n, "steps": steps, "coin": kind,
+              "position_mean": dist.mean(), "position_std": dist.std()}
+    if snapshot:
         _atomic_write(out_dir, "state.json", walk.state_to_json(final))
-    code = EXIT_OK
-    if oracle:
+    limits = {}
+    if args.oracle:
         ref = walk.reference_evolve(s0, steps, plan)
-        readout = walk.transpose_state(final) if steps % 2 == 1 else final
-        deviation = float(np.max(np.abs(readout.amp - ref.amp)))
-        report["oracle_max_deviation"] = deviation
-        if deviation > ORACLE_TOL:
-            print(f"oracle deviation {deviation:.3e} exceeds {ORACLE_TOL:.0e}", file=sys.stderr)
-            code = EXIT_TOLERANCE
-    _write_report(out_dir, report)
+        report["oracle_max_deviation"] = float(np.max(np.abs(final.amp - ref.amp)))
+        limits["oracle_max_deviation"] = ORACLE_TOL
     print(f"walk: n={g.n} steps={steps} sigma={dist.std():.6f} -> {out_dir}")
-    return code
+    return report, limits
 
 
-def cmd_decompose(config: dict, base: Path, out_dir: Path, seed: int) -> int:
+def cmd_decompose(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     path = _get(config, "unitary", str, required=True)
     u = decompose.unitary_from_json(_resolve(base, path).read_text())
     seq = decompose.cs_decompose(u)
     error = float(np.max(np.abs(decompose.reconstruct(seq) - u)))
     _atomic_write(out_dir, "stages.json", decompose.sequence_to_json(seq))
-    _write_report(out_dir, {
-        "version": CONFIG_VERSION,
-        "subcommand": "decompose",
-        "seed": seed,
-        "n": seq.n,
-        "stage_count": len(seq.stages),
-        "reconstruction_error": error,
-    })
     print(f"decompose: n={seq.n} stages={len(seq.stages)} error={error:.3e} -> {out_dir}")
-    if error > decompose.RECONSTRUCTION_TOL:
-        print(f"reconstruction error exceeds {decompose.RECONSTRUCTION_TOL:.0e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    report = {"n": seq.n, "stage_count": len(seq.stages), "reconstruction_error": error}
+    return report, {"reconstruction_error": decompose.RECONSTRUCTION_TOL}
 
 
-def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> int:
+def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     n = _get(config, "n", int, required=True)
     if n < 2 or not is_power_of_two(n):
         raise ConfigError(f"n must be a power of two ≥ 2, got {n}")
     trials = _get(config, "stages", int, default=50)
     if trials < 1:
         raise ConfigError("stages must be ≥ 1")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     strides = [2**e for e in range(1, n.bit_length())]
     worst = 0.0
     trace = conveyor.ProtocolTrace()
@@ -198,21 +175,10 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, seed: int) -> i
         lines[line - 1] = decompose.apply_stage(lines[line - 1], stage)
         worst = max(worst, float(np.max(np.abs(physical.amp - expected))))
     _atomic_write(out_dir, "trace.txt", conveyor.format_trace(trace))
-    _write_report(out_dir, {
-        "version": CONFIG_VERSION,
-        "subcommand": "conveyor-verify",
-        "seed": seed,
-        "n": n,
-        "trials": trials,
-        "max_deviation": worst,
-        "trace_actions": 5 * len(trace.stages),
-        "trace_stages": len(trace.stages),
-    })
     print(f"conveyor-verify: n={n} trials={trials} max deviation={worst:.3e} -> {out_dir}")
-    if worst > ORACLE_TOL:
-        print(f"physical/logical deviation exceeds {ORACLE_TOL:.0e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    report = {"n": n, "trials": trials, "max_deviation": worst,
+              "trace_actions": 5 * len(trace.stages), "trace_stages": len(trace.stages)}
+    return report, {"max_deviation": ORACLE_TOL}
 
 
 def _tdse_setup(config: dict):
@@ -251,40 +217,29 @@ def _tdse_setup(config: dict):
     return grid, spec, timeline, params
 
 
-def cmd_tdse(config: dict, base: Path, out_dir: Path, seed: int) -> int:
+def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     grid, spec, timeline, params = _tdse_setup(config)
-    phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
     which = _get(config, "initial", str, default="left")
     if which not in ("left", "right"):
         raise ConfigError(f"initial state must be 'left' or 'right', got {which!r}")
-    psi0 = phi_left if which == "left" else phi_right
     stride = _get(config, "sample_stride", int, default=10)
+    snapshot = _get(config, "snapshot", bool, default=False)
+    phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
+    psi0 = phi_left if which == "left" else phi_right
     traj = tdse.evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=stride)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     final = traj.final()
-    if config.get("snapshot"):
+    if snapshot:
         _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(final))
     alpha, beta, leak = tdse.qubit_projection(final, phi_left, phi_right)
-    drift = float(np.max(np.abs(traj.norms() - 1.0)))
-    _write_report(out_dir, {
-        "version": CONFIG_VERSION,
-        "subcommand": "tdse",
-        "seed": seed,
-        "initial": which,
-        "total_duration": timeline.total_duration,
-        "final_pL": abs(alpha) ** 2,
-        "final_pR": abs(beta) ** 2,
-        "final_leakage": leak,
-        "max_norm_drift": drift,
-    })
     print(f"tdse: T={timeline.total_duration:.3f} pR={abs(beta) ** 2:.6f} leakage={leak:.2e} -> {out_dir}")
-    if drift > tdse.NORM_DRIFT_TOL:
-        print(f"norm drift {drift:.3e} exceeds {tdse.NORM_DRIFT_TOL:.0e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    report = {"initial": which, "total_duration": timeline.total_duration,
+              "final_pL": abs(alpha) ** 2, "final_pR": abs(beta) ** 2, "final_leakage": leak,
+              "max_norm_drift": float(np.max(np.abs(traj.norms() - 1.0)))}
+    return report, {"max_norm_drift": tdse.NORM_DRIFT_TOL}
 
 
-def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
+def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     grid, spec, timeline, params = _tdse_setup(config)
     target = _get(config, "target_transfer", float, required=True)
     scan_points = _get(config, "scan_points", int, default=24)
@@ -297,79 +252,57 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, seed: int) -> int:
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)
     achieved = abs(beta) ** 2
-    deviation = max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage))
-    drift = float(np.max(np.abs(traj.norms() - 1.0)))
-    _write_report(out_dir, {
-        "version": CONFIG_VERSION,
-        "subcommand": "calibrate",
-        "seed": seed,
-        "target_transfer": target,
-        "hold_duration": result.hold_duration,
-        "achieved_transfer": achieved,
-        "leakage": leak,
-        "replay_deviation": deviation,
-        "max_norm_drift": drift,
-        "period_estimate": result.period_estimate,
-        "scan": [[h, t] for h, t in result.scan],
-    })
     print(
         f"calibrate: target={target} hold={result.hold_duration:.4f} "
         f"achieved={achieved:.4f} leakage={leak:.2e} -> {out_dir}"
     )
-    if deviation > REPLAY_TOL:
-        print(f"replay deviates from the closed form by {deviation:.3e}, beyond {REPLAY_TOL:.0e}",
-              file=sys.stderr)
-        return EXIT_TOLERANCE
-    if drift > tdse.NORM_DRIFT_TOL:
-        print(f"replay norm drift {drift:.3e} exceeds {tdse.NORM_DRIFT_TOL:.0e}", file=sys.stderr)
-        return EXIT_TOLERANCE
-    return EXIT_OK
+    report = {
+        "target_transfer": target,
+        "hold_duration": result.hold_duration,
+        "achieved_transfer": achieved,
+        "leakage": leak,
+        "replay_deviation": max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage)),
+        "max_norm_drift": float(np.max(np.abs(traj.norms() - 1.0))),
+        "period_estimate": result.period_estimate,
+        "scan": [[h, t] for h, t in result.scan],
+    }
+    return report, {"replay_deviation": REPLAY_TOL, "max_norm_drift": tdse.NORM_DRIFT_TOL}
 
 
 # ---------------------------------------------------------------------------
 # Entry point
 
+COMMANDS = {
+    "walk": (cmd_walk, "evolve a coined walk on a graph and export the node distribution"),
+    "decompose": (cmd_decompose, "synthesize a unitary into pairwise-rotation stages"),
+    "conveyor-verify": (cmd_conveyor_verify, "randomized physical-vs-logical stage equivalence"),
+    "tdse": (cmd_tdse, "propagate a barrier timeline and export the Bloch trajectory"),
+    "calibrate": (cmd_calibrate, "find the hold time realizing a target transfer probability"),
+}
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="gridwalk",
-        description="Coined quantum walks on graphs, staged coin synthesis, "
-        "conveyor verification, and barrier-controlled gate simulation.",
-    )
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text in [
-        ("walk", "evolve a coined walk on a graph and export the node distribution"),
-        ("decompose", "synthesize a unitary into pairwise-rotation stages"),
-        ("conveyor-verify", "randomized physical-vs-logical stage equivalence"),
-        ("tdse", "propagate a barrier timeline and export the Bloch trajectory"),
-        ("calibrate", "find the hold time realizing a target transfer probability"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--out", default="out", help="output directory (default: ./out)")
-        p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-        if name == "walk":
-            p.add_argument("--oracle", action="store_true",
-                           help="also run the transpose-translation oracle")
-    return parser
+PARSER = argparse.ArgumentParser(
+    prog="gridwalk",
+    description="Coined quantum walks on graphs, staged coin synthesis, "
+    "conveyor verification, and barrier-controlled gate simulation.",
+)
+_subparsers = PARSER.add_subparsers(dest="subcommand", required=True)
+for _name, (_, _help) in COMMANDS.items():
+    _p = _subparsers.add_parser(_name, help=_help)
+    _p.add_argument("--config", required=True, help="path to the JSON experiment config")
+    _p.add_argument("--out", default="out", help="output directory (default: ./out)")
+    _p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+_subparsers.choices["walk"].add_argument("--oracle", action="store_true",
+                                         help="also run the transpose-translation oracle")
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = PARSER.parse_args(argv)
     out_dir = Path(args.out)
     try:
         config, base = _load_config(args.config)
-        if args.subcommand == "walk":
-            return cmd_walk(config, base, out_dir, args.seed, args.oracle)
-        if args.subcommand == "decompose":
-            return cmd_decompose(config, base, out_dir, args.seed)
-        if args.subcommand == "conveyor-verify":
-            return cmd_conveyor_verify(config, base, out_dir, args.seed)
-        if args.subcommand == "tdse":
-            return cmd_tdse(config, base, out_dir, args.seed)
-        if args.subcommand == "calibrate":
-            return cmd_calibrate(config, base, out_dir, args.seed)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        report, limits = COMMANDS[args.subcommand][0](config, base, out_dir, args)
+        stamped = {"version": CONFIG_VERSION, "subcommand": args.subcommand, "seed": args.seed, **report}
+        _atomic_write(out_dir, "report.json", json.dumps(stamped, sort_keys=True, indent=2) + "\n")
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -385,6 +318,12 @@ def main(argv: list[str] | None = None) -> int:
     except GridwalkError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INVARIANT
+    # a NaN compares false with every bound, so it fails too
+    failed = [key for key, tol in limits.items() if not report[key] <= tol]
+    for key in failed:
+        print(f"tolerance failure: {key} = {report[key]:.3e} is not within {limits[key]:.0e}",
+              file=sys.stderr)
+    return EXIT_TOLERANCE if failed else EXIT_OK
 
 
 if __name__ == "__main__":

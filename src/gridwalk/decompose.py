@@ -381,5 +381,9 @@ def unitary_to_json(u: np.ndarray) -> str:
 
 def unitary_from_json(text: str) -> np.ndarray:
     doc = json.loads(text)
-    n = doc["n"]
+    if not isinstance(doc, dict):
+        raise ValueError(f"unitary must be a JSON object, got {type(doc).__name__}")
+    n = doc.get("n")
+    if type(n) is not int or n < 1:  # JSON true loads as a bool, which is an int
+        raise ValueError(f"unitary 'n' must be an integer ≥ 1, got {n!r}")
     return complex_from_json(doc["entries"], (n, n), "unitary entries")

@@ -411,14 +411,15 @@ def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
 
 
 def walk_node_distribution(s0: WalkState, steps: int, plan: CoinPlan) -> tuple[WalkState, Distribution]:
-    """Evolve and read out node probabilities in the rows-index-nodes convention.
+    """Evolve and read out the state and its node probabilities, both with nodes on rows.
 
     After an odd number of grid applications the nodes sit on columns; the
-    readout transposes once so the distribution always refers to nodes.
+    readout transposes once, so the state is reference_evolve's, can seed a
+    further walk, and the distribution refers to nodes.
     """
     s = evolve(s0, steps, plan)
     readout = transpose_state(s) if steps % 2 == 1 else s
-    return s, position_distribution(readout)
+    return readout, position_distribution(readout)
 
 
 def position_distribution(s: WalkState) -> Distribution:

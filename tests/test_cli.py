@@ -1,10 +1,11 @@
+import argparse
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gridwalk import conveyor, tdse
+from gridwalk import conveyor, decompose, tdse, walk
 from gridwalk.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOLERANCE, REPLAY_TOL, main
 from gridwalk.decompose import unitary_to_json
 from gridwalk.util import random_unitary
@@ -150,6 +151,38 @@ def test_walk_graph_from_file_and_snapshot(tmp_path):
     assert abs(sum(float(r.split()[1]) for r in rows) - 1) < 1e-12
 
 
+def test_walk_resumed_from_an_odd_step_snapshot_is_the_straight_walk(tmp_path):
+    # 6 nodes of degrees 1 to 3: a snapshot in grid form after 3 steps is the transposed state
+    graph = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [2, 5]]}
+
+    def run(name, steps, initial):
+        cfg = write_config(tmp_path, {"version": 1, "graph": graph, "steps": steps,
+                                      "initial": initial, "snapshot": True}, f"{name}.json")
+        assert main(["walk", "--config", cfg, "--out", str(tmp_path / name)]) == EXIT_OK
+        state = walk.state_from_json((tmp_path / name / "state.json").read_text())
+        return state, np.loadtxt(tmp_path / name / "distribution.txt")[:, 1]
+
+    straight, p_straight = run("straight", 4, {"node": 1, "coin": 2})
+    first, _ = run("first", 3, {"node": 1, "coin": 2})
+    resumed, p_resumed = run("resumed", 1, {"snapshot": "first/state.json"})
+    assert np.max(np.abs(first.amp - first.amp.T)) > 0.1
+    assert np.max(np.abs(p_resumed - p_straight)) < 1e-12
+    assert np.max(np.abs(resumed.amp - straight.amp)) < 1e-12
+
+
+@pytest.mark.parametrize("subcommand, doc", [
+    ("walk", {"graph": k_graph_doc(2), "steps": 1, "initial": {"node": 1, "coin": 1}}),
+    ("tdse", gate_config()),
+])
+@pytest.mark.parametrize("snapshot", ["no", 1, None])
+def test_snapshot_must_be_a_json_bool(tmp_path, capsys, subcommand, doc, snapshot):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**doc, "version": 1, "snapshot": snapshot})
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "'snapshot' must be bool" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("node", [0, 9])
 def test_walk_rejects_a_balanced_start_outside_the_graph(tmp_path, node):
     out = tmp_path / "out"
@@ -263,6 +296,30 @@ def test_decompose_rejects_a_one_by_one_unitary(tmp_path):
     upath.write_text(unitary_to_json(np.array([[1j]])))
     cfg = write_config(tmp_path, {"version": 1, "unitary": "u.json"})
     assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("doc", [
+    [1],
+    {"n": "4", "entries": [[1.0, 0.0]] * 16},
+    {"n": True, "entries": [[1.0, 0.0]]},
+    {"n": 0, "entries": []},
+])
+def test_decompose_rejects_a_malformed_unitary_document(tmp_path, capsys, doc):
+    (tmp_path / "u.json").write_text(json.dumps(doc))
+    cfg = write_config(tmp_path, {"version": 1, "unitary": "u.json"})
+    assert main(["decompose", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: unitary" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_decompose_nan_reconstruction_error_is_a_tolerance_failure(tmp_path, capsys, monkeypatch):
+    (tmp_path / "u.json").write_text(unitary_to_json(np.eye(4, dtype=complex)))
+    monkeypatch.setattr(decompose, "reconstruct", lambda seq: np.full((seq.n, seq.n), np.nan))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "unitary": "u.json"})
+    assert main(["decompose", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    assert "reconstruction_error" in capsys.readouterr().err
+    assert np.isnan(json.loads((out / "report.json").read_text())["reconstruction_error"])
 
 
 # ---------------------------------------------------------------------------
@@ -494,3 +551,24 @@ def test_oracle_flag_is_a_usage_error_outside_walk(tmp_path, subcommand, capsys)
     assert exit_info.value.code == EXIT_CONFIG
     assert "--oracle" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_main_builds_no_parser_per_call(tmp_path, monkeypatch):
+    (tmp_path / "u.json").write_text(unitary_to_json(np.eye(2, dtype=complex)))
+    configs = {
+        "walk": {"version": 1, "graph": k_graph_doc(2), "steps": 1, "initial": {"node": 1, "coin": 1}},
+        "decompose": {"version": 1, "unitary": "u.json"},
+        "conveyor-verify": {"version": 1, "n": 2, "stages": 1},
+    }
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for subcommand, doc in configs.items():
+        cfg = write_config(tmp_path, doc, f"{subcommand}.json")
+        assert main([subcommand, "--config", cfg, "--out", str(tmp_path / subcommand)]) == EXIT_OK
+    assert built == []

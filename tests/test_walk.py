@@ -285,6 +285,16 @@ def test_odd_steps_differ_by_transpose(rng):
     assert np.max(np.abs(a.amp.T - b.amp)) < 1e-12
 
 
+@pytest.mark.parametrize("steps", [1, 3, 4])
+def test_walk_node_distribution_reads_out_the_reference_state(steps, rng):
+    n = 4
+    plan = random_plan(n, steps, rng)
+    s0 = random_state(n, rng)
+    readout, dist = walk.walk_node_distribution(s0, steps, plan)
+    assert np.max(np.abs(readout.amp - reference_evolve(s0, steps, plan).amp)) < 1e-12
+    assert dist == position_distribution(readout)
+
+
 def test_evolve_builds_one_state_and_checks_the_norm_after_every_step(monkeypatch, rng):
     n, steps = 4, 5
     plan = random_plan(n, steps, rng)
