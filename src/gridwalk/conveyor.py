@@ -38,7 +38,7 @@ import numpy as np
 from .decompose import Stage, StageSequence, cs_decompose, grover_stages, rotate_in_place, stage_sites
 from .errors import ProtocolIncompleteError, ShiftOutOfRangeError
 from .util import check_norm, frozen, next_power_of_two
-from .walk import CoinPlan, CoinSet, WalkState, grover_coin
+from .walk import CoinPlan, CoinSet, WalkState
 
 NORM_TOL = 1e-12
 REGISTER_TOL = 1e-10
@@ -216,12 +216,12 @@ def run_stage(
 def _synthesize(coins: CoinSet, npad: int) -> StageSequence:
     """Stages of a coin set's line coins, padded to npad identity-fixed lines and states.
 
-    A coin set whose every sub-coin equals ``grover_coin(d)`` in value gets
-    the closed-form ``grover_stages`` of its active states, 2·log₂npad − 1
+    A coin set whose every group is of kind ``"grover"`` gets the
+    closed-form ``grover_stages`` of its active states, 2·log₂npad − 1
     stages; any other is factorized by one ``cs_decompose`` of its stacked
     dense coins, npad − 1 stages.
     """
-    if all(np.array_equal(grp.sub, grover_coin(len(grp.sub))) for grp in coins.groups):
+    if all(grp.kind == "grover" for grp in coins.groups):
         active = np.zeros((npad, npad), dtype=bool)
         for grp in coins.groups:
             active[grp.lines[:, None], grp.states] = True

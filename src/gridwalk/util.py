@@ -9,7 +9,10 @@ from .errors import InvariantViolation, UnitarityError
 
 def unitarity_defect(u: np.ndarray) -> float:
     """Max-norm of u†u − I; for a stack of matrices, the worst over the stack."""
-    gram = u.conj().swapaxes(-1, -2) @ u
+    if u.shape[-1] == 2:  # stacks of 2×2 blocks: einsum beats the batched matmul
+        gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
+    else:
+        gram = u.conj().swapaxes(-1, -2) @ u
     return float(np.abs(gram - np.eye(u.shape[-1])).max())
 
 
@@ -21,7 +24,8 @@ def check_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> None:
 
 def check_norm(amp: np.ndarray, tol: float, what: str) -> None:
     """Raise InvariantViolation unless Σ|amp|² is within tol of 1; a NaN entry fails too."""
-    norm = float(np.sum(np.abs(amp) ** 2))
+    r = np.ravel(amp, order="K")  # a view for C- or F-ordered buffers
+    norm = float(np.vdot(r, r).real)
     if not abs(norm - 1.0) <= tol:
         raise InvariantViolation(f"{what} norm² = {norm!r} deviates from 1 beyond {tol}")
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -135,15 +135,20 @@ def grover_coin(n: int) -> np.ndarray:
     """Diffusion coin with entries 2/n − δ_jk."""
     if n < 1:
         raise ValueError(f"coin dimension must be positive, got {n}")
-    return np.full((n, n), 2.0 / n, dtype=complex) - np.eye(n)
+    coin = np.full((n, n), 2.0 / n, dtype=complex)
+    coin.flat[:: n + 1] -= 1.0
+    return coin
 
 
 def dft_coin(n: int) -> np.ndarray:
     """Discrete Fourier coin, entries exp(2πi jk/n)/√n."""
     if n < 1:
         raise ValueError(f"coin dimension must be positive, got {n}")
-    jk = np.outer(np.arange(n), np.arange(n))
-    return np.exp(2j * np.pi * jk / n) / np.sqrt(n)
+    coin = np.outer(np.arange(n), np.arange(n)) * (2j * np.pi)
+    coin /= n
+    np.exp(coin, out=coin)
+    coin /= np.sqrt(n)
+    return coin
 
 
 _COIN_KINDS = ("grover", "dft", "hadamard")
@@ -165,6 +170,18 @@ def coin_for_degree(kind: str, degree: int) -> np.ndarray:
 # Coin sets: sub-coins on active coin states, grouped by sub-coin
 
 
+def _structured_kind(sub: np.ndarray) -> str | None:
+    """``"grover"`` or ``"dft"`` if ``sub`` equals that coin bit for bit, else None.
+
+    The 1×1 coin [[1]] is both and is named Grover.
+    """
+    d, bits = len(sub), sub.view(np.uint64)  # compared as integers: no byte copies
+    for kind, build in (("grover", grover_coin), ("dft", dft_coin)):
+        if d and np.array_equal(bits, build(d).view(np.uint64)):
+            return kind
+    return None
+
+
 @dataclass(frozen=True, eq=False)
 class CoinGroup:
     """Lines that carry one shared d×d sub-coin on their own d active coin states.
@@ -172,11 +189,14 @@ class CoinGroup:
     ``lines[i]`` is a 0-based line index and ``states[i]`` its active coin
     states (0-based, increasing); the sub-coin acts on those states in that
     order and every other state of the line is an exact fixed point.
+    ``kind`` is derived from the sub-coin's value: ``"grover"`` or ``"dft"``
+    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None.
     """
 
     lines: np.ndarray
     states: np.ndarray
     sub: np.ndarray
+    kind: str | None = field(init=False)
 
     def __post_init__(self):
         lines = np.asarray(self.lines, dtype=np.intp)
@@ -192,6 +212,7 @@ class CoinGroup:
         object.__setattr__(self, "lines", frozen(lines))
         object.__setattr__(self, "states", frozen(states))
         object.__setattr__(self, "sub", frozen(sub))
+        object.__setattr__(self, "kind", _structured_kind(sub))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,13 +311,27 @@ def _buffer(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
 
 
 def _apply_groups(coins: CoinSet, lines: np.ndarray) -> None:
-    """lines[line, states] = sub · lines[line, states] for every group: gather, matmul, scatter.
+    """lines[line, states] = sub · lines[line, states] for every group: gather, apply, scatter.
 
-    Groups hold disjoint lines, so each scatter writes only what its own gather read.
+    A Grover sub-coin is applied as (2/d)·Σx − x and a DFT one as an
+    orthonormal inverse FFT, both in place on the gathered copy; any other
+    sub-coin by a matmul. A group whose states are all n coin states gathers
+    and scatters whole lines. Groups hold disjoint lines, so each scatter
+    writes only what its own gather read.
     """
     for grp in coins.groups:
-        rows = grp.lines[:, None]
-        lines[rows, grp.states] = lines[rows, grp.states] @ grp.sub.T
+        d = grp.states.shape[1]
+        index = grp.lines if d == len(lines) else (grp.lines[:, None], grp.states)
+        x = lines[index]
+        if grp.kind == "grover":
+            total = x.sum(axis=1, keepdims=True)
+            total *= 2 / d
+            np.subtract(total, x, out=x)
+        elif grp.kind == "dft":
+            np.fft.ifft(x, axis=1, norm="ortho", out=x)
+        else:
+            x = x @ grp.sub.T
+        lines[index] = x
 
 
 # ---------------------------------------------------------------------------

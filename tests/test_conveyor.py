@@ -23,7 +23,7 @@ from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, 
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import next_power_of_two, random_unitary
-from gridwalk.walk import CoinPlan, CoinSet, WalkState, evolve, init_localized
+from gridwalk.walk import CoinPlan, CoinSet, WalkState, evolve, grover_coin, init_localized
 from strategies import dense_graphs
 
 
@@ -364,6 +364,19 @@ def test_physical_walk_falls_back_to_cs_synthesis_for_one_line_that_is_not_grove
     assert calls["grover_stages"] == [] and len(calls["cs_decompose"]) == 1
     assert np.array_equal(calls["cs_decompose"][0][:n, :n, :n], np.stack(coins))
     assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+
+
+def test_a_uniform_grover_plan_takes_the_closed_form_synthesis(monkeypatch, rng):
+    # from_dense splits the full 8×8 coin off unchanged, so its group is recognized as Grover
+    n = 8
+    plan = CoinPlan.uniform(grover_coin(n), 1)
+    calls = count_synthesis(monkeypatch)
+    trace = ProtocolTrace()
+    s0 = random_state(n, rng)
+    physical = run_walk_physical(s0, plan, trace)
+    assert calls["cs_decompose"] == [] and len(calls["grover_stages"]) == 1
+    assert len(trace.stages) == n * (2 * 3 - 1)
+    assert np.max(np.abs(physical.amp - evolve(s0, 1, plan).amp)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])

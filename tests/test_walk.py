@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import oracles
+from strategies import dense_graphs
 from gridwalk import walk
 from gridwalk.errors import InvariantViolation, UnitarityError
 from gridwalk.graph import Graph, complete_graph, cycle_graph, remove_edge
@@ -460,11 +461,10 @@ def random_partial_coin(n, rng):
 
 
 def assert_kernel_matches_oracles(s, coin_set, dense):
+    rows, cols = oracles.apply_rows_dense(s.amp, dense), oracles.apply_cols_dense(s.amp, dense)
     for grouped in (coin_set, CoinSet.from_dense(dense)):
-        rows = apply_coin_rows(s.amp.copy(), grouped)
-        cols = apply_coin_cols(s.amp.copy(), grouped)
-        assert np.max(np.abs(rows - oracles.apply_rows_dense(s.amp, dense))) < 1e-12
-        assert np.max(np.abs(cols - oracles.apply_cols_dense(s.amp, dense))) < 1e-12
+        assert np.max(np.abs(apply_coin_rows(s.amp.copy(), grouped) - rows)) < 1e-12
+        assert np.max(np.abs(apply_coin_cols(s.amp.copy(), grouped) - cols)) < 1e-12
 
 
 @given(st.integers(1, 7), st.sampled_from(["grover", "dft"]), st.integers(1, 5),
@@ -494,6 +494,44 @@ def test_grouped_step_coins_match_dense_oracles(n, steps, seed):
     grid = evolve(s0, steps, plan).amp
     reference = reference_evolve(s0, steps, plan)
     assert np.max(np.abs((grid.T if steps % 2 else grid) - reference.amp)) < 1e-12
+
+
+def one_group(sub):
+    d = len(sub)
+    return CoinGroup(np.arange(3), np.arange(d) + np.zeros((3, 1), dtype=int), sub)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 16, 255])
+def test_coin_group_kind_is_recognized_by_value(d):
+    assert one_group(grover_coin(d)).kind == "grover"
+    # the 1×1 DFT coin is [[1]], the 1×1 Grover coin bit for bit, and takes its name
+    assert one_group(dft_coin(d)).kind == ("grover" if d == 1 else "dft")
+
+
+def test_hadamard_and_a_coin_one_ulp_off_grover_have_no_kind_and_match_the_oracle(rng):
+    n = 16
+    near = grover_coin(n)
+    near[0, 1] = np.nextafter(near[0, 1].real, 1.0)
+    coins = CoinSet.from_dense([near] * n)
+    assert [grp.kind for grp in coins.groups] == [None]
+    assert one_group(hadamard_coin()).kind is None
+    s = random_state(n, rng)
+    assert_kernel_matches_oracles(s, coins, [near] * n)
+
+
+# K64 with self-loops minus two edges: 60 whole lines of 64 states and 4 lines of 63
+K64_MINUS_TWO = remove_edge(remove_edge(complete_graph(64), 1, 2), 3, 4)
+
+
+@example(g=K64_MINUS_TWO, kind="grover", seed=1)
+@example(g=K64_MINUS_TWO, kind="dft", seed=1)
+@given(dense_graphs(64), st.sampled_from(["grover", "dft"]), st.integers(0, 2**32 - 1))
+def test_structured_coin_kernels_match_dense_oracles(g, kind, seed):
+    graph_coins, dense = CoinSet.from_graph(g, kind), dense_graph_coins(g, kind)
+    for coins in (graph_coins, CoinSet.from_dense(dense)):
+        # a degree-1 node's coin is [[1]] under either kind, and is named Grover
+        assert all(grp.kind == (kind if grp.states.shape[1] > 1 else "grover") for grp in coins.groups)
+    assert_kernel_matches_oracles(random_state(g.n, np.random.default_rng(seed)), graph_coins, dense)
 
 
 def sparse_graph(n, rng):
