@@ -207,13 +207,10 @@ def _tdse_setup(config: dict):
         low_barrier=_get(tdoc, "low", float, required=True),
     )
     sdoc = _get(config, "solver", dict, default={})
+    if set(sdoc) - {"dt"}:
+        raise ConfigError(f"solver takes only 'dt', got {sorted(sdoc)}")
     e_min, e_max = tdse.timeline_energy_bounds(grid, spec, timeline)
-    params = tdse.ChebyshevParams(
-        dt=_get(sdoc, "dt", float, default=0.01),
-        e_min=_get(sdoc, "e_min", float, default=e_min),
-        e_max=_get(sdoc, "e_max", float, default=e_max),
-        tail_tolerance=_get(sdoc, "tail_tolerance", float, default=1e-14),
-    )
+    params = tdse.ChebyshevParams(_get(sdoc, "dt", float, default=0.01), e_min, e_max)
     return grid, spec, timeline, params
 
 
@@ -230,7 +227,8 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     final = traj.final()
     if snapshot:
-        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(final))
+        # the propagated norm may drift by NORM_DRIFT_TOL; a snapshot must load as a WaveFunction
+        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(tdse.normalized(grid, final.psi)))
     alpha, beta, leak = tdse.qubit_projection(final, phi_left, phi_right)
     print(f"tdse: T={timeline.total_duration:.3f} pR={abs(beta) ** 2:.6f} leakage={leak:.2e} -> {out_dir}")
     report = {"initial": which, "total_duration": timeline.total_duration,

@@ -32,6 +32,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from .util import (
+    ByValue,
     check_unitary,
     check_version,
     complex_from_json,
@@ -46,7 +47,7 @@ ROTATION_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class Stage:
+class Stage(ByValue):
     """One layer of n/2 disjoint 2×2 rotations at a common stride d; compared by value.
 
     ``u[k]`` acts on pair k of ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``:
@@ -65,12 +66,6 @@ class Stage:
         check_unitary(u, ROTATION_TOL, f"stride-{d} stage rotation")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "u", frozen(u))
-
-    def __eq__(self, other):
-        return isinstance(other, Stage) and self.d == other.d and self.u.tobytes() == other.u.tobytes()
-
-    def __hash__(self):
-        return hash((self.d, self.u.tobytes()))
 
     @property
     def n(self) -> int:

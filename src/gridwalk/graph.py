@@ -16,10 +16,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraphParseError
+from .util import ByValue
 
 
 @dataclass(frozen=True, eq=False, init=False)
-class Graph:
+class Graph(ByValue):
     """Undirected graph on nodes 1..n, loops allowed; compared by value.
 
     ``present`` is the read-only n×n matrix with ``present[j-1, k-1]`` True
@@ -52,13 +53,6 @@ class Graph:
         present.setflags(write=False)
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "present", present)
-
-    def __eq__(self, other):
-        same_n = isinstance(other, Graph) and self.n == other.n
-        return same_n and self.present.tobytes() == other.present.tobytes()
-
-    def __hash__(self):
-        return hash((self.n, self.present.tobytes()))
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -55,7 +55,7 @@ from .errors import (
     SpectralBoundsError,
     ToleranceFailure,
 )
-from .util import check_version, complex_from_json, complex_to_json, frozen
+from .util import ByValue, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 # largest norm change allowed over one Chebyshev step and over a trajectory
@@ -104,7 +104,7 @@ class SpatialGrid:
 
 
 @dataclass(frozen=True, eq=False)
-class WaveFunction:
+class WaveFunction(ByValue):
     """Complex amplitudes on a spatial grid, normalized so Σ|ψ|²·dx = 1; compared by value."""
 
     grid: SpatialGrid
@@ -118,13 +118,6 @@ class WaveFunction:
         if not abs(norm - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"‖ψ‖² = {norm!r} deviates from 1 beyond {NORM_TOL}")
         object.__setattr__(self, "psi", frozen(psi))
-
-    def __eq__(self, other):
-        same_grid = isinstance(other, WaveFunction) and self.grid == other.grid
-        return same_grid and self.psi.tobytes() == other.psi.tobytes()
-
-    def __hash__(self):
-        return hash((self.grid, self.psi.tobytes()))
 
     def norm_squared(self) -> float:
         return float(np.sum(np.abs(self.psi) ** 2) * self.grid.dx)
@@ -373,8 +366,8 @@ def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: C
 
 
 @dataclass(frozen=True, eq=False)
-class Trajectory:
-    """Sampled states of one propagation run: row i of the read-only (k, m) states is ψ at times[i]."""
+class Trajectory(ByValue):
+    """Sampled states of one run, compared by value: row i of the read-only (k, m) states is ψ at times[i]."""
 
     grid: SpatialGrid
     times: np.ndarray
@@ -495,7 +488,7 @@ def well_ground_states(
     h = dense_hamiltonian(grid, v)
     _, vecs = np.linalg.eigh(h)
     e0, e1 = vecs[:, 0], vecs[:, 1]
-    # eigh of a real-symmetric-in-disguise matrix may return a complex phase
+    # dense_hamiltonian is real, so eigh's vectors are real: these lines only fix their signs
     e0 = np.real(e0 * np.exp(-1j * np.angle(e0[np.argmax(np.abs(e0))])))
     e1 = np.real(e1 * np.exp(-1j * np.angle(e1[np.argmax(np.abs(e1))])))
     e0 /= np.linalg.norm(e0)
@@ -530,15 +523,19 @@ def qubit_projection(
     return alpha, beta, 1.0 - abs(alpha) ** 2 - abs(beta) ** 2
 
 
-@dataclass
-class BlochSamples:
-    """Qubit amplitudes along a trajectory; phase is NaN where undefined."""
+@dataclass(frozen=True, eq=False)
+class BlochSamples(ByValue):
+    """Qubit amplitudes along a trajectory; phase is NaN where undefined. Compared by value."""
 
     times: np.ndarray
     alpha_abs: np.ndarray
     beta_abs: np.ndarray
     relative_phase: np.ndarray
     leakage: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            object.__setattr__(self, f.name, frozen(getattr(self, f.name)))
 
 
 PHASE_DEFINED_TOL = 1e-6
@@ -556,7 +553,7 @@ def bloch_trajectory(
     a, b = np.abs(proj[:, 0]), np.abs(proj[:, 1])
     defined = np.minimum(a, b) > PHASE_DEFINED_TOL
     ratio = np.divide(proj[:, 1], proj[:, 0], out=np.full(len(a), np.nan, dtype=complex), where=defined)
-    return BlochSamples(traj.times.copy(), a, b, np.angle(ratio), proj[:, 2].real)
+    return BlochSamples(traj.times, a, b, np.angle(ratio), proj[:, 2].real)
 
 
 _WF_VERSION = 1
@@ -619,7 +616,7 @@ class HoldScan:
 
     From the left-well state L, ⟨φ|U_up·e^{−iH_low·h}·U_down|L⟩ = Σ_j w_j·e^{−iE_j·h}
     with H_low = Q·diag(E)·Q† and w = conj(Q†U_up†φ)·(Q†U_down L)·dx, for φ = L, R
-    (the rows of weights): O(m) per hold.
+    (the rows of weights): O(m) per hold. Compared by identity, as nothing keys on it.
     """
 
     energies: np.ndarray

@@ -1,5 +1,7 @@
 """Small numeric helpers used by several modules."""
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -53,6 +55,24 @@ def next_power_of_two(n: int) -> int:
     return p
 
 
+class ByValue:
+    """Equality and hash of the value types: one class and equal fields, arrays by shape, dtype and bytes.
+
+    So −0.0 ≠ +0.0 and a NaN equals the same NaN. Subclasses are declared
+    ``@dataclass(frozen=True, eq=False)``, which keeps these two methods.
+    """
+
+    def _key(self) -> tuple:
+        values = (getattr(self, f.name) for f in dataclasses.fields(self))
+        return tuple((v.shape, v.dtype, v.tobytes()) if isinstance(v, np.ndarray) else v for v in values)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
 def frozen(a: np.ndarray) -> np.ndarray:
     """Copy an array and mark it read-only; values stay shareable across threads."""
     out = np.array(a)
@@ -79,6 +99,9 @@ def complex_from_json(pairs, shape: tuple[int, ...], what: str = "array") -> np.
         raise ValueError(f"{what} must be a list of [re, im] number pairs") from e
     if parts.shape != (size, 2) and not (size == 0 and parts.size == 0):
         raise ValueError(f"expected {size} [re, im] pairs for {what}, got shape {parts.shape}")
+    # JSON true and false load as bools, which numpy takes for 1.0 and 0.0
+    if bool in set(map(type, itertools.chain.from_iterable(pairs))):
+        raise ValueError(f"{what} must hold numbers, not booleans")
     return parts.reshape(size, 2).view(complex).reshape(shape)
 
 

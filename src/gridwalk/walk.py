@@ -29,13 +29,13 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import Graph
-from .util import check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
+from .util import ByValue, check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class WalkState:
+class WalkState(ByValue):
     """Unit-norm n×n grid of complex amplitudes; rows are nodes, columns coins. Compared by value."""
 
     n: int
@@ -50,16 +50,9 @@ class WalkState:
         check_norm(a, NORM_TOL, "state")
         object.__setattr__(self, "amp", frozen(a))
 
-    def __eq__(self, other):
-        same_n = isinstance(other, WalkState) and self.n == other.n
-        return same_n and self.amp.tobytes() == other.amp.tobytes()
-
-    def __hash__(self):
-        return hash((self.n, self.amp.tobytes()))
-
 
 @dataclass(frozen=True, eq=False)
-class Distribution:
+class Distribution(ByValue):
     """Probabilities over nodes 1..n; compared by value."""
 
     p: np.ndarray
@@ -74,13 +67,6 @@ class Distribution:
         if not abs(total - 1.0) <= NORM_TOL:
             raise InvariantViolation(f"probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "p", frozen(np.clip(p, 0.0, None)))
-
-    def __eq__(self, other):
-        same_n = isinstance(other, Distribution) and self.n == other.n
-        return same_n and self.p.tobytes() == other.p.tobytes()
-
-    def __hash__(self):
-        return hash((self.n, self.p.tobytes()))
 
     @property
     def n(self) -> int:
@@ -144,7 +130,10 @@ def dft_coin(n: int) -> np.ndarray:
     """Discrete Fourier coin, entries exp(2πi jk/n)/√n."""
     if n < 1:
         raise ValueError(f"coin dimension must be positive, got {n}")
-    coin = np.outer(np.arange(n), np.arange(n)) * (2j * np.pi)
+    # jk mod n keeps the phase below 2π (raw jk reaches (n−1)²), reduced in place: no second n×n temporary
+    jk = np.outer(np.arange(n), np.arange(n))
+    jk %= n
+    coin = jk * (2j * np.pi)
     coin /= n
     np.exp(coin, out=coin)
     coin /= np.sqrt(n)
@@ -190,7 +179,7 @@ class CoinGroup:
     states (0-based, increasing); the sub-coin acts on those states in that
     order and every other state of the line is an exact fixed point.
     ``kind`` is derived from the sub-coin's value: ``"grover"`` or ``"dft"``
-    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None.
+    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None. Compared by identity.
     """
 
     lines: np.ndarray
@@ -222,6 +211,8 @@ class CoinSet:
     Lines in no group (degree-0 nodes, identity coins) are left unchanged.
     Each distinct sub-coin is checked for unitarity once, on its own d×d
     block. Dense n×n coins are built only on request, by ``dense``.
+    Compared by identity on purpose: a coin set is ``run_walk_physical``'s
+    synthesis cache key, so hashing one must stay O(1).
     """
 
     n: int

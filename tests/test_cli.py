@@ -80,6 +80,14 @@ def test_tdse_rejects_a_boolean_float_field(tmp_path):
     assert main(["tdse", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
 
 
+# the spectral bracket comes from the timeline and the tail tolerance is fixed
+@pytest.mark.parametrize("extra", [{"e_min": -30.0}, {"e_max": 1e3}, {"tail_tolerance": 1e-12}])
+def test_tdse_solver_takes_only_dt(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, gate_config(solver={"dt": 0.01, **extra}))
+    assert main(["tdse", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "solver takes only 'dt'" in capsys.readouterr().err
+
+
 def test_missing_required_field(tmp_path):
     cfg = write_config(tmp_path, {"version": 1, "graph": k_graph_doc(2),
                                   "initial": {"node": 1, "coin": 1}})
@@ -303,6 +311,7 @@ def test_decompose_rejects_a_one_by_one_unitary(tmp_path):
     {"n": "4", "entries": [[1.0, 0.0]] * 16},
     {"n": True, "entries": [[1.0, 0.0]]},
     {"n": 0, "entries": []},
+    {"n": 2, "entries": [[True, 0], [0, 0], [0, 0], [1, False]]},
 ])
 def test_decompose_rejects_a_malformed_unitary_document(tmp_path, capsys, doc):
     (tmp_path / "u.json").write_text(json.dumps(doc))
@@ -430,6 +439,27 @@ def test_tdse_norm_drift_beyond_bound_exits_with_tolerance_code(tmp_path, monkey
     assert main(["tdse", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
     report = json.loads((out / "report.json").read_text())
     assert report["max_norm_drift"] == pytest.approx(1e-7, rel=1e-3)
+
+
+def test_tdse_snapshot_of_a_drifted_state_loads_back(tmp_path, monkeypatch):
+    evolve_timeline = tdse.evolve_timeline
+
+    def drifted(*args, **kwargs):
+        traj = evolve_timeline(*args, **kwargs)
+        states = traj.states.copy()
+        states[-1] *= np.sqrt(1 + 5e-12)
+        return tdse.Trajectory(traj.grid, traj.times, states)
+
+    monkeypatch.setattr(tdse, "evolve_timeline", drifted)
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, gate_config(
+        version=1, grid={"x_min": -8.0, "x_max": 8.0, "m": 64}, solver={"dt": 0.1}, snapshot=True,
+        timeline={"ramp_down": 4.0, "ramp_up": 4.0, "high": 28.0, "low": 12.0, "hold": 1.0}))
+    assert main(["tdse", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    report = json.loads((out / "report.json").read_text())
+    assert report["max_norm_drift"] > tdse.NORM_TOL
+    snap = tdse.wavefunction_from_json((out / "psi_final.json").read_text())
+    assert abs(snap.norm_squared() - 1) <= tdse.NORM_TOL
 
 
 def test_calibrate_half_split(tmp_path):

@@ -21,10 +21,11 @@ from gridwalk.walk import CoinPlan, WalkState
 PHYSICAL_TRACE_SHA256 = "bae159d7a96a9c298f80bae9365c262c0bbba3a8bdd495dce14481abc7f1d8da"
 PHYSICAL_STATE_SHA256 = "f4963d67055e43d6ff54c575e25669bc3a1832b7d17f77e5a052a4efa461c6f3"
 SEQUENCE16_SHA256 = "7ad495b46d9b169da9ad87bdf9abf6cc62745abbe973d5bc40b361f525d0534d"
-# recorded from the per-block synthesis (one identity test and one branch per block)
+# recorded from the per-block synthesis (one identity test and one branch per block);
+# the DFT coins are those whose phases are formed from jk mod n
 MASKED_STACK_SHA256 = {
     "grover": "be25e8e7afb2347120cb5a641f994cfa64bea6277ce9b13bcc448a6e7eaae0df",
-    "dft": "cedaabdf02128a43c3e4f26c2f73517c98dd2e95ef4ca290e38257ed5f480c05",
+    "dft": "e178efd233bf6ccfa9e6aecd40941a033f0c8c7e390e1ebb624ca6a61c437da9",
 }
 
 

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,10 +12,25 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gridwalk.decompose import cs_decompose, sequence_from_json, sequence_to_json, unitary_from_json, unitary_to_json
-from gridwalk.tdse import SpatialGrid, WaveFunction, wavefunction_from_json, wavefunction_to_json
+from gridwalk.decompose import (
+    Stage,
+    cs_decompose,
+    sequence_from_json,
+    sequence_to_json,
+    unitary_from_json,
+    unitary_to_json,
+)
+from gridwalk.graph import Graph
+from gridwalk.tdse import (
+    BlochSamples,
+    SpatialGrid,
+    Trajectory,
+    WaveFunction,
+    wavefunction_from_json,
+    wavefunction_to_json,
+)
 from gridwalk.util import check_version, complex_from_json, complex_to_json, random_unitary
-from gridwalk.walk import WalkState, state_from_json, state_to_json
+from gridwalk.walk import Distribution, WalkState, state_from_json, state_to_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 complex_arrays = hnp.arrays(
@@ -53,7 +70,9 @@ def test_complex_json_writes_float_pairs_in_c_order():
     assert complex_to_json(a) == [[1.0, 2.0], [-0.0, 0.0], [3.5, 0.0], [0.0, -1.0]]
 
 
-@pytest.mark.parametrize("pairs", [[[1, 0], [0, 1]], [[1, 0, 0]], [[1, 0], [0]], [["a", 0]], [1, 0]])
+@pytest.mark.parametrize("pairs", [
+    [[1, 0], [0, 1]], [[1, 0, 0]], [[1, 0], [0]], [["a", 0]], [1, 0], [[True, 0]], [[1, False]],
+])
 def test_complex_from_json_rejects_malformed_pairs(pairs):
     with pytest.raises(ValueError):
         complex_from_json(pairs, (1,))
@@ -133,3 +152,58 @@ def test_the_conveyor_and_a_grover_physical_walk_leave_scipy_linalg_unloaded():
     for code in ["import gridwalk.conveyor", walk]:
         loaded = loaded_modules(code)
         assert "gridwalk.conveyor" in loaded and "scipy.linalg" not in loaded
+
+
+# ---------------------------------------------------------------------------
+# Value types
+
+GRID16 = SpatialGrid(-4.0, 4.0, 16)
+# unit norm on GRID16 (dx = 0.5), with +0.0 entries
+PSI16 = np.concatenate(([np.sqrt(2.0)], np.zeros(15))).astype(complex)
+
+# each class with a builder of one value of it (or of a subclass), holding +0.0 unless a Graph
+VALUES = [
+    (WalkState, lambda cls: cls(2, np.array([[1.0, 0.0], [0.0, 0.0]]))),
+    (Distribution, lambda cls: cls(np.array([1.0, 0.0]))),
+    (Graph, lambda cls: cls(3, [(1, 2), (3, 3)])),
+    (Stage, lambda cls: cls(2, np.eye(2)[np.newaxis])),
+    (WaveFunction, lambda cls: cls(GRID16, PSI16.copy())),
+    (Trajectory, lambda cls: cls(GRID16, np.array([0.0, 1.0]), np.stack([PSI16, PSI16]))),
+    (BlochSamples, lambda cls: cls(np.array([0.0, 1.0]), np.array([1.0, 0.0]), np.array([0.0, 1.0]),
+                                   np.full(2, np.nan), np.zeros(2))),
+]
+
+
+def array_fields(value) -> dict:
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)
+            if isinstance(getattr(value, f.name), np.ndarray)}
+
+
+def with_negative_zero(value):
+    """A copy whose first float array holds −0.0 for its first +0.0, set past the constructor."""
+    for name, a in array_fields(value).items():
+        if a.dtype.kind in "fc":
+            parts = a.copy().reshape(-1).view(float)
+            parts[np.flatnonzero((parts == 0) & ~np.signbit(parts))[0]] = -0.0
+            twin = copy.copy(value)
+            object.__setattr__(twin, name, parts.view(a.dtype).reshape(a.shape))
+            return twin
+    return None
+
+
+@pytest.mark.parametrize("cls, make", VALUES, ids=[cls.__name__ for cls, _ in VALUES])
+def test_value_types_compare_and_hash_by_class_and_bytes(cls, make):
+    a, b = make(cls), make(cls)
+    arrays = array_fields(a)
+    assert not any(x.flags.writeable for x in arrays.values())
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+    # −0.0 and +0.0 are equal numbers with other bytes; Distribution's constructor
+    # clips −0.0 to +0.0, so the twin is set past it
+    twin = with_negative_zero(a)
+    if twin is not None:  # a Graph holds booleans only
+        assert twin != a and a != twin and hash(twin) != hash(a)
+    # the same arrays under another class are another value
+    other = make(type(f"Other{cls.__name__}", (cls,), {}))
+    assert all(np.array_equal(x, getattr(other, name), equal_nan=True) for name, x in arrays.items())
+    assert a != other and other != a

@@ -126,6 +126,14 @@ def test_standard_coins_unitary(n):
     assert unitarity_defect(dft_coin(n)) < 1e-12
 
 
+@pytest.mark.parametrize("n", [255, 256, 512])
+def test_dft_coin_matches_the_fft_to_rounding(n, rng):
+    # at these sizes a phase 2π·jk/n formed from the unreduced jk is up to 1e-14 off
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    x /= np.linalg.norm(x)
+    assert np.max(np.abs(dft_coin(n) @ x - np.fft.ifft(x, norm="ortho"))) <= 1e-15
+
+
 def test_coin_rejects_zero_dimension():
     with pytest.raises(ValueError):
         grover_coin(0)
