@@ -74,6 +74,14 @@ def _get(config: dict, key: str, kind, default=None, required: bool = False):
     return value
 
 
+def _only(doc: dict, where: str, *known: str) -> dict:
+    """The config object ``doc`` itself, after checking that it holds no key but the known ones."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{where} takes only {', '.join(map(repr, known))}, not {key!r}")
+    return doc
+
+
 def _resolve(base: Path, path: str) -> Path:
     p = Path(path)
     resolved = p if p.is_absolute() else base / p
@@ -96,7 +104,9 @@ def _initial_state(config: dict, base: Path, g: Graph) -> walk.WalkState:
     if not isinstance(init, dict):
         raise ConfigError("config field 'initial' must be an object")
     if "snapshot" in init:
+        _only(init, "initial", "snapshot")
         return walk.state_from_json(_resolve(base, _get(init, "snapshot", str)).read_text())
+    _only(init, "initial", "node", "coin")
     node = _get(init, "node", int, required=True)
     coin = init.get("coin")
     if type(coin) is int:
@@ -112,6 +122,7 @@ def _initial_state(config: dict, base: Path, g: Graph) -> walk.WalkState:
 
 
 def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    _only(config, "config", "version", "graph", "steps", "coin", "snapshot", "initial")
     g = _load_graph(config, base)
     steps = _get(config, "steps", int, required=True)
     if steps < 0:
@@ -137,6 +148,7 @@ def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_decompose(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    _only(config, "config", "version", "unitary")
     path = _get(config, "unitary", str, required=True)
     u = decompose.unitary_from_json(_resolve(base, path).read_text())
     seq = decompose.cs_decompose(u)
@@ -148,6 +160,7 @@ def cmd_decompose(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
 
 
 def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    _only(config, "config", "version", "n", "stages")
     n = _get(config, "n", int, required=True)
     if n < 2 or not is_power_of_two(n):
         raise ConfigError(f"n must be a power of two ≥ 2, got {n}")
@@ -181,14 +194,17 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
     return report, {"max_deviation": ORACLE_TOL}
 
 
-def _tdse_setup(config: dict):
-    gdoc = _get(config, "grid", dict, required=True)
+def _tdse_setup(config: dict, *keys: str):
+    """Grid, well, timeline and solver of a gate config whose top level also holds ``keys``."""
+    _only(config, "config", "version", "grid", "well", "timeline", "solver", *keys)
+    gdoc = _only(_get(config, "grid", dict, required=True), "grid", "x_min", "x_max", "m")
     grid = tdse.SpatialGrid(
         _get(gdoc, "x_min", float, required=True),
         _get(gdoc, "x_max", float, required=True),
         _get(gdoc, "m", int, required=True),
     )
-    wdoc = _get(config, "well", dict, required=True)
+    wdoc = _only(_get(config, "well", dict, required=True), "well", "depth", "width", "separation",
+                 "barrier_width", "barrier_height", "center", "tilt")
     spec = tdse.DoubleWellSpec(
         well_depth=_get(wdoc, "depth", float, required=True),
         well_width=_get(wdoc, "width", float, required=True),
@@ -198,7 +214,8 @@ def _tdse_setup(config: dict):
         center=_get(wdoc, "center", float, default=0.0),
         tilt=_get(wdoc, "tilt", float, default=0.0),
     )
-    tdoc = _get(config, "timeline", dict, required=True)
+    tdoc = _only(_get(config, "timeline", dict, required=True), "timeline",
+                 "ramp_down", "hold", "ramp_up", "high", "low")
     timeline = tdse.BarrierTimeline(
         ramp_down_duration=_get(tdoc, "ramp_down", float, required=True),
         hold_duration=_get(tdoc, "hold", float, default=0.0),
@@ -206,16 +223,14 @@ def _tdse_setup(config: dict):
         high_barrier=_get(tdoc, "high", float, default=spec.barrier_height),
         low_barrier=_get(tdoc, "low", float, required=True),
     )
-    sdoc = _get(config, "solver", dict, default={})
-    if set(sdoc) - {"dt"}:
-        raise ConfigError(f"solver takes only 'dt', got {sorted(sdoc)}")
+    sdoc = _only(_get(config, "solver", dict, default={}), "solver", "dt")
     e_min, e_max = tdse.timeline_energy_bounds(grid, spec, timeline)
     params = tdse.ChebyshevParams(_get(sdoc, "dt", float, default=0.01), e_min, e_max)
     return grid, spec, timeline, params
 
 
 def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
-    grid, spec, timeline, params = _tdse_setup(config)
+    grid, spec, timeline, params = _tdse_setup(config, "initial", "sample_stride", "snapshot")
     which = _get(config, "initial", str, default="left")
     if which not in ("left", "right"):
         raise ConfigError(f"initial state must be 'left' or 'right', got {which!r}")
@@ -225,10 +240,10 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
     psi0 = phi_left if which == "left" else phi_right
     traj = tdse.evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=stride)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
-    final = traj.final()
+    final = traj.states[-1]
     if snapshot:
         # the propagated norm may drift by NORM_DRIFT_TOL; a snapshot must load as a WaveFunction
-        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(tdse.normalized(grid, final.psi)))
+        _atomic_write(out_dir, "psi_final.json", tdse.wavefunction_to_json(tdse.normalized(grid, final)))
     alpha, beta, leak = tdse.qubit_projection(final, phi_left, phi_right)
     print(f"tdse: T={timeline.total_duration:.3f} pR={abs(beta) ** 2:.6f} leakage={leak:.2e} -> {out_dir}")
     report = {"initial": which, "total_duration": timeline.total_duration,
@@ -238,7 +253,7 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
-    grid, spec, timeline, params = _tdse_setup(config)
+    grid, spec, timeline, params = _tdse_setup(config, "target_transfer", "scan_points")
     target = _get(config, "target_transfer", float, required=True)
     scan_points = _get(config, "scan_points", int, default=24)
     result = tdse.calibrate_hold_time(

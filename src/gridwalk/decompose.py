@@ -44,14 +44,17 @@ from .util import (
 
 RECONSTRUCTION_TOL = 1e-10
 ROTATION_TOL = 1e-12
+INPUT_UNITARITY_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class Stage(ByValue):
     """One layer of n/2 disjoint 2×2 rotations at a common stride d; compared by value.
 
-    ``u[k]`` acts on pair k of ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``:
-    row 0 of ``u[k]`` yields the new amplitude at a, row 1 the one at b.
+    A stage is its stride and its read-only (n/2, 2, 2) blocks ``u``; the
+    index pairs follow from n and d. ``u[k]`` acts on pair k of
+    ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``: row 0 of ``u[k]`` yields
+    the new amplitude at a, row 1 the one at b.
     """
 
     d: int
@@ -75,26 +78,6 @@ class Stage(ByValue):
     def pairs(self) -> np.ndarray:
         """Read-only (n/2, 2) array of the 1-based pairs (a, b), sorted by a."""
         return frozen(stage_sites(self.n, self.d) + 1)
-
-    @cached_property
-    def positions(self) -> np.ndarray:
-        """First-member indices k·d + r of every pair, sorted."""
-        return self.pairs[:, 0]
-
-    @cached_property
-    def real_form(self) -> np.ndarray:
-        """Coefficients [k, i, c, j, t] of the real-arithmetic products, see rotate_in_place.
-
-        Component c (re, im) of u_ij·x_j is the sum over t of the coefficient
-        times part t (re, im) of x_j: re = ur·xr + (−ui)·xi, im = ui·xr + ur·xi.
-        """
-        ur, ui = self.u.real, self.u.imag
-        form = np.empty((len(self.u), 2, 2, 2, 2))
-        form[:, :, 0, :, 0] = ur
-        form[:, :, 0, :, 1] = -ui
-        form[:, :, 1, :, 0] = ui
-        form[:, :, 1, :, 1] = ur
-        return frozen(form)
 
 
 @dataclass(frozen=True)
@@ -127,7 +110,7 @@ def stage_sites(n: int, d: int) -> np.ndarray:
     return frozen(np.stack([first, first + d // 2], axis=1))
 
 
-def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
+def cs_decompose(u: np.ndarray) -> StageSequence:
     """Factor a power-of-two unitary into its n−1 pairwise-rotation stages.
 
     An (L, n, n) stack is read as the block-diagonal unitary of its L coins:
@@ -135,7 +118,7 @@ def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
     stage's ``u`` are coin t's rotations, bit for bit those of
     ``cs_decompose(u[t])``. Raises ValueError when n < 2 or when n or L·n is
     not a power of two (pad first, see pad_unitary) and UnitarityError when
-    ``max|u†u − I| ≥ tol`` for any coin.
+    ``max|u†u − I| ≥ INPUT_UNITARITY_TOL`` for any coin.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[-1]
@@ -146,7 +129,7 @@ def cs_decompose(u: np.ndarray, tol: float = 1e-10) -> StageSequence:
     blocks = u.reshape(-1, n, n)
     if not (is_power_of_two(n) and is_power_of_two(len(blocks))):
         raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad_unitary first)")
-    check_unitary(blocks, tol, "decomposition input")
+    check_unitary(blocks, INPUT_UNITARITY_TOL, "decomposition input")
     return StageSequence(len(blocks) * n, tuple(_decompose_blocks(blocks)))
 
 
@@ -293,17 +276,22 @@ def rotate_in_place(cells: np.ndarray, sites: np.ndarray, stage: Stage) -> None:
     ``sites[k]`` holds the positions of the a and the b operand of pair k on
     every line, which also receive the results. The stage's rotations are
     read in C order over the leading axes and then k: line t of an (L, m)
-    block takes rows t·len(sites) … (t+1)·len(sites) − 1. The products are
-    formed in real arithmetic term by term, as scalar complex multiplication
-    forms them, so the result is bit-identical to applying each 2×2 rotation
-    on its own; numpy's vectorized complex multiply may fuse multiply-adds
-    and is not.
+    block takes rows t·len(sites) … (t+1)·len(sites) − 1. Each product
+    u_ij·x_j is formed from the real and imaginary parts of both factors as a
+    scalar complex product forms it, re = ur·xr − ui·xi and im = ui·xr +
+    ur·xi, and the j = 0 product is added to the j = 1 product, so the result
+    is bit-identical to applying each 2×2 rotation on its own; numpy's
+    vectorized complex multiply may fuse multiply-adds and is not.
     """
-    x = np.ascontiguousarray(cells[..., sites])
-    lead = x.shape[:-1]  # [..., k]
-    terms = stage.real_form.reshape(lead + (2, 2, 2, 2)) * x.view(float).reshape(lead + (1, 1, 2, 2))
-    products = terms[..., 0] + terms[..., 1]  # [..., k, i, c, j]: component c of u_ij·x_j
-    cells[..., sites] = (products[..., 0] + products[..., 1]).view(complex)[..., 0]
+    x = cells[..., sites]  # [..., k, j]
+    u = stage.u.reshape(x.shape[:-1] + (2, 2))  # [..., k, i, j]
+    xr, xi = x.real[..., None, :], x.imag[..., None, :]
+    re = u.real * xr - u.imag * xi
+    im = u.imag * xr + u.real * xi
+    out = np.empty(x.shape, dtype=complex)
+    out.real = re[..., 0] + re[..., 1]
+    out.imag = im[..., 0] + im[..., 1]
+    cells[..., sites] = out
 
 
 def apply_stage(line: np.ndarray, stage: Stage) -> np.ndarray:

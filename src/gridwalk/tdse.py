@@ -377,13 +377,6 @@ class Trajectory(ByValue):
         object.__setattr__(self, "times", frozen(self.times))
         object.__setattr__(self, "states", frozen(self.states))
 
-    def final(self) -> WaveFunction:
-        """The last sample, unchecked: NORM_DRIFT_TOL, not NORM_TOL, bounds a propagated norm."""
-        wf = object.__new__(WaveFunction)
-        object.__setattr__(wf, "grid", self.grid)
-        object.__setattr__(wf, "psi", self.states[-1])
-        return wf
-
     def norms(self) -> np.ndarray:
         return np.sum(np.abs(self.states) ** 2, axis=1) * self.grid.dx
 

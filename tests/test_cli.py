@@ -88,6 +88,39 @@ def test_tdse_solver_takes_only_dt(tmp_path, capsys, extra):
     assert "solver takes only 'dt'" in capsys.readouterr().err
 
 
+def test_a_misspelled_hold_is_a_config_error(tmp_path, capsys):
+    timeline = {"ramp_down": 4.0, "ramp_up": 4.0, "high": 28.0, "low": 12.0, "hodl": 10.8}
+    cfg = write_config(tmp_path, gate_config(timeline=timeline))
+    assert main(["tdse", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "timeline takes only" in capsys.readouterr().err
+
+
+WALK_DOC = {"version": 1, "graph": k_graph_doc(2), "steps": 1, "initial": {"node": 1, "coin": 1}}
+
+
+# one misspelled key in each config object a subcommand reads
+@pytest.mark.parametrize("subcommand, doc, key", [
+    ("walk", {**WALK_DOC, "coins": "grover"}, "coins"),
+    ("walk", {**WALK_DOC, "initial": {"nod": 1, "coin": 1}}, "nod"),
+    ("walk", {**WALK_DOC, "initial": {"snapshots": "state.json"}}, "snapshots"),
+    ("decompose", {"version": 1, "unitry": "u.json"}, "unitry"),
+    ("conveyor-verify", {"version": 1, "n": 4, "stage": 5}, "stage"),
+    ("tdse", gate_config(sample_strid=10), "sample_strid"),
+    ("calibrate", gate_config(target_transfer=1.0, scan_point=24), "scan_point"),
+    ("tdse", gate_config(grid={"xmin": -8.0, "x_max": 8.0, "m": 128}), "xmin"),
+    ("calibrate", gate_config(target_transfer=1.0, well={
+        "depth": 20.0, "width": 0.9, "seperation": 1.7, "barrier_width": 0.6,
+        "barrier_height": 28.0}), "seperation"),
+    ("tdse", gate_config(solver={"dtt": 0.01}), "dtt"),
+])
+def test_an_unknown_config_key_is_named(tmp_path, capsys, subcommand, doc, key):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, doc)
+    assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"not {key!r}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_missing_required_field(tmp_path):
     cfg = write_config(tmp_path, {"version": 1, "graph": k_graph_doc(2),
                                   "initial": {"node": 1, "coin": 1}})

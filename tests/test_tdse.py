@@ -442,7 +442,7 @@ def test_zero_duration_timeline():
     phi_left, _ = well_ground_states(grid, spec)
     traj = evolve_timeline(phi_left, grid, spec, timeline, params)
     assert len(traj.states) == 1
-    assert traj.final() == phi_left
+    assert traj.grid == phi_left.grid and traj.states[-1].tobytes() == phi_left.psi.tobytes()
 
 
 def test_high_barrier_hold_keeps_packet_left():
@@ -452,7 +452,7 @@ def test_high_barrier_hold_keeps_packet_left():
     params = gatecfg.gate_params(grid, spec, timeline)
     phi_left, phi_right = well_ground_states(grid, spec)
     traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
-    _, beta, _ = qubit_projection(traj.final(), phi_left, phi_right)
+    _, beta, _ = qubit_projection(traj.states[-1], phi_left, phi_right)
     assert abs(beta) ** 2 < 1e-3
 
 
@@ -487,7 +487,7 @@ def test_ramp_discretization_converges_quadratically():
     def final_at(dt):
         params = gatecfg.gate_params(grid, spec, timeline, dt=dt)
         traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
-        return traj.final().psi
+        return traj.states[-1]
 
     dts = [1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5]
     finals = [final_at(dt) for dt in dts]
@@ -667,7 +667,7 @@ def test_timeline_accepts_an_equal_but_distinct_grid():
     same = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
     other = evolve_timeline(phi_left, gatecfg.gate_grid(m=64), spec, timeline, params,
                             sample_stride=10**9)
-    assert np.array_equal(same.final().psi, other.final().psi)
+    assert np.array_equal(same.states[-1], other.states[-1])
 
 
 def test_wavefunction_rejects_nan_amplitudes():
@@ -783,7 +783,7 @@ def test_hold_scan_matches_timeline_replays(low, tilt, fraction):
     phi_left, phi_right = well_ground_states(grid, spec)
     traj = evolve_timeline(phi_left, grid, spec, replace(template, hold_duration=hold), params,
                            sample_stride=10**9)
-    _, beta, leak = qubit_projection(traj.final(), phi_left, phi_right)
+    _, beta, leak = qubit_projection(traj.states[-1], phi_left, phi_right)
     assert abs(scan.transfer(hold) - abs(beta) ** 2) <= 1e-9
     assert abs(scan.leakage(hold) - leak) <= 1e-9
 
