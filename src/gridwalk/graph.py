@@ -10,6 +10,7 @@ when the edge (j, k) exists.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -115,7 +116,8 @@ def parse_graph(text: str) -> Graph:
 
     * edge-list text: first non-comment line is the node count, every further
       line is ``j k`` (1-based); duplicate lines collapse to one edge;
-    * a JSON object ``{"n": int, "edges": [[j, k], ...]}``.
+    * a JSON object ``{"n": int, "edges": [[j, k], ...]}``, with no other key
+      but ``"directed"``.
 
     Directed graphs cannot be expressed: every pair is read as unordered, and
     a JSON document carrying ``"directed": true`` is rejected.
@@ -123,7 +125,11 @@ def parse_graph(text: str) -> Graph:
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return _parse_graph_json(text)
-    return _parse_graph_edgelist(text)
+    g = _parse_plain_edgelist(text)
+    return g if g is not None else _parse_edgelist_lines(text)
+
+
+_JSON_KEYS = ("n", "edges", "directed")
 
 
 def _parse_graph_json(text: str) -> Graph:
@@ -133,6 +139,9 @@ def _parse_graph_json(text: str) -> Graph:
         raise GraphParseError(f"invalid JSON: {e}", line=e.lineno) from e
     if not isinstance(doc, dict) or "n" not in doc:
         raise GraphParseError("graph object must carry an integer field 'n'")
+    for key in doc:
+        if key not in _JSON_KEYS:
+            raise GraphParseError(f"graph takes only {', '.join(map(repr, _JSON_KEYS))}, not {key!r}")
     if doc.get("directed"):
         raise GraphParseError("directed graphs are not supported")
     n = doc["n"]
@@ -152,7 +161,34 @@ def _parse_graph_json(text: str) -> Graph:
     return Graph(n, edges)
 
 
-def _parse_graph_edgelist(text: str) -> Graph:
+# A plain edge list: blank lines, then the node count alone on its line, then
+# lines that are blank or "j k", in ASCII digits of at most 18 (so int64 holds
+# them), with no comment and no line break but "\n". The body is checked by
+# searching for the first line of any other form, which keeps no backtracking
+# state from one line to the next, unlike a match of the whole body.
+_PLAIN_HEADER = re.compile(r"(?:[ \t]*\n)*[ \t]*([0-9]{1,18})[ \t]*(?:\n|\Z)")
+_NOT_PLAIN_LINE = re.compile(r"(?m)^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18})?[ \t]*$)")
+
+
+def _parse_plain_edgelist(text: str) -> Graph | None:
+    """The graph of a plain edge list in one vectorized read, else None.
+
+    None for any other document and for any endpoint outside 1..n, so that
+    every error comes from ``_parse_edgelist_lines`` with its line number.
+    """
+    header = _PLAIN_HEADER.match(text)
+    if header is None or _NOT_PLAIN_LINE.search(text, header.end()):
+        return None
+    n, body = int(header[1]), text[header.end():]
+    # fromstring reads a string of whitespace alone as [0]
+    ends = (np.fromstring(body, dtype=np.int64, sep=" ") if body.strip()
+            else np.empty(0, dtype=np.int64)).reshape(-1, 2)
+    if n < 1 or (ends.size and (ends.min() < 1 or ends.max() > n)):
+        return None
+    return Graph(n, ends)
+
+
+def _parse_edgelist_lines(text: str) -> Graph:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -179,7 +179,8 @@ class CoinGroup:
     states (0-based, increasing); the sub-coin acts on those states in that
     order and every other state of the line is an exact fixed point.
     ``kind`` is derived from the sub-coin's value: ``"grover"`` or ``"dft"``
-    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None. Compared by identity.
+    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None;
+    ``_of_kind`` knows it without the comparison. Compared by identity.
     """
 
     lines: np.ndarray
@@ -201,7 +202,21 @@ class CoinGroup:
         object.__setattr__(self, "lines", frozen(lines))
         object.__setattr__(self, "states", frozen(states))
         object.__setattr__(self, "sub", frozen(sub))
-        object.__setattr__(self, "kind", _structured_kind(sub))
+        if "kind" not in vars(self):  # set beforehand by _of_kind alone
+            object.__setattr__(self, "kind", _structured_kind(sub))
+
+    @classmethod
+    def _of_kind(cls, lines: np.ndarray, states: np.ndarray, kind: str) -> CoinGroup:
+        """The group of ``coin_for_degree(kind, d)``, its kind known from ``kind``: one coin built.
+
+        The kind is the one derived by value: a Grover or DFT coin is named,
+        a Hadamard one is not, and the 1×1 coin is Grover.
+        """
+        d = states.shape[1]
+        grp = cls.__new__(cls)
+        object.__setattr__(grp, "kind", "grover" if d == 1 else kind if kind in ("grover", "dft") else None)
+        grp.__init__(lines, states, coin_for_degree(kind, d))
+        return grp
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,7 +255,7 @@ class CoinSet:
         for d in np.unique(degrees[degrees > 0]):
             lines = np.flatnonzero(degrees == d)
             states = np.nonzero(present[lines])[1].reshape(len(lines), d)
-            groups.append(CoinGroup(lines, states, coin_for_degree(kind, int(d))))
+            groups.append(CoinGroup._of_kind(lines, states, kind))
         return CoinSet(g.n, tuple(groups))
 
     @staticmethod

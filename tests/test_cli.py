@@ -112,6 +112,7 @@ WALK_DOC = {"version": 1, "graph": k_graph_doc(2), "steps": 1, "initial": {"node
         "depth": 20.0, "width": 0.9, "seperation": 1.7, "barrier_width": 0.6,
         "barrier_height": 28.0}), "seperation"),
     ("tdse", gate_config(solver={"dtt": 0.01}), "dtt"),
+    ("walk", {**WALK_DOC, "graph": {"n": 2, "edgse": [[1, 2]]}}, "edgse"),
 ])
 def test_an_unknown_config_key_is_named(tmp_path, capsys, subcommand, doc, key):
     out = tmp_path / "out"

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gridwalk import graph
 from gridwalk.errors import GraphParseError
 from gridwalk.graph import (
     Graph,
@@ -147,6 +150,99 @@ def test_parse_json_rejects_booleans_as_integers(text):
 def test_parse_json_rejects_edges_that_are_no_list(edges):
     with pytest.raises(GraphParseError, match="'edges' must be a list"):
         parse_graph(f'{{"n": 2, "edges": {edges}}}')
+
+
+def parse_outcome(parse, text):
+    """The graph a parser returns, or the type, message and line of what it raises."""
+    try:
+        return parse(text)
+    except (GraphParseError, ValueError) as e:
+        return type(e), str(e), getattr(e, "line", None)
+
+
+def rarely(common, rare, one_in=8):
+    """``rare`` once in ``one_in`` draws, else ``common``."""
+    return st.integers(1, one_in).flatmap(lambda i: rare if i == one_in else common)
+
+
+@st.composite
+def edge_list_documents(draw):
+    """Edge-list text, mostly plain "j k" lines, with every trait that rules out the vectorized path."""
+    n = draw(st.integers(1, 5))
+    number = rarely(st.integers(1, n).map(str), st.sampled_from([
+        "0", str(n + 1), "007", "+3", "1_000", "\u0663", "\uff12", "9" * 18, "1" + "0" * 18]), 16)
+    blank = rarely(st.sampled_from(["", " ", "\t "]), st.sampled_from(["\x0c", "\u00a0", "# a comment"]), 4)
+    gap = rarely(st.just(" "), st.sampled_from(["\t", "  "]))
+    margin = rarely(st.just(""), st.sampled_from([" ", "\t"]))
+    comment = rarely(st.just(""), st.just(" # note"), 24)
+
+    def line(fields):
+        tokens = draw(fields)
+        text = tokens[0] if tokens else ""
+        for token in tokens[1:]:
+            text += draw(gap) + token
+        return draw(margin) + text + draw(margin) + draw(comment)
+
+    header = rarely(st.just([str(n)]), st.lists(number, max_size=2))
+    body = rarely(st.tuples(number, number).map(list), st.lists(number, max_size=3))
+    lines = draw(rarely(st.just([]), st.lists(blank, max_size=2)))
+    if draw(st.integers(0, 9)):  # one in ten documents is blank lines alone
+        lines.append(line(header))
+        lines += [line(body) if draw(st.integers(0, 7)) else draw(blank)
+                  for _ in range(draw(st.integers(0, 6)))]
+    end = draw(rarely(st.just("\n"), st.just("\r\n")))
+    return end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+@settings(max_examples=400)
+@given(edge_list_documents())
+@example("\n  # ring\n3\n\n1 2  # first\n \t\n2 3\n3 1\n")
+@example("4")
+@example("4\r\n1 2\r\n")
+@example("4\n+3 1\n")
+@example("4\n1_000 1\n")
+@example("1_000\n1 2\n")
+@example("4\n\u0663 1\n")
+@example("4\n1 " + "1" * 19 + "\n")
+@example("4\n1 " + "0" * 18 + "2\n")
+@example("4\n1 2\n3\n")
+@example("4\n1 2 3\n")
+@example("4\n0 1\n")
+@example("4\n1 5\n")
+@example("4\n1 2\n2 1\n1 2\n4 4\n")
+def test_the_vectorized_edge_list_path_agrees_with_the_line_loop(text):
+    assert parse_outcome(parse_graph, text) == parse_outcome(graph._parse_edgelist_lines, text)
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("3\n1 2\n2 3", True), ("\n \t\n 3 \n\n1\t2\n  3   3  \n", True), ("3\n", True), ("3", True),
+    ("3\n \n", True), ("1\n000000000000000001 1\n", True),
+    ("", False), ("\n \n", False), ("# c\n3\n1 2", False), ("3\n1 2 # c", False),
+    ("3\r\n1 2", False), ("3\n+1 2", False), ("3\n1_0 2", False), ("3\n\u0661 2", False),
+    ("3\n1 " + "0" * 18 + "2", False), ("3\n1", False), ("3\n1 2 3", False), ("3\n0 1", False),
+    ("3\n1 4", False), ("0\n", False), ("3 1\n1 2", False), ("3\n1 2\x0c", False),
+    ("3\n1\u00a02", False),
+])
+def test_only_plain_edge_lists_take_the_vectorized_path(text, plain):
+    g = graph._parse_plain_edgelist(text)
+    assert (g is not None) == plain
+    if plain:
+        assert g == graph._parse_edgelist_lines(text)
+
+
+def test_parsing_a_complete_256_node_edge_list_holds_little_memory():
+    n = 256
+    text = f"{n}\n" + "".join(f"{j} {k}\n" for j in range(1, n + 1) for k in range(j, n + 1))
+    tracemalloc.start()
+    try:
+        g = parse_graph(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g == complete_graph(n)
+    # the text is 0.23 MiB and its endpoints as int64 0.25 MiB; a loop over the
+    # 32 897 lines, or a regular expression that backtracks over them, holds many MiB
+    assert peak < 2 * 2**20
 
 
 def test_cycle_graph_degrees():

@@ -542,6 +542,33 @@ def test_structured_coin_kernels_match_dense_oracles(g, kind, seed):
     assert_kernel_matches_oracles(random_state(g.n, np.random.default_rng(seed)), graph_coins, dense)
 
 
+def k64_minus_many():
+    """K64 with self-loops minus edges: node degrees 1 and 57 to 63."""
+    present = np.ones((64, 64), dtype=bool)
+    present[0, 1:] = present[1:, 0] = False  # node 1 keeps its loop alone
+    for j in range(2, 7):  # node j loses its edges to the last j nodes
+        present[j - 1, 64 - j:] = present[64 - j:, j - 1] = False
+    return Graph(64, np.argwhere(present) + 1)
+
+
+@pytest.mark.parametrize("g, kind", [
+    (k64_minus_many(), "grover"), (k64_minus_many(), "dft"), (cycle_graph(64), "hadamard"),
+])
+def test_a_graph_coin_set_builds_each_structured_coin_once(g, kind, monkeypatch):
+    calls = []
+    for name, build in (("grover_coin", grover_coin), ("dft_coin", dft_coin)):
+        monkeypatch.setattr(walk, name, lambda d, build=build: calls.append(d) or build(d))
+    coins = CoinSet.from_graph(g, kind)
+    monkeypatch.undo()
+    degrees = {g.degree(j) for j in range(1, g.n + 1)}
+    assert sorted(calls) == ([] if kind == "hadamard" else sorted(degrees))
+    assert sorted(grp.states.shape[1] for grp in coins.groups) == sorted(degrees)
+    for grp in coins.groups:
+        # the sub-coin and kind a group derived by value before it was told its kind
+        assert grp.sub.tobytes() == coin_for_degree(kind, grp.states.shape[1]).tobytes()
+        assert grp.kind == walk._structured_kind(grp.sub)
+
+
 def sparse_graph(n, rng):
     """A random Hamiltonian path plus n/2 random edges: low mixed degrees, some loops."""
     order = rng.permutation(n) + 1
