@@ -20,7 +20,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import conveyor, decompose, tdse, walk
+# conveyor, decompose and tdse are imported by the subcommands that run them, so that a
+# walk process loads no scipy module and no solver
+from . import walk
 from .errors import ConfigError, GridwalkError, InvariantViolation, ToleranceFailure
 from .graph import Graph, parse_graph
 from .util import is_power_of_two, random_unitary
@@ -148,6 +150,8 @@ def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_decompose(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import decompose
+
     _only(config, "config", "version", "unitary")
     path = _get(config, "unitary", str, required=True)
     u = decompose.unitary_from_json(_resolve(base, path).read_text())
@@ -160,6 +164,8 @@ def cmd_decompose(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
 
 
 def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import conveyor, decompose
+
     _only(config, "config", "version", "n", "stages")
     n = _get(config, "n", int, required=True)
     if n < 2 or not is_power_of_two(n):
@@ -196,6 +202,8 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
 
 def _tdse_setup(config: dict, *keys: str):
     """Grid, well, timeline and solver of a gate config whose top level also holds ``keys``."""
+    from . import tdse
+
     _only(config, "config", "version", "grid", "well", "timeline", "solver", *keys)
     gdoc = _only(_get(config, "grid", dict, required=True), "grid", "x_min", "x_max", "m")
     grid = tdse.SpatialGrid(
@@ -230,6 +238,8 @@ def _tdse_setup(config: dict, *keys: str):
 
 
 def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import tdse
+
     grid, spec, timeline, params = _tdse_setup(config, "initial", "sample_stride", "snapshot")
     which = _get(config, "initial", str, default="left")
     if which not in ("left", "right"):
@@ -253,6 +263,8 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
 
 
 def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
+    from . import tdse
+
     grid, spec, timeline, params = _tdse_setup(config, "target_transfer", "scan_points")
     target = _get(config, "target_transfer", float, required=True)
     scan_points = _get(config, "scan_points", int, default=24)

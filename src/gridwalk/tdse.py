@@ -47,7 +47,6 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import jv
 
 from .errors import (
     CalibrationUnreachableError,
@@ -282,6 +281,8 @@ def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
     Cached per (α, tolerance). Raises ToleranceFailure, on every call, when the tail
     never falls below the tolerance or only beyond α + 60 terms.
     """
+    from scipy.special import jv  # scipy.special takes longer to import than numpy
+
     first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
     bessel = jv(np.arange(limit + 1), alpha)
     below = np.flatnonzero(np.abs(bessel[first:]) < tail_tolerance)

@@ -180,7 +180,9 @@ class CoinGroup:
     order and every other state of the line is an exact fixed point.
     ``kind`` is derived from the sub-coin's value: ``"grover"`` or ``"dft"``
     when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None;
-    ``_of_kind`` knows it without the comparison. Compared by identity.
+    ``_of_kind`` knows it without the comparison. The constructor keeps a
+    read-only copy of each array; ``_of_kind`` hands over the sub-coin it
+    built, uncopied. Compared by identity.
     """
 
     lines: np.ndarray
@@ -201,13 +203,14 @@ class CoinGroup:
             raise ValueError("active coin states must increase along each line")
         object.__setattr__(self, "lines", frozen(lines))
         object.__setattr__(self, "states", frozen(states))
-        object.__setattr__(self, "sub", frozen(sub))
-        if "kind" not in vars(self):  # set beforehand by _of_kind alone
+        if "kind" not in vars(self):  # set beforehand by _of_kind alone, with its own read-only coin
+            sub = frozen(sub)
             object.__setattr__(self, "kind", _structured_kind(sub))
+        object.__setattr__(self, "sub", sub)
 
     @classmethod
     def _of_kind(cls, lines: np.ndarray, states: np.ndarray, kind: str) -> CoinGroup:
-        """The group of ``coin_for_degree(kind, d)``, its kind known from ``kind``: one coin built.
+        """The group of ``coin_for_degree(kind, d)``, its kind known from ``kind``: one coin built, none copied.
 
         The kind is the one derived by value: a Grover or DFT coin is named,
         a Hadamard one is not, and the 1×1 coin is Grover.
@@ -215,7 +218,9 @@ class CoinGroup:
         d = states.shape[1]
         grp = cls.__new__(cls)
         object.__setattr__(grp, "kind", "grover" if d == 1 else kind if kind in ("grover", "dft") else None)
-        grp.__init__(lines, states, coin_for_degree(kind, d))
+        coin = coin_for_degree(kind, d)
+        coin.setflags(write=False)  # nothing else holds it, so the group takes it as it is
+        grp.__init__(lines, states, coin)
         return grp
 
 

@@ -126,22 +126,57 @@ def test_random_unitary_is_scipys_draw_to_the_bit(n):
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SOLVERS = {"gridwalk.conveyor", "gridwalk.decompose", "gridwalk.tdse"}
+
+
 def loaded_modules(code: str) -> list[str]:
     """The module names a fresh interpreter holds after running ``code`` against this checkout."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", f"import sys; {code}; print(*sys.modules)"], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    return out.stdout.split()
+    # the last line: ``code`` may print lines of its own
+    return out.stdout.splitlines()[-1].split()
+
+
+def is_scipy(module: str) -> bool:
+    return module.split(".")[0] == "scipy"
 
 
 def test_importing_the_cli_leaves_scipy_stats_unloaded():
-    assert not {"scipy.stats", "scipy.optimize"} & set(loaded_modules("import gridwalk.cli"))
+    loaded = loaded_modules("import gridwalk.cli")
+    assert "gridwalk.cli" in loaded and [m for m in loaded if is_scipy(m) or m in SOLVERS] == []
+
+
+# (subcommand, shipped config, flags); the solver modules a process running it loads; the scipy
+# modules it loads; the scipy modules it leaves unloaded, or None for every scipy module
+RUNS = [
+    ("walk walk_cycle64 --oracle", [], [], None),
+    ("walk walk_complete16_dft --oracle", [], [], None),
+    ("conveyor-verify conveyor_verify_n8 --seed 7", ["conveyor", "decompose"], [], None),
+    ("tdse tdse_pi", ["tdse"], ["special"], ["linalg", "optimize"]),
+    ("decompose decompose_random8", ["decompose"], ["linalg"], []),
+    ("calibrate calibrate_pi", ["tdse"], ["special", "optimize"], []),
+]
+
+
+@pytest.mark.parametrize("run, solvers, scipy_loaded, scipy_unloaded", RUNS, ids=[r[0].split()[1] for r in RUNS])
+def test_a_subcommand_process_loads_only_the_solvers_and_scipy_it_runs(run, solvers, scipy_loaded,
+                                                                       scipy_unloaded, tmp_path):
+    sub, name, *flags = run.split()
+    argv = [sub, "--config", str(ROOT / "configs" / f"{name}.json"), "--out", str(tmp_path), *flags]
+    loaded = set(loaded_modules(f"from gridwalk.cli import main; assert main({argv!r}) == 0"))
+    assert loaded & SOLVERS == {f"gridwalk.{m}" for m in solvers}
+    assert {f"scipy.{m}" for m in scipy_loaded} <= loaded
+    if scipy_unloaded is None:
+        assert [m for m in loaded if is_scipy(m)] == []
+    else:
+        assert not {f"scipy.{m}" for m in scipy_unloaded} & loaded
 
 
 def test_importing_the_walk_leaves_scipy_and_the_solvers_unloaded():
     loaded = loaded_modules("import gridwalk.walk")
-    unwanted = [m for m in loaded if m in ("gridwalk.tdse", "gridwalk.decompose") or m.split(".")[0] == "scipy"]
+    unwanted = [m for m in loaded if m in ("gridwalk.tdse", "gridwalk.decompose") or is_scipy(m)]
     assert "gridwalk.walk" in loaded and unwanted == []
 
 

@@ -569,6 +569,31 @@ def test_a_graph_coin_set_builds_each_structured_coin_once(g, kind, monkeypatch)
         assert grp.kind == walk._structured_kind(grp.sub)
 
 
+@pytest.mark.parametrize("kind", ["grover", "dft", "hadamard"])
+def test_a_graph_coin_group_holds_the_coin_its_builder_returned(kind, monkeypatch):
+    built = []
+    build = walk.coin_for_degree
+    monkeypatch.setattr(walk, "coin_for_degree", lambda k, d: built.append(build(k, d)) or built[-1])
+    g = cycle_graph(8) if kind == "hadamard" else k64_minus_many()
+    groups = CoinSet.from_graph(g, kind).groups
+    assert len(groups) == len(built) and all(any(grp.sub is coin for coin in built) for grp in groups)
+    assert not any(grp.sub.flags.writeable for grp in groups)
+
+
+@pytest.mark.parametrize("view", [False, True])
+def test_a_constructed_coin_group_keeps_its_own_sub_coin(view):
+    """A caller's array, or the writable base of a read-only view of it, stays the caller's to change."""
+    caller = grover_coin(3)
+    sub = caller
+    if view:
+        sub = caller.view()
+        sub.setflags(write=False)
+    grp = one_group(sub)
+    caller[:] = 0
+    assert grp.sub.tobytes() == grover_coin(3).tobytes() and grp.kind == "grover"
+    assert not grp.sub.flags.writeable
+
+
 def sparse_graph(n, rng):
     """A random Hamiltonian path plus n/2 random edges: low mixed degrees, some loops."""
     order = rng.permutation(n) + 1
