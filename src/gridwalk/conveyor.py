@@ -21,11 +21,10 @@ stage rotations by gate calibration. Register motion is an exact permutation
 (ideal adiabatic transport). Pair schedules satisfy k·d+r+d/2 ≤ n, so a +d
 shift never crosses the grid boundary.
 
-The 2n×2n complex buffer is the conveyor's only state: ``embed`` builds one
-and ``extract`` reads the walk state back off it. The primitives and the
-stage runner work in place on an array whose last axis holds the 2n cells of
-a line: one line, or the block of all n data lines of one orientation
-(``data_lines``), a view into the buffer.
+The primitives and the stage runner work in place on the last axis, the 2n
+cells of a line, of one line or a block of lines. A stage leaves every
+register site empty, so ``run_walk_physical`` keeps just the n×n data sites
+between steps; ``embed``, ``extract`` and ``data_lines`` serve a 2n×2n grid.
 """
 
 from __future__ import annotations
@@ -37,10 +36,9 @@ import numpy as np
 
 from .decompose import Stage, StageSequence, cs_decompose, grover_stages, rotate_in_place, stage_sites
 from .errors import ProtocolIncompleteError, ShiftOutOfRangeError
-from .util import check_norm, frozen, next_power_of_two
-from .walk import CoinPlan, CoinSet, WalkState
+from .util import frozen, next_power_of_two
+from .walk import CoinPlan, CoinSet, WalkState, _walk
 
-NORM_TOL = 1e-12
 REGISTER_TOL = 1e-10
 
 ROW = "row"
@@ -232,44 +230,41 @@ def _synthesize(coins: CoinSet, npad: int) -> StageSequence:
     return cs_decompose(stack)
 
 
-def run_walk_physical(
-    s0: WalkState, plan: CoinPlan, trace: ProtocolTrace | None = None
-) -> WalkState:
+def run_walk_physical(s0: WalkState, plan: CoinPlan, trace: ProtocolTrace | None = None) -> WalkState:
     """Evolve a walk entirely through the physical conveyor protocol.
 
-    Each coin set of the plan is synthesized once per run: in closed form
-    by grover_stages when all its coins are Grover coins, else by one
-    cs_decompose of its stacked line coins. A step runs each stage once, on
-    the whole block of data lines of one amplitude buffer:
-    odd steps on the rows, even steps on the columns, which reproduces the
-    alternating grid evolution of walk.evolve. The norm is checked after
-    every step; extract checks the final register and data norm. The trace
-    gets a step's stage records line by line once the step has succeeded.
+    walk.evolve's loop runs it, with the conveyor as each step's coin kernel.
+    Each coin set of the plan is synthesized once per run: in closed form by
+    grover_stages when all its coins are Grover coins, else by one
+    cs_decompose of its stacked line coins. A step lays the n lines of its
+    orientation onto the data cells of an empty block, runs each stage once
+    on the block and writes the data cells back. The trace gets a step's
+    records line by line once its norm check has passed.
 
     Dimensions that are not powers of two, and n = 1, are padded with
     identity lines and identity-fixed indices for the synthesis (to at least
-    2, so a 1×1 coin's phase lands in a stride-2 stage) and stripped again
-    on extraction.
+    2, so a 1×1 coin's phase lands in a stride-2 stage); amplitude on a
+    padded site is not written back, so the norm check catches it.
     """
-    if plan.n != s0.n:
-        raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     n = s0.n
     npad = max(2, next_power_of_two(n))
-    amp = np.zeros((2 * npad, 2 * npad), dtype=complex)
-    amp[0:2 * n:2, 0:2 * n:2] = s0.amp
-    sequences: dict[CoinSet, StageSequence] = {}
-    for i in range(1, plan.steps + 1):
-        coins = plan.coin_set(i)
-        if coins not in sequences:
-            sequences[coins] = _synthesize(coins, npad)
-        stages = sequences[coins].stages
-        orientation = ROW if i % 2 == 1 else COLUMN
+    stages_of = functools.cache(lambda coins: _synthesize(coins, npad).stages)  # per coin set, once a run
+    last: list[tuple[str, int, int, int]] = []  # records of the last step, held until its norm check passed
+
+    def apply(orientation: str, amp: np.ndarray, coins: CoinSet) -> None:
+        if trace is not None:  # the loop calls again only once the last step passed its norm check
+            trace.stages.extend(last)
+        stages = stages_of(coins)
+        lines = amp if orientation == ROW else amp.T
+        block = np.zeros((npad, 2 * npad), dtype=complex)
+        block[:n, 0:2 * n:2] = lines
         for stage in stages:
-            run_stage(data_lines(amp, orientation), stage, orientation, 1)
-        check_norm(amp, NORM_TOL, "grid")
+            run_stage(block, stage, orientation, 1)
+        lines[:] = block[:n, 0:2 * n:2]
         if trace is not None:
-            trace.stages.extend(
-                (orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages
-            )
-    out = extract(amp)
-    return WalkState(n, out.amp[:n, :n]) if npad != n else out
+            last[:] = [(orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages]
+
+    out = _walk(s0, plan.steps, plan, functools.partial(apply, ROW), functools.partial(apply, COLUMN))
+    if trace is not None:
+        trace.stages.extend(last)
+    return out

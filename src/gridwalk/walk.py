@@ -1,4 +1,4 @@
-"""Walk state on the N×N grid and the two evolution procedures.
+"""Walk state on the N×N grid, the walk's one stepping loop and its oracle.
 
 The walker state over a graph with n nodes lives on an n×n grid of complex
 amplitudes ``amp[j-1, k-1]`` for the basis state "walker at node j, coin
@@ -7,7 +7,8 @@ pointing to node k". One walk step is either
 * the oracle form: apply per-node coins to the grid rows, then translate by
   transposing the grid (``reference_evolve``), or
 * the in-place grid form: alternate the same coins between rows and columns
-  of one amplitude buffer without ever transposing (``evolve``).
+  of one amplitude buffer without ever transposing (``evolve``, and
+  ``run_walk_physical`` with the conveyor as each step's coin kernel).
 
 Both produce the same states, up to rounding, after any even number of
 steps; after an odd number of steps the grid form holds the transpose of the
@@ -417,13 +418,8 @@ def apply_coin_cols(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
     return amp
 
 
-def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
-    """Alternate row/column coin applications on one copy of the amplitudes, starting with rows.
-
-    The norm is checked after every step. Odd step counts end after a row
-    application, leaving the state in the transposed (columns-index-nodes)
-    convention; transpose_state restores the rows-index-nodes reading.
-    """
+def _walk(s0: WalkState, steps: int, plan: CoinPlan, rows, cols) -> WalkState:
+    """``rows(amp, coins)`` on odd steps, ``cols(amp, coins)`` on even ones, in place; the norm after each."""
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
     if plan.steps < steps:
@@ -432,10 +428,19 @@ def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
         return s0
     amp = s0.amp.copy()
     for i in range(1, steps + 1):
-        apply = apply_coin_rows if i % 2 == 1 else apply_coin_cols
-        apply(amp, plan.coin_set(i))
+        (rows if i % 2 == 1 else cols)(amp, plan.coin_set(i))
         check_norm(amp, NORM_TOL, f"state after step {i}")
     return WalkState(s0.n, amp)
+
+
+def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
+    """Alternate row/column coin applications on one copy of the amplitudes, starting with rows.
+
+    The norm is checked after every step. Odd step counts end after a row
+    application, leaving the state in the transposed (columns-index-nodes)
+    convention; transpose_state restores the rows-index-nodes reading.
+    """
+    return _walk(s0, steps, plan, apply_coin_rows, apply_coin_cols)  # looked up per call, so a wrapper is seen
 
 
 def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:

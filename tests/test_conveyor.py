@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from gridwalk import conveyor
+from gridwalk import conveyor, walk
 from gridwalk.conveyor import (
     COLUMN,
     ROW,
@@ -271,8 +271,9 @@ def test_physical_walk_identity_coins(rng):
     assert np.max(np.abs(out.amp - s0.amp)) < 1e-12
 
 
-# n = 1 pads to 2: the 1×1 coins are bare phases, kept by a stride-2 stage
-@pytest.mark.parametrize("n", [1, 2, 4, 8])
+# n = 1 pads to 2: the 1×1 coins are bare phases, kept by a stride-2 stage; n = 3 and 6 pad
+# to 4 and 8 with identity lines
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 8])
 def test_physical_walk_equals_grid_walk(n, rng):
     steps = 10
     plan = CoinPlan.from_step_coins(
@@ -283,6 +284,12 @@ def test_physical_walk_equals_grid_walk(n, rng):
     logical = evolve(s0, steps, plan)
     assert np.max(np.abs(physical.amp - logical.amp)) < 1e-10
     assert abs(np.sum(np.abs(physical.amp) ** 2) - 1) < 1e-10
+    # a plan of no steps returns the start state; a plan of another size is refused as evolve refuses it
+    assert run_walk_physical(s0, CoinPlan(n, ())) == s0
+    other = CoinPlan.uniform(np.eye(n + 1, dtype=complex), steps)
+    for run in (run_walk_physical, lambda s, p: evolve(s, steps, p)):
+        with pytest.raises(ValueError, match=f"^plan dimension {n + 1} does not match state {n}$"):
+            run(s0, other)
 
 
 def test_physical_walk_pads_non_power_of_two(rng):
@@ -496,12 +503,38 @@ def test_data_lines_are_views_of_the_data_rows_and_columns(rng):
         data_lines(amp, "diagonal")
 
 
-def test_physical_walk_checks_the_norm_after_every_step(monkeypatch, rng):
+@pytest.mark.parametrize("run", [lambda s0, plan: evolve(s0, plan.steps, plan), run_walk_physical],
+                         ids=["evolve", "run_walk_physical"])
+def test_both_walks_check_the_norm_after_every_step_in_the_one_walk_loop(run, monkeypatch, rng):
     n, steps = 4, 3
     plan = CoinPlan.uniform(random_unitary(n, rng), steps)
+    s0 = random_state(n, rng)
     checked = []
-    check_norm = conveyor.check_norm
-    monkeypatch.setattr(conveyor, "check_norm", lambda *args: checked.append(1) or check_norm(*args))
-    run_walk_physical(random_state(n, rng), plan)
-    assert len(checked) == steps  # after every step; extract checks the final grid
+    check_norm = walk.check_norm
+    monkeypatch.setattr(walk, "check_norm", lambda *args: checked.append(args[2]) or check_norm(*args))
+    run(s0, plan)
+    # one check per step in walk's loop, and the final WalkState's own
+    assert checked == [f"state after step {i}" for i in range(1, steps + 1)] + ["state"]
+    assert not hasattr(conveyor, "check_norm") and not hasattr(conveyor, "NORM_TOL")
 
+
+def test_a_step_that_fails_its_norm_check_adds_no_trace_records(monkeypatch):
+    n = 8
+    stages_per_step = 2 * 3 - 1
+    plan = CoinPlan.from_graph(Graph(n, frozenset({(j, j % n + 1) for j in range(1, n + 1)})), 4)
+    run_stage, calls = conveyor.run_stage, []
+
+    def lossy_stage(cells, stage, *rest):
+        run_stage(cells, stage, *rest)
+        calls.append(stage.d)
+        if len(calls) == stages_per_step + 1:  # the first stage of step 2
+            cells *= 0.9
+        return cells
+
+    monkeypatch.setattr(conveyor, "run_stage", lossy_stage)
+    trace = ProtocolTrace()
+    with pytest.raises(InvariantViolation, match="state after step 2 norm²"):
+        run_walk_physical(init_localized(n, 1, 1), plan, trace)
+    assert len(calls) == 2 * stages_per_step
+    step1 = [(ROW, line, n, d) for line in range(1, n + 1) for d in calls[:stages_per_step]]
+    assert len(trace.stages) == n * stages_per_step and trace.stages == step1
