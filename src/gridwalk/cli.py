@@ -272,7 +272,7 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
         grid, spec, timeline, target, params=params, scan_points=scan_points
     )
     calibrated = replace(timeline, hold_duration=result.hold_duration)
-    phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
+    phi_left, phi_right = result.basis
     traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)

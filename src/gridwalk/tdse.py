@@ -32,7 +32,18 @@ at once, so its memory does not grow with the truncation order.
 Time-dependent barriers are handled by piecewise-constant midpoint sampling
 of the barrier height per step; steps never straddle ramp boundaries. One
 loop carries a (k, m) block of states through the steps, building the
-potential only when the barrier changes.
+potential only when the barrier changes, from wells and a bump computed once
+per loop. A run of equal steps, such as a hold, runs as one step propagator
+P when its length × rows × PROPAGATOR_CROSSOVER = 192 reaches m² on a dense
+grid (and the run has more than two steps): P is the Chebyshev step of the
+m×m identity, whose terms are real, built once per run and checked once for
+unitarity, and each step is then one product rows @ P with a step's per-row
+norm check. The rule is the measured crossover: with one BLAS thread on a 2-CPU
+x86-64 host at dt = 0.1 and 0.01, building P cost as much as 7–9 one-row
+steps at m = 64, 20–33 at m = 128 and 67–111 at m = 256–384, against 22, 86
+and 342–768 steps for the rule, and 2–5 at m = 16–32 against 3 and 6
+(scripts/chebyshev_crossover.py). The barrier changes at every ramp step, so
+each ramp step is one chebyshev_step.
 
 Calibration is separable (HoldScan): of U_up·e^{−iH_low·h}·U_down only the middle
 factor depends on the hold h, so each ramp is propagated once (the ramp up backwards)
@@ -44,7 +55,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
+from itertools import groupby
 
 import numpy as np
 
@@ -54,7 +66,7 @@ from .errors import (
     SpectralBoundsError,
     ToleranceFailure,
 )
-from .util import ByValue, check_version, complex_from_json, complex_to_json, frozen
+from .util import ByValue, check_version, complex_from_json, complex_to_json, frozen, unitarity_defect
 
 NORM_TOL = 1e-12
 # largest norm change allowed over one Chebyshev step and over a trajectory
@@ -64,6 +76,9 @@ NORM_DRIFT_TOL = 1e-8
 DENSE_MAX_M = 384
 # Chebyshev terms a step keeps at once; a fuller ring is summed by one product with the weights
 CHEBYSHEV_RING = 16
+# a run of equal steps on a dense grid goes through one step propagator once run × rows × this
+# ≥ m² (the measured crossover, see the module docstring)
+PROPAGATOR_CROSSOVER = 192
 # how close a polished scan extremum must come to a target no scan interval crosses
 CALIBRATION_TOL = 0.005
 
@@ -223,18 +238,32 @@ class ChebyshevParams:
 # Potential and Hamiltonian
 
 
-def build_double_well(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float | None = None) -> np.ndarray:
-    """Potential samples for the given barrier height (spec's height if None)."""
-    b = spec.barrier_height if barrier is None else barrier
-    if b < 0:
-        raise ValueError(f"barrier height must be ≥ 0, got {b}")
+def double_well_potential(grid: SpatialGrid, spec: DoubleWellSpec):
+    """The potential as a function of the barrier height: build_double_well to the bit.
+
+    The wells, the bump and the tilt do not depend on the barrier, so they are computed
+    once; each call adds the scaled bump to them.
+    """
     u = grid.x - spec.center
     half = spec.well_separation / 2
-    wells = np.exp(-((u - half) ** 2) / (2 * spec.well_width**2)) + np.exp(
-        -((u + half) ** 2) / (2 * spec.well_width**2)
+    wells = -spec.well_depth * (
+        np.exp(-((u - half) ** 2) / (2 * spec.well_width**2))
+        + np.exp(-((u + half) ** 2) / (2 * spec.well_width**2))
     )
     bump = np.exp(-(u**2) / (2 * spec.barrier_width**2))
-    return -spec.well_depth * wells + b * bump + spec.tilt * u
+    slope = spec.tilt * u
+
+    def potential(barrier: float) -> np.ndarray:
+        if barrier < 0:
+            raise ValueError(f"barrier height must be ≥ 0, got {barrier}")
+        return wells + barrier * bump + slope
+
+    return potential
+
+
+def build_double_well(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float | None = None) -> np.ndarray:
+    """Potential samples for the given barrier height (spec's height if None)."""
+    return double_well_potential(grid, spec)(spec.barrier_height if barrier is None else barrier)
 
 
 def apply_hamiltonian(psi, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -305,15 +334,19 @@ def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
 def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
     """Advance every row of a (k, m) block of states by params.dt under the static potential v.
 
-    A negative dt applies the adjoint step. Raises SpectralBoundsError when the norm
-    of a row grows by more than NORM_DRIFT_TOL (eigenvalues outside [e_min, e_max])
-    and ToleranceFailure when it falls by more than that or is not a number.
+    A negative dt applies the adjoint step. A real block under a real potential on a dense
+    grid keeps its Chebyshev terms real, half the work of a complex block: the step of the
+    m×m identity is the step propagator P, with rows @ P the step of any block. Raises
+    SpectralBoundsError when the norm of a row grows by more than NORM_DRIFT_TOL
+    (eigenvalues outside [e_min, e_max]) and ToleranceFailure when it falls by more than
+    that or is not a number.
     """
-    rows = np.asarray(rows, dtype=complex)
+    real = np.isrealobj(rows) and np.isrealobj(v) and grid.m <= DENSE_MAX_M
+    rows = np.asarray(rows, dtype=float if real else complex)
     if rows.ndim != 2 or rows.shape[1] != grid.m:
         raise ValueError(f"expected a (k, {grid.m}) block of states, got shape {rows.shape}")
     if params.dt == 0.0:
-        return rows
+        return np.asarray(rows, dtype=complex)
     weights = chebyshev_coefficients(params.alpha, params.tail_tolerance)
     de = params.e_max - params.e_min
     shift = params.e_max + params.e_min
@@ -322,38 +355,57 @@ def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: C
     cols = np.ascontiguousarray(rows.T)
     if grid.m <= DENSE_MAX_M:
         two_h = np.multiply(grid.kinetic, 4 / de, dtype=np.result_type(grid.kinetic, v))
-        two_h[np.diag_indices(grid.m)] += (4 * v - 2 * shift) / de
+        two_h.reshape(-1)[:: grid.m + 1] += (4 * v - 2 * shift) / de
+        apply_two_h = partial(np.dot, two_h)  # np.dot's out= skips matmul's ufunc dispatch
         # a real 2H̃ acts on the real and imaginary parts apart: two float columns per state
         work = cols.view(float) if two_h.dtype == float else cols
-
-        def apply_two_h(arr: np.ndarray, out: np.ndarray) -> None:
-            np.matmul(two_h, arr, out=out)
     else:
         work = cols
 
         def apply_two_h(arr: np.ndarray, out: np.ndarray) -> None:
             out[...] = (4 * apply_hamiltonian(arr.T, v, grid).T - 2 * shift * arr) / de
 
-    # T_n(H̃) of the columns go round a ring of CHEBYSHEV_RING terms; each time it fills,
-    # one product with its weights adds them to the sum, so memory does not grow with n_max
     ring = np.empty((min(CHEBYSHEV_RING, len(weights)), *work.shape), dtype=work.dtype)
     series = np.zeros(cols.size, dtype=complex)
-    for n in range(len(weights)):
-        term = ring[n % CHEBYSHEV_RING]
-        if n == 0:
-            term[...] = work
-        elif n == 1:
-            apply_two_h(work, term)
-            term /= 2
+    for first, k in _fill_ring(apply_two_h, work, len(weights), ring):
+        terms = ring[:k].view(cols.dtype).reshape(k, -1)
+        if real:  # real terms: the weights' real and imaginary parts apart
+            series.real += weights.real[first : first + k] @ terms
+            series.imag += weights.imag[first : first + k] @ terms
         else:
-            apply_two_h(ring[(n - 1) % CHEBYSHEV_RING], term)
-            term -= ring[(n - 2) % CHEBYSHEV_RING]
-        if n % CHEBYSHEV_RING == CHEBYSHEV_RING - 1 or n == len(weights) - 1:
-            first = n - n % CHEBYSHEV_RING
-            series += weights[first : n + 1] @ ring[: n + 1 - first].view(complex).reshape(n + 1 - first, -1)
+            series += weights[first : first + k] @ terms
     out = np.exp(-1j * shift * params.dt / 2) * np.ascontiguousarray(series.reshape(cols.shape).T)
+    return _norm_checked(rows, out, params)
 
-    norm = np.sum(np.abs(out) ** 2, axis=-1) / np.sum(np.abs(rows) ** 2, axis=-1)
+
+def _fill_ring(apply_two_h, work: np.ndarray, n_terms: int, ring: np.ndarray):
+    """Compute T_n(H̃)·work for n < n_terms into a ring of len(ring) ≥ 2 terms.
+
+    Each time the ring fills, and after the last term, yields (first, k): ring[:k] then
+    holds T_first … T_first+k−1, to be summed before the ring goes round, so memory does
+    not grow with n_terms. apply_two_h(arr, out) writes 2H̃·arr into out.
+    """
+    terms = list(ring)
+    prev2, prev = terms[0], terms[1]
+    prev2[...] = work
+    apply_two_h(work, prev)
+    prev /= 2
+    start = 2
+    for first in range(0, n_terms, len(terms)):
+        k = min(len(terms), n_terms - first)
+        for term in terms[start:k]:
+            apply_two_h(prev, term)
+            term -= prev2
+            prev2, prev = prev, term
+        start = 0
+        yield first, k
+
+
+def _norm_checked(rows: np.ndarray, out: np.ndarray, params: ChebyshevParams) -> np.ndarray:
+    """out, the step of rows, once the norm of no row has moved by more than NORM_DRIFT_TOL."""
+    norm = _row_norms(out) / _row_norms(rows)
+    if not norm.size or (norm.min() >= 1 - NORM_DRIFT_TOL and norm.max() <= 1 + NORM_DRIFT_TOL):
+        return out
     grew = norm > 1 + NORM_DRIFT_TOL
     if grew.any():
         raise SpectralBoundsError(
@@ -361,9 +413,13 @@ def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: C
             f"({params.e_min}, {params.e_max}) do not bracket the Hamiltonian"
         )
     fell = ~(norm >= 1 - NORM_DRIFT_TOL)
-    if fell.any():
-        raise ToleranceFailure(f"norm fell by {1 - norm[fell].min():.3e} in one step")
-    return out
+    raise ToleranceFailure(f"norm fell by {1 - norm[fell].min():.3e} in one step")
+
+
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Σ|ψ|² of each row of a real or complex (k, m) block."""
+    parts = np.ascontiguousarray(block).view(float)
+    return np.einsum("ij,ij->i", parts, parts)
 
 
 @dataclass(frozen=True, eq=False)
@@ -419,17 +475,51 @@ def _propagate(
     """Carry a (k, m) block of states through (barrier, step length) pairs.
 
     Returns the final block and the block after every sample_stride-th step (none
-    when 0). A potential is built only when the barrier changes.
+    when 0). A potential is built only when the barrier changes. A run of equal
+    steps that _holds_by_propagator admits builds its step propagator P once and
+    makes each step one product rows @ P; P lives for this call only.
     """
+    potential = double_well_potential(grid, spec)
     samples = []
-    barrier = None
-    for n, (b, dt) in enumerate(steps, 1):
+    barrier = step_dt = None
+    n = 0
+    for (b, dt), run in groupby(steps):
+        count = sum(1 for _ in run)
         if b != barrier:
-            barrier, v = b, build_double_well(grid, spec, b)
-        rows = chebyshev_step(grid, rows, v, replace(params, dt=dt))
-        if sample_stride and n % sample_stride == 0:
-            samples.append(rows)
+            barrier, v = b, potential(b)
+        if dt != step_dt:
+            step_dt, step_params = dt, replace(params, dt=dt)
+        p = _step_propagator(grid, v, step_params) if _holds_by_propagator(grid.m, count, len(rows)) else None
+        for _ in range(count):
+            if p is None:
+                rows = chebyshev_step(grid, rows, v, step_params)
+            else:
+                rows = _norm_checked(rows, rows @ p, step_params)
+            n += 1
+            if sample_stride and n % sample_stride == 0:
+                samples.append(rows)
     return rows, samples
+
+
+def _holds_by_propagator(m: int, run: int, rows: int) -> bool:
+    """Whether a run of `run` equal steps of a (rows, m) block goes through one step propagator.
+
+    Building P costs about two one-row steps even at m = 16, so a run of at most two
+    steps, a ramp step's among them, never does.
+    """
+    return m <= DENSE_MAX_M and run > 2 and run * rows * PROPAGATOR_CROSSOVER >= m * m
+
+
+def _step_propagator(grid: SpatialGrid, v: np.ndarray, params: ChebyshevParams) -> np.ndarray:
+    """The m×m step propagator P: the step of the identity, so rows @ P is the step of rows.
+
+    Raises ToleranceFailure when P is further from unitary than NORM_DRIFT_TOL.
+    """
+    p = chebyshev_step(grid, np.eye(grid.m), v, params)
+    defect = unitarity_defect(p)
+    if not defect <= NORM_DRIFT_TOL:
+        raise ToleranceFailure(f"step propagator is off unitary by {defect:.3e}")
+    return p
 
 
 def evolve_timeline(
@@ -595,6 +685,8 @@ class CalibrationResult:
     target: float
     period_estimate: float
     scan: list[tuple[float, float]]
+    # the qubit basis (L, R) at the high barrier that the transfer and leakage refer to
+    basis: tuple[WaveFunction, WaveFunction]
 
 
 def doublet_splitting(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -> float:
@@ -610,11 +702,13 @@ class HoldScan:
 
     From the left-well state L, ⟨φ|U_up·e^{−iH_low·h}·U_down|L⟩ = Σ_j w_j·e^{−iE_j·h}
     with H_low = Q·diag(E)·Q† and w = conj(Q†U_up†φ)·(Q†U_down L)·dx, for φ = L, R
-    (the rows of weights): O(m) per hold. Compared by identity, as nothing keys on it.
+    (the rows of weights): O(m) per hold. basis holds (L, R), the high-barrier well
+    ground states. Compared by identity, as nothing keys on it.
     """
 
     energies: np.ndarray
     weights: np.ndarray
+    basis: tuple[WaveFunction, WaveFunction]
 
     @classmethod
     def from_pulse(
@@ -630,9 +724,10 @@ class HoldScan:
         backward = [(barrier, -dt_seg) for barrier, dt_seg in reversed(ramp_up)]
         ends, _ = _propagate(grid, spec, np.array([phi_left.psi, phi_right.psi]), backward, params)
         v_low = build_double_well(grid, spec, template.low_barrier)
-        energies, basis = np.linalg.eigh(dense_hamiltonian(grid, v_low))
-        coeffs = basis.conj().T @ np.vstack([start, ends]).T
-        return cls(frozen(energies), frozen(coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx))
+        energies, modes = np.linalg.eigh(dense_hamiltonian(grid, v_low))
+        coeffs = modes.conj().T @ np.vstack([start, ends]).T
+        weights = coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx
+        return cls(frozen(energies), frozen(weights), (phi_left, phi_right))
 
     @property
     def period(self) -> float:
@@ -686,7 +781,7 @@ def calibrate_hold_time(
 
     def result(hold: float) -> CalibrationResult:
         tr, leak = float(pulse.transfer(hold)), float(pulse.leakage(hold))
-        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan)
+        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan, pulse.basis)
 
     gap = values - target_transfer
     crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)

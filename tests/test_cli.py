@@ -575,13 +575,14 @@ def test_calibrate_exits_with_tolerance_code_when_the_replay_drifts(tmp_path, mo
 
 def test_calibrate_steps_each_ramp_once_and_replays_once(tmp_path, monkeypatch):
     # HoldScan carries the ramp down forward and the ramp up backward, then the
-    # calibrated pulse is replayed: every one of those steps is a chebyshev_step call
+    # calibrated pulse is replayed: every ramp step is a chebyshev_step call, and the
+    # replay's hold is one more, the step of the identity that builds its propagator
     calls = []
     chebyshev_step = tdse.chebyshev_step
 
-    def counted(*args, **kwargs):
-        calls.append(args[-1].dt)
-        return chebyshev_step(*args, **kwargs)
+    def counted(grid, rows, v, params):
+        calls.append((params.dt, len(rows)))
+        return chebyshev_step(grid, rows, v, params)
 
     monkeypatch.setattr(tdse, "chebyshev_step", counted)
     out = tmp_path / "out"
@@ -591,9 +592,31 @@ def test_calibrate_steps_each_ramp_once_and_replays_once(tmp_path, monkeypatch):
     hold = json.loads((out / "report.json").read_text())["hold_duration"]
     template = tdse.BarrierTimeline(4.0, 0.0, 4.0, 28.0, 12.0)
     (_, down), _, (_, up) = tdse.timeline_steps(template, doc["solver"]["dt"])
-    replay = tdse.timeline_steps(replace(template, hold_duration=hold), doc["solver"]["dt"])
-    assert len(calls) == len(down) + len(up) + sum(len(steps) for _, steps in replay)
-    assert sum(dt < 0 for dt in calls) == len(up)
+    (_, replay_down), (_, replay_hold), (_, replay_up) = tdse.timeline_steps(
+        replace(template, hold_duration=hold), doc["solver"]["dt"])
+    m = doc["grid"]["m"]
+    assert tdse._holds_by_propagator(m, len(replay_hold), 1)
+    assert len(calls) == len(down) + len(up) + len(replay_down) + 1 + len(replay_up)
+    assert sum(dt < 0 for dt, _ in calls) == len(up)
+    assert [dt for dt, k in calls if k == m] == [replay_hold[0][1]]
+
+
+def test_calibrate_computes_the_qubit_basis_once(tmp_path, monkeypatch):
+    # HoldScan's basis is the one the replay projects on: one eigensolve of the high barrier
+    bases = []
+    well_ground_states = tdse.well_ground_states
+
+    def counted(*args, **kwargs):
+        bases.append(well_ground_states(*args, **kwargs))
+        return bases[-1]
+
+    monkeypatch.setattr(tdse, "well_ground_states", counted)
+    doc = small_gate_config(target_transfer=0.5)
+    assert main(["calibrate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_OK
+    assert len(bases) == 1
+    grid = tdse.SpatialGrid(-8.0, 8.0, doc["grid"]["m"])
+    spec = tdse.DoubleWellSpec(20.0, 0.9, 1.7, 0.6, 28.0)
+    assert bases[0] == well_ground_states(grid, spec, 28.0)
 
 
 def test_calibrate_reruns_in_one_process_are_byte_identical(tmp_path):

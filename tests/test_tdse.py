@@ -676,6 +676,94 @@ def test_wavefunction_rejects_nan_amplitudes():
         WaveFunction(grid, np.full(grid.m, np.nan, dtype=complex))
 
 
+# ---------------------------------------------------------------------------
+# Step propagator
+
+
+def hold_run(m: int, barrier: float, dt: float, run: int):
+    """Grid, well, a pulse that only holds `barrier` for about `run` steps of dt, its params and steps."""
+    grid = SpatialGrid(-8.0, 8.0, m)
+    spec = gatecfg.gate_spec()
+    timeline = BarrierTimeline(0.0, run * dt, 0.0, gatecfg.BARRIER_HIGH, barrier)
+    params = gatecfg.gate_params(grid, spec, timeline, dt=dt)
+    (_, hold), = [segment for segment in timeline_steps(timeline, dt) if segment[1]]
+    return grid, spec, timeline, params, hold
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(16, 128), barrier=st.floats(gatecfg.BARRIER_LOW, gatecfg.BARRIER_HIGH),
+       dt=st.sampled_from([0.01, 0.1]), run=st.integers(1, 200), k=st.integers(1, 3),
+       stride=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+@example(m=64, barrier=gatecfg.BARRIER_LOW, dt=0.1, run=40, k=1, stride=7, seed=0)  # through P
+@example(m=128, barrier=gatecfg.BARRIER_LOW, dt=0.1, run=40, k=1, stride=7, seed=0)  # step by step
+@example(m=16, barrier=20.0, dt=0.01, run=1, k=2, stride=1, seed=1)  # a lone step, as on a ramp
+def test_a_hold_through_the_step_propagator_matches_single_steps(m, barrier, dt, run, k, stride, seed):
+    # whether or not the count rule picks P, every sampled block stays within 1e-12 per
+    # step of chebyshev_step taken step by step
+    grid, spec, timeline, params, hold = hold_run(m, barrier, dt, run)
+    assert {b for b, _ in hold} == {barrier}
+    rows = random_states(grid, np.random.default_rng(seed), k)
+    v = build_double_well(grid, spec, barrier)
+    expected, singles = rows, []
+    for _, step in hold:
+        expected = chebyshev_step(grid, expected, v, replace(params, dt=step))
+        singles.append(expected)
+    final, samples = tdse._propagate(grid, spec, rows, hold, params, stride)
+    sampled = range(stride, len(hold) + 1, stride)
+    assert len(samples) == len(sampled)
+    for n, block in zip(sampled, samples):
+        assert np.abs(block - singles[n - 1]).max() <= 1e-12 * n
+    assert np.abs(final - singles[-1]).max() <= 1e-12 * len(hold)
+
+    traj = evolve_timeline(WaveFunction(grid, rows[0]), grid, spec, timeline, params, sample_stride=stride)
+    for n, state in zip(sampled, traj.states[1:]):
+        assert np.abs(state - singles[n - 1][0]).max() <= 1e-12 * n
+    assert np.abs(traj.states[-1] - singles[-1][0]).max() <= 1e-12 * len(hold)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(16, 128), dt=st.sampled_from([0.01, 0.1]), entry=st.integers(0, 128**2 - 1),
+       size=st.floats(1e-4, 0.1), angle=st.floats(0.0, 2 * math.pi))
+def test_a_perturbed_step_propagator_is_refused(m, dt, entry, size, angle):
+    # one entry of P off by size·e^{iθ}: the unitarity check refuses P before any product
+    run = m  # long enough for the count rule at every m
+    grid, spec, _, params, hold = hold_run(m, gatecfg.BARRIER_LOW, dt, run)
+    assert tdse._holds_by_propagator(m, len(hold), 1)
+    i, j = divmod(entry % (m * m), m)
+    chebyshev_step = tdse.chebyshev_step
+
+    def perturbed(grid, rows, v, params):
+        out = chebyshev_step(grid, rows, v, params)
+        if len(rows) == grid.m:
+            out = out.copy()
+            out[i, j] += size * complex(math.cos(angle), math.sin(angle))
+        return out
+
+    rows = normalized(grid, np.exp(-((grid.x + 0.85) ** 2))).psi[np.newaxis]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tdse, "chebyshev_step", perturbed)
+        with pytest.raises(ToleranceFailure, match="step propagator is off unitary"):
+            tdse._propagate(grid, spec, rows, hold, params)
+
+
+def test_each_evolve_timeline_call_builds_its_own_step_propagator(monkeypatch):
+    # P is the step of the m×m identity; a second identical call builds it again
+    grid, spec, timeline, params, hold = hold_run(64, gatecfg.BARRIER_LOW, 0.1, 50)
+    builds = []
+    chebyshev_step = tdse.chebyshev_step
+
+    def counted(grid, rows, v, params):
+        if len(rows) == grid.m:
+            builds.append(params.dt)
+        return chebyshev_step(grid, rows, v, params)
+
+    monkeypatch.setattr(tdse, "chebyshev_step", counted)
+    psi0 = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
+    first, second = (evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=10) for _ in range(2))
+    assert builds == [hold[0][1]] * 2
+    assert first == second
+
+
 def test_chebyshev_step_rejects_a_nan_state():
     grid = gatecfg.gate_grid(m=64)
     psi = np.full((1, grid.m), np.nan, dtype=complex)
@@ -741,13 +829,18 @@ def test_evolve_timeline_builds_one_potential_per_barrier(monkeypatch):
     params = gatecfg.gate_params(grid, spec, timeline, dt=0.1)
     phi_left = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
     built = []
-    build_double_well = tdse.build_double_well
+    double_well_potential = tdse.double_well_potential
 
-    def counted(grid, spec, barrier=None):
-        built.append(barrier)
-        return build_double_well(grid, spec, barrier)
+    def counted(grid, spec):
+        potential = double_well_potential(grid, spec)
 
-    monkeypatch.setattr(tdse, "build_double_well", counted)
+        def counted_potential(barrier):
+            built.append(barrier)
+            return potential(barrier)
+
+        return counted_potential
+
+    monkeypatch.setattr(tdse, "double_well_potential", counted)
     evolve_timeline(phi_left, grid, spec, timeline, params)
     (_, down), (_, hold), (_, up) = timeline_steps(timeline, params.dt)
     assert len(hold) == 21
