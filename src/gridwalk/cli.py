@@ -273,7 +273,9 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
     )
     calibrated = replace(timeline, hold_duration=result.hold_duration)
     phi_left, phi_right = result.basis
-    traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20)
+    # the replay starts where the scan's ramp down ended and checks the hold and the ramp up
+    traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20,
+                                ramp_down=result.ramp_down)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)
     achieved = abs(beta) ** 2

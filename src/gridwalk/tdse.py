@@ -13,9 +13,11 @@ weighted by Bessel functions J_n(α), α = (E_max − E_min)·dt/2:
     ψ(t+dt) = e^{−i(E_max+E_min)dt/2} · Σ_n c_n (−i)^n J_n(α) T_n(H̃)ψ,
     T_0ψ = ψ,  T_1ψ = H̃ψ,  T_{n+1}ψ = 2H̃·T_nψ − T_{n−1}ψ,
 
-with c_0 = 1 and c_n = 2 for n ≥ 1. The series is truncated at the first
-n > α with |J_n(α)| below the tail tolerance, where the Bessel tail decays
-super-exponentially; the coefficients are computed once per (α, tolerance).
+with c_0 = 1 and c_n = 2 for n ≥ 1 (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
+3967 (1984)). The series is truncated at the first n > α with |J_n(α)| below
+the tail tolerance, where the Bessel tail decays super-exponentially; the
+coefficients are computed once per (α, tolerance), the J_n(α) by Miller's
+backward recurrence, so the solver needs no scipy.
 The kinetic term is spectral: the exact Laplacian of the band-limited grid
 function, so E_max = max(V) + k_max²/2 with k_max = π/dx bounds the grid
 spectrum tightly. On grids of at most DENSE_MAX_M = 384 points a step forms
@@ -46,8 +48,11 @@ and 342–768 steps for the rule, and 2–5 at m = 16–32 against 3 and 6
 each ramp step is one chebyshev_step.
 
 Calibration is separable (HoldScan): of U_up·e^{−iH_low·h}·U_down only the middle
-factor depends on the hold h, so each ramp is propagated once (the ramp up backwards)
-and the transfer at any hold is a sum of m phases in the low-barrier eigenbasis.
+factor depends on the hold h, and the transfer at any hold is a sum of m phases in
+the low-barrier eigenbasis. H is real, so the ramp up run backwards on the real
+well states is the conjugate of a forward run through its steps in reverse; with
+equal ramps that is the ramp down, and both ramps cost one forward pass of the
+two states. The hold is then found by Newton's method on that closed form.
 """
 
 from __future__ import annotations
@@ -303,6 +308,40 @@ def dense_hamiltonian(grid: SpatialGrid, v: np.ndarray) -> np.ndarray:
 # Chebyshev propagation
 
 
+# the backward recurrence divides its values by this whenever one exceeds it
+_BESSEL_RESCALE = 1e150
+
+
+def _bessel_j(alpha: float, n_max: int) -> np.ndarray:
+    """J_n(α) for n = 0..n_max, by Miller's backward recurrence.
+
+    J_{n−1} = (2n/|α|)·J_n − J_{n+1} runs down from J_{top+1} = 0, J_top = 1 at top = n_max + 32,
+    where it has settled on J, the solution that decays with n; J_0 + 2·Σ_k J_2k = 1 fixes the
+    scale, and J_n(−α) = (−1)ⁿ·J_n(α). Below |α| = 1e-9 the power series' leading term
+    (|α|/2)ⁿ/n! is exact to double precision.
+    """
+    x = abs(alpha)
+    if x < 1e-9:
+        out = np.cumprod([1.0, *(x / 2 / n for n in range(1, n_max + 1))])
+    else:
+        values = [0.0] * (n_max + 1)
+        upper, j, total = 0.0, 1.0, 0.0
+        for n in range(n_max + 32, 0, -1):
+            if n <= n_max:
+                values[n] = j
+            if n % 2 == 0:
+                total += 2 * j
+            upper, j = j, 2 * n / x * j - upper
+            if abs(j) > _BESSEL_RESCALE:
+                values[n:] = [value / _BESSEL_RESCALE for value in values[n:]]
+                upper, j, total = upper / _BESSEL_RESCALE, j / _BESSEL_RESCALE, total / _BESSEL_RESCALE
+        values[0] = j
+        out = np.array(values) / (total + j)
+    if alpha < 0:
+        out[1::2] *= -1
+    return out
+
+
 @lru_cache(maxsize=256)
 def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
     """Weights c_n·(−i)^n·J_n(α) for n = 0..n_max, truncated as in the module docstring.
@@ -310,10 +349,8 @@ def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
     Cached per (α, tolerance). Raises ToleranceFailure, on every call, when the tail
     never falls below the tolerance or only beyond α + 60 terms.
     """
-    from scipy.special import jv  # scipy.special takes longer to import than numpy
-
     first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
-    bessel = jv(np.arange(limit + 1), alpha)
+    bessel = _bessel_j(alpha, limit)
     below = np.flatnonzero(np.abs(bessel[first:]) < tail_tolerance)
     if below.size == 0:
         raise ToleranceFailure(
@@ -445,7 +482,9 @@ def timeline_steps(timeline: BarrierTimeline, dt: float) -> list[tuple[float, li
     """Start time and (barrier, step length) pairs of each of the three segments.
 
     Each segment is cut into uniform steps no longer than dt, the barrier sampled
-    at the step midpoint; a ramp gets at least MIN_RAMP_STEPS steps.
+    at the step midpoint; a ramp gets at least MIN_RAMP_STEPS steps. When the two
+    ramps last equally long, the ramp up is the ramp down's steps in reverse order,
+    so mirrored midpoints sample equal barriers to the bit (HoldScan relies on it).
     """
     if dt <= 0:
         raise ValueError("timeline propagation needs dt > 0")
@@ -457,32 +496,36 @@ def timeline_steps(timeline: BarrierTimeline, dt: float) -> list[tuple[float, li
                 f"fewer than {MIN_RAMP_STEPS} steps per ramp"
             )
     down, hold, up = timeline.ramp_down_duration, timeline.hold_duration, timeline.ramp_up_duration
-    segments = []
-    for t0, duration in [(0.0, down), (down, hold), (down + hold, up)]:
-        steps = []
-        if duration > 0:
-            # MIN_RAMP_STEPS·dt is exact (a power of two), so a checked ramp gets ≥ MIN_RAMP_STEPS steps
-            n_steps = max(1, math.ceil(duration / dt))
-            dt_seg = duration / n_steps
-            steps = [(timeline.barrier_at(t0 + (i + 0.5) * dt_seg), dt_seg) for i in range(n_steps)]
-        segments.append((t0, steps))
-    return segments
+
+    def segment(t0: float, duration: float) -> list[tuple[float, float]]:
+        if duration <= 0:
+            return []
+        # MIN_RAMP_STEPS·dt is exact (a power of two), so a checked ramp gets ≥ MIN_RAMP_STEPS steps
+        n_steps = max(1, math.ceil(duration / dt))
+        dt_seg = duration / n_steps
+        return [(timeline.barrier_at(t0 + (i + 0.5) * dt_seg), dt_seg) for i in range(n_steps)]
+
+    ramp_down = segment(0.0, down)
+    ramp_up = ramp_down[::-1] if up == down else segment(down + hold, up)
+    return [(0.0, ramp_down), (down, segment(down, hold)), (down + hold, ramp_up)]
 
 
 def _propagate(
-    grid: SpatialGrid, spec: DoubleWellSpec, rows: np.ndarray, steps, params: ChebyshevParams, sample_stride=0
+    grid: SpatialGrid, spec: DoubleWellSpec, rows: np.ndarray, steps, params: ChebyshevParams, sample_stride=0,
+    steps_done=0,
 ) -> tuple[np.ndarray, list[np.ndarray]]:
     """Carry a (k, m) block of states through (barrier, step length) pairs.
 
     Returns the final block and the block after every sample_stride-th step (none
-    when 0). A potential is built only when the barrier changes. A run of equal
-    steps that _holds_by_propagator admits builds its step propagator P once and
-    makes each step one product rows @ P; P lives for this call only.
+    when 0), counting from steps_done steps taken before these. A potential is
+    built only when the barrier changes. A run of equal steps that
+    _holds_by_propagator admits builds its step propagator P once and makes each
+    step one product rows @ P; P lives for this call only.
     """
     potential = double_well_potential(grid, spec)
     samples = []
     barrier = step_dt = None
-    n = 0
+    n = steps_done
     for (b, dt), run in groupby(steps):
         count = sum(1 for _ in run)
         if b != barrier:
@@ -529,10 +572,15 @@ def evolve_timeline(
     timeline: BarrierTimeline,
     params: ChebyshevParams,
     sample_stride: int = 1,
+    ramp_down: Trajectory | None = None,
 ) -> Trajectory:
     """Propagate through a barrier timeline, sampling every `sample_stride` steps.
 
     Steps as in timeline_steps; the initial and final states are always sampled.
+    ramp_down, when given, is psi0 and its state after each ramp-down step, as
+    HoldScan.ramp_down holds them: the run then takes its ramp-down samples from it
+    and steps only the hold and the ramp up. Raises ValueError when its times are not
+    this timeline's ramp down or it does not start at psi0.
     """
     if psi0.grid is not grid and psi0.grid != grid:
         raise ValueError("initial state lives on a different grid")
@@ -542,9 +590,17 @@ def evolve_timeline(
     segments = timeline_steps(timeline, params.dt)
     steps = [step for _, seg in segments for step in seg]
     ends = [t0 + (i + 1) * dt_seg for t0, seg in segments for i, (_, dt_seg) in enumerate(seg)]
-    final, samples = _propagate(grid, spec, psi0.psi[np.newaxis], steps, params, sample_stride)
+    states, done = [psi0.psi], 0
+    if ramp_down is not None:
+        done = len(segments[0][1])
+        starts_at_psi0 = np.array_equal(ramp_down.states[0], psi0.psi)
+        if not (starts_at_psi0 and np.array_equal(ramp_down.times, [0.0, *ends[:done]])):
+            raise ValueError("ramp_down is not this timeline's ramp down from psi0")
+        states += list(ramp_down.states[sample_stride::sample_stride])
+    start = psi0.psi[np.newaxis] if ramp_down is None else ramp_down.states[-1:]
+    final, samples = _propagate(grid, spec, start, steps[done:], params, sample_stride, done)
     times = [0.0, *ends[sample_stride - 1 :: sample_stride]]
-    states = [psi0.psi, *(block[0] for block in samples)]
+    states += [block[0] for block in samples]
     final_t = timeline.total_duration
     if final_t > 0 and abs(times[-1] - final_t) > 1e-12 * max(1.0, final_t):
         times.append(final_t)
@@ -687,6 +743,8 @@ class CalibrationResult:
     scan: list[tuple[float, float]]
     # the qubit basis (L, R) at the high barrier that the transfer and leakage refer to
     basis: tuple[WaveFunction, WaveFunction]
+    # L and its state after each ramp-down step, where a replay of the pulse may start
+    ramp_down: Trajectory
 
 
 def doublet_splitting(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -> float:
@@ -703,31 +761,40 @@ class HoldScan:
     From the left-well state L, ⟨φ|U_up·e^{−iH_low·h}·U_down|L⟩ = Σ_j w_j·e^{−iE_j·h}
     with H_low = Q·diag(E)·Q† and w = conj(Q†U_up†φ)·(Q†U_down L)·dx, for φ = L, R
     (the rows of weights): O(m) per hold. basis holds (L, R), the high-barrier well
-    ground states. Compared by identity, as nothing keys on it.
+    ground states, and ramp_down holds L and its state after each ramp-down step.
+    Compared by identity, as nothing keys on it.
     """
 
     energies: np.ndarray
     weights: np.ndarray
     basis: tuple[WaveFunction, WaveFunction]
+    ramp_down: Trajectory
 
     @classmethod
     def from_pulse(
         cls, grid: SpatialGrid, spec: DoubleWellSpec, template: BarrierTimeline, params: ChebyshevParams
     ) -> HoldScan:
-        """Propagate through the template's ramps once; its hold is ignored.
+        """Propagate through the template's ramps forward only; its hold is ignored.
 
-        The ramp down carries L forward; the ramp up carries L and R backward as one (2, m) block.
+        Every H(b) is real symmetric and L, R are real, so U_up†·φ = conj(F·φ), where F steps
+        forward through the ramp up's steps in reverse order. With equal ramps those are the
+        ramp down's own steps (timeline_steps), so one pass of (L, R) as a (2, m) block gives
+        U_down L in row 0 and U_up†(L, R) as its conjugate. Unequal ramps take a 1-row pass
+        of L through the ramp down and a 2-row pass through the reversed ramp up.
         """
         phi_left, phi_right = well_ground_states(grid, spec, template.high_barrier)
         (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), params.dt)
-        start, _ = _propagate(grid, spec, phi_left.psi[np.newaxis], ramp_down, params)
-        backward = [(barrier, -dt_seg) for barrier, dt_seg in reversed(ramp_up)]
-        ends, _ = _propagate(grid, spec, np.array([phi_left.psi, phi_right.psi]), backward, params)
+        basis = np.array([phi_left.psi, phi_right.psi])
+        mirrored = ramp_up[::-1] == ramp_down
+        down, samples = _propagate(grid, spec, basis if mirrored else basis[:1], ramp_down, params, 1)
+        up = down if mirrored else _propagate(grid, spec, basis, ramp_up[::-1], params)[0]
         v_low = build_double_well(grid, spec, template.low_barrier)
         energies, modes = np.linalg.eigh(dense_hamiltonian(grid, v_low))
-        coeffs = modes.conj().T @ np.vstack([start, ends]).T
+        coeffs = modes.conj().T @ np.vstack([down[0], up.conj()]).T
         weights = coeffs[:, 1:].T.conj() * coeffs[:, 0] * grid.dx
-        return cls(frozen(energies), frozen(weights), (phi_left, phi_right))
+        times = [0.0, *((i + 1) * dt_seg for i, (_, dt_seg) in enumerate(ramp_down))]
+        trajectory = Trajectory(grid, np.array(times), [phi_left.psi, *(block[0] for block in samples)])
+        return cls(frozen(energies), frozen(weights), (phi_left, phi_right), trajectory)
 
     @property
     def period(self) -> float:
@@ -742,9 +809,46 @@ class HoldScan:
     def transfer(self, holds) -> np.ndarray:
         return self.probabilities(holds)[1]
 
+    def transfer_derivatives(self, hold: float) -> tuple[float, float, float]:
+        """The transfer T = |a|², a = Σ_j w_j·e^{−iE_j·h}, and dT/dh and d²T/dh² at one hold, in O(m)."""
+        terms = np.exp(-1j * self.energies * hold) * self.weights[1]
+        slopes = -1j * self.energies * terms
+        a, da, d2a = terms.sum(), slopes.sum(), (-1j * self.energies * slopes).sum()
+        return abs(a) ** 2, 2 * (a.conjugate() * da).real, 2 * (abs(da) ** 2 + (a.conjugate() * d2a).real)
+
     def leakage(self, holds) -> np.ndarray:
         p_left, p_right = self.probabilities(holds)
         return 1.0 - p_left - p_right
+
+
+def _bracketed_root(f, lo: float, hi: float) -> float | None:
+    """A root of f in [lo, hi], or None when f(lo) and f(hi) are nonzero and of one sign.
+
+    f(h) returns (f(h), f'(h)). Newton's method, safeguarded by bisection: every evaluation
+    narrows the bracket, and a Newton step that would leave it, or that is not at most half
+    the step before, is replaced by a step to its midpoint (as rtsafe in Numerical Recipes).
+    It stops when a step moves h by no more than 4 ulps.
+    """
+    f_lo, f_hi = f(lo)[0], f(hi)[0]
+    if f_lo == 0.0 or f_hi == 0.0:
+        return lo if f_lo == 0.0 else hi
+    if (f_lo > 0) == (f_hi > 0):
+        return None
+    if f_lo > 0:  # from here on f(lo) < 0 < f(hi), whichever end is larger
+        lo, hi = hi, lo
+    h, last = (lo + hi) / 2, abs(hi - lo)
+    for _ in range(200):
+        value, slope = f(h)
+        if value == 0.0:
+            return h
+        lo, hi = (h, hi) if value < 0 else (lo, h)
+        step = value / slope if slope else math.inf
+        if not min(lo, hi) < h - step < max(lo, hi) or 2 * abs(step) > last:
+            step = h - (lo + hi) / 2
+        h, last = h - step, abs(step)
+        if last <= 4 * np.spacing(abs(h)):
+            return h
+    return h
 
 
 def calibrate_hold_time(
@@ -758,15 +862,15 @@ def calibrate_hold_time(
     """Find the smallest hold duration whose transfer matches the target.
 
     Starting from the left-well state, the template's ramps are fixed and the
-    transfer is evaluated in closed form (HoldScan) on `scan_points` holds
+    transfer T is evaluated in closed form (HoldScan) on `scan_points` holds
     over slightly more than one tunneling oscillation. The root in the first
-    scan interval that crosses the target is found by brentq; if none does
-    (targets near 0 or 1), the scan's extrema towards the target are polished
-    in order by a bounded minimize_scalar and the first within
-    CALIBRATION_TOL wins. Raises CalibrationUnreachableError when none is.
+    scan interval that crosses the target is found by Newton's method on T,
+    safeguarded by bisection; if none does (targets near 0 or 1), the scan's
+    extrema towards the target are polished in order by the same method on
+    dT/dh, between the neighbouring scan holds, and the first within
+    CALIBRATION_TOL wins; a polish that crosses the target takes the root
+    before it instead. Raises CalibrationUnreachableError when none is.
     """
-    from scipy.optimize import brentq, minimize_scalar  # only calibration needs it
-
     if not 0.0 <= target_transfer <= 1.0:
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
     if scan_points < 2:
@@ -779,23 +883,32 @@ def calibrate_hold_time(
     def offset(hold: float) -> float:
         return float(pulse.transfer(hold)) - target_transfer
 
+    def crossing(lo: float, hi: float) -> float:  # lo and hi bracket a crossing
+        return _bracketed_root(lambda h: (offset(h), pulse.transfer_derivatives(h)[1]), lo, hi)
+
     def result(hold: float) -> CalibrationResult:
         tr, leak = float(pulse.transfer(hold)), float(pulse.leakage(hold))
-        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan, pulse.basis)
+        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan, pulse.basis,
+                                 pulse.ramp_down)
 
     gap = values - target_transfer
     crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)
     if crossings.size:
-        return result(brentq(offset, holds[crossings[0]], holds[crossings[0] + 1]))
+        return result(crossing(holds[crossings[0]], holds[crossings[0] + 1]))
 
     # every scanned transfer lies on one side of the target: its extrema
     # towards the target are the local minima of |gap|
+    side = math.copysign(1.0, gap[0])
     gap = np.abs(gap)
     padded = np.concatenate(([np.inf], gap, [np.inf]))
     for i in np.flatnonzero((gap <= padded[:-2]) & (gap <= padded[2:])):
         lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
-        polish = minimize_scalar(lambda h: abs(offset(h)), bounds=(lo, hi), method="bounded")
-        hold = polish.x if polish.fun < gap[i] else holds[i]
+        hold = holds[i]
+        peak = _bracketed_root(lambda h: pulse.transfer_derivatives(h)[1:], lo, hi)
+        if peak is not None and side * offset(peak) <= 0:
+            hold = crossing(lo, peak)
+        elif peak is not None and abs(offset(peak)) < gap[i]:
+            hold = peak
         if abs(offset(hold)) <= CALIBRATION_TOL:
             return result(hold)
 

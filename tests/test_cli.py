@@ -574,9 +574,10 @@ def test_calibrate_exits_with_tolerance_code_when_the_replay_drifts(tmp_path, mo
 
 
 def test_calibrate_steps_each_ramp_once_and_replays_once(tmp_path, monkeypatch):
-    # HoldScan carries the ramp down forward and the ramp up backward, then the
-    # calibrated pulse is replayed: every ramp step is a chebyshev_step call, and the
-    # replay's hold is one more, the step of the identity that builds its propagator
+    # HoldScan carries L and R forward through the ramp down as one 2-row block, and the
+    # conjugate of that block is the ramp up run backwards; the replay starts where the ramp
+    # down ended, builds the hold's propagator (the step of the identity) and steps the ramp
+    # up forward. No step runs backwards
     calls = []
     chebyshev_step = tdse.chebyshev_step
 
@@ -591,14 +592,14 @@ def test_calibrate_steps_each_ramp_once_and_replays_once(tmp_path, monkeypatch):
     assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     hold = json.loads((out / "report.json").read_text())["hold_duration"]
     template = tdse.BarrierTimeline(4.0, 0.0, 4.0, 28.0, 12.0)
-    (_, down), _, (_, up) = tdse.timeline_steps(template, doc["solver"]["dt"])
-    (_, replay_down), (_, replay_hold), (_, replay_up) = tdse.timeline_steps(
+    (_, down), _, _ = tdse.timeline_steps(template, doc["solver"]["dt"])
+    _, (_, replay_hold), (_, replay_up) = tdse.timeline_steps(
         replace(template, hold_duration=hold), doc["solver"]["dt"])
     m = doc["grid"]["m"]
     assert tdse._holds_by_propagator(m, len(replay_hold), 1)
-    assert len(calls) == len(down) + len(up) + len(replay_down) + 1 + len(replay_up)
-    assert sum(dt < 0 for dt, _ in calls) == len(up)
-    assert [dt for dt, k in calls if k == m] == [replay_hold[0][1]]
+    assert calls == ([(dt, 2) for _, dt in down] + [(replay_hold[0][1], m)]
+                     + [(dt, 1) for _, dt in replay_up])
+    assert all(dt > 0 for dt, _ in calls)
 
 
 def test_calibrate_computes_the_qubit_basis_once(tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
+import json
 import math
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +430,45 @@ def test_zero_dt_is_identity():
     params = ChebyshevParams(dt=0.0, e_min=lo, e_max=hi)
     psi = normalized(grid, np.exp(-(grid.x**2))).psi[np.newaxis]
     assert chebyshev_step(grid, psi, v, params) is psi
+
+
+# α on a 2/3 grid over [−200, 200], the step lengths of the shipped and benchmark grids, and
+# small values on both sides of the power series' 1e-9 cut
+BESSEL_ALPHAS = [*np.linspace(-200.0, 200.0, 601), 1.82, 6.35, 0.3, -0.3, 1e-5, 2e-9, 1e-9, 5e-10, -1e-12, 0.0]
+
+
+@pytest.mark.parametrize("tail_tolerance", [1e-8, 1e-12, 1e-14, 1e-15])
+def test_bessel_recurrence_matches_scipy_and_truncates_where_it_does(tail_tolerance):
+    for alpha in BESSEL_ALPHAS:
+        first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
+        ours, theirs = tdse._bessel_j(alpha, limit), jv(np.arange(limit + 1), alpha)
+        assert ours.shape == theirs.shape
+        assert np.abs(ours - theirs)[: int(abs(alpha)) + 61].max() <= 1e-14, alpha
+        below = [np.flatnonzero(np.abs(j[first:]) < tail_tolerance)[0] for j in (ours, theirs)]
+        assert below[0] == below[1], alpha
+
+
+def test_chebyshev_weights_are_the_bessel_series():
+    for alpha in (1.82, 6.35, -6.35, 40.0):
+        weights = tdse.chebyshev_coefficients(alpha, 1e-14)
+        bessel = jv(np.arange(len(weights)), alpha)
+        expected = 2 * bessel * (-1j) ** np.arange(len(weights))
+        expected[0] = bessel[0]
+        assert np.abs(weights - expected).max() <= 2e-14
+        assert abs(jv(len(weights) - 1, alpha)) < 1e-14 <= np.abs(bessel[int(abs(alpha)) + 1 : -1]).min()
+
+
+@pytest.mark.parametrize("alpha, shown", [(1000.0, "1e+03"), (-1000.0, "-1e+03")])
+def test_chebyshev_truncation_failures_keep_their_messages(alpha, shown):
+    # J_1200(1000) ≈ 8e-39, so no term up to |α| + 200 falls below 1e-40; below 1e-14 the
+    # first one is J_1097, beyond |α| + 60
+    with pytest.raises(ToleranceFailure) as caught:
+        tdse.chebyshev_coefficients(alpha, 1e-40)
+    assert str(caught.value) == f"Chebyshev tail |J_n({shown})| did not reach 1.0e-40 within 1200 terms"
+    with pytest.raises(ToleranceFailure) as caught:
+        tdse.chebyshev_coefficients(alpha, 1e-14)
+    assert str(caught.value) == ("truncation order 1097 exceeds α + 60 = 1060.0; "
+                                 "reduce dt or widen the tail tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -859,17 +900,53 @@ def test_backward_chebyshev_step_undoes_a_forward_step():
     assert np.max(np.abs(back[0] - psi0.psi)) < 1e-12
 
 
+# low barrier, tilt, grid size and step length of the time-reversal properties
+REVERSAL_CASES = dict(low=st.floats(11.0, 13.0), tilt=st.floats(-0.05, 0.05), m=st.sampled_from([32, 64]),
+                      dt=st.sampled_from([0.05, 0.1]))
+
+
+@settings(max_examples=25)
+@given(low=REVERSAL_CASES["low"], dt=REVERSAL_CASES["dt"])
+def test_equal_ramps_mirror_each_other_step_for_step(low, dt):
+    # the ramp up is the ramp down reversed, barrier for barrier, and still samples the
+    # cosine ramp up at its own midpoints
+    template = gatecfg.gate_timeline(hold=0.37, low=low)
+    (_, down), _, (t_up, up) = timeline_steps(template, dt)
+    assert up == down[::-1]
+    for i, (barrier, dt_seg) in enumerate(up):
+        assert abs(barrier - template.barrier_at(t_up + (i + 0.5) * dt_seg)) <= 1e-13
+
+
+@settings(max_examples=25)
+@given(**REVERSAL_CASES)
+def test_the_conjugate_forward_ramp_down_is_the_backward_ramp_up(low, tilt, m, dt):
+    # H(b) is real symmetric and L, R are real: U_up†·(L, R) = conj(U_down·(L, R)) when
+    # the ramp up steps through the ramp down's barriers in reverse
+    grid = gatecfg.gate_grid(m=m)
+    spec = gatecfg.gate_spec(tilt=tilt)
+    template = gatecfg.gate_timeline(low=low)
+    params = gatecfg.gate_params(grid, spec, template, dt=dt)
+    basis = np.array([state.psi for state in well_ground_states(grid, spec)])
+    (_, down), _, (_, up) = timeline_steps(template, dt)
+    forward, _ = tdse._propagate(grid, spec, basis, down, params)
+    backward, _ = tdse._propagate(grid, spec, basis, [(b, -dt_seg) for b, dt_seg in reversed(up)], params)
+    assert np.abs(forward.conj() - backward).max() <= 1e-14
+
+
 @settings(max_examples=25)
 @given(
     low=st.floats(11.0, 13.0),
     tilt=st.floats(-0.05, 0.05),
     fraction=st.one_of(st.just(0.0), st.floats(0.0, 1.05)),
+    ramp_up=st.one_of(st.just(gatecfg.RAMP), st.floats(2.0, 6.0)),
 )
-@example(low=12.0, tilt=0.0, fraction=0.0)
-def test_hold_scan_matches_timeline_replays(low, tilt, fraction):
+@example(low=12.0, tilt=0.0, fraction=0.0, ramp_up=gatecfg.RAMP)
+@example(low=12.0, tilt=0.03, fraction=0.4, ramp_up=2.5)
+def test_hold_scan_matches_timeline_replays(low, tilt, fraction, ramp_up):
+    # equal ramps take HoldScan's one 2-row pass, unequal ones its second pass
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec(tilt=tilt)
-    template = gatecfg.gate_timeline(low=low)
+    template = replace(gatecfg.gate_timeline(low=low), ramp_up_duration=ramp_up)
     params = gatecfg.gate_params(grid, spec, template, dt=0.1)
     scan = HoldScan.from_pulse(grid, spec, template, params)
     hold = fraction * scan.period
@@ -879,6 +956,39 @@ def test_hold_scan_matches_timeline_replays(low, tilt, fraction):
     _, beta, leak = qubit_projection(traj.states[-1], phi_left, phi_right)
     assert abs(scan.transfer(hold) - abs(beta) ** 2) <= 1e-9
     assert abs(scan.leakage(hold) - leak) <= 1e-9
+
+
+@pytest.mark.parametrize("ramp_up", [gatecfg.RAMP, 2.5])
+def test_a_replay_from_the_scans_ramp_down_matches_a_full_replay(ramp_up):
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = replace(gatecfg.gate_timeline(), ramp_up_duration=ramp_up)
+    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
+    scan = HoldScan.from_pulse(grid, spec, template, params)
+    phi_left = scan.basis[0]
+    pulse = replace(template, hold_duration=0.3 * scan.period)
+    full = evolve_timeline(phi_left, grid, spec, pulse, params, sample_stride=7)
+    reused = evolve_timeline(phi_left, grid, spec, pulse, params, sample_stride=7, ramp_down=scan.ramp_down)
+    assert np.array_equal(reused.times, full.times)
+    assert np.abs(reused.states - full.states).max() <= 1e-12
+    # the ramp down of another timeline, or from another state, is refused
+    for psi0, other in [(phi_left, replace(pulse, ramp_down_duration=3.0)), (scan.basis[1], pulse)]:
+        with pytest.raises(ValueError, match="ramp down"):
+            evolve_timeline(psi0, grid, spec, other, params, ramp_down=scan.ramp_down)
+
+
+def test_transfer_derivatives_match_finite_differences():
+    grid = gatecfg.gate_grid(m=64)
+    spec = gatecfg.gate_spec()
+    template = gatecfg.gate_timeline()
+    scan = HoldScan.from_pulse(grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1))
+    step = 1e-4
+    for hold in np.linspace(0.0, scan.period, 7):
+        value, slope, curvature = scan.transfer_derivatives(hold)
+        below, above = scan.transfer(hold - step), scan.transfer(hold + step)
+        assert value == pytest.approx(scan.transfer(hold), abs=1e-14)
+        assert slope == pytest.approx((above - below) / (2 * step), abs=1e-8)
+        assert curvature == pytest.approx((above - 2 * value + below) / step**2, abs=1e-5)
 
 
 def test_hold_scan_period_is_the_low_barrier_doublet_period():
@@ -927,6 +1037,83 @@ def test_calibrate_pi_tops_its_scan_bracket(low):
     assert holds[i - 1] <= result.hold_duration <= holds[i + 1]
     assert result.achieved_transfer >= values[i - 1:i + 2].max()
     assert result.achieved_transfer >= 0.99
+
+
+def scipy_calibrated_hold(pulse: HoldScan, target: float, scan_points: int = 24) -> float:
+    """The hold the search found with scipy: brentq on the first crossing interval of the
+    scan, else a bounded minimize_scalar of |T − target| around each scan extremum."""
+    from scipy.optimize import brentq, minimize_scalar
+
+    holds = np.linspace(0.0, 1.05 * pulse.period, scan_points)
+    gap = pulse.transfer(holds) - target
+    crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)
+    if crossings.size:
+        i = crossings[0]
+        return brentq(lambda h: float(pulse.transfer(h)) - target, holds[i], holds[i + 1])
+    gap = np.abs(gap)
+    padded = np.concatenate(([np.inf], gap, [np.inf]))
+    for i in np.flatnonzero((gap <= padded[:-2]) & (gap <= padded[2:])):
+        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
+        polish = minimize_scalar(lambda h: abs(float(pulse.transfer(h)) - target), bounds=(lo, hi),
+                                 method="bounded")
+        hold = polish.x if polish.fun < gap[i] else holds[i]
+        if abs(float(pulse.transfer(hold)) - target) <= tdse.CALIBRATION_TOL:
+            return hold
+    raise AssertionError("scipy found no hold")
+
+
+def shipped_gate(name: str):
+    """Grid, well, timeline, solver and target of a shipped calibrate config."""
+    from gridwalk.cli import _tdse_setup
+
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+    return (*_tdse_setup(doc, "target_transfer", "scan_points"), doc["target_transfer"])
+
+
+def m64_gate(low: float, target: float):
+    grid, spec, template = gatecfg.gate_grid(m=64), gatecfg.gate_spec(), gatecfg.gate_timeline(low=low)
+    return grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1), target
+
+
+HALF_GATES = [("calibrate_half", lambda: shipped_gate("calibrate_half"))] + [
+    (f"m64-low{low}", lambda low=low: m64_gate(low, 0.5)) for low in (11.25, 12.0, 12.8)]
+PI_GATES = [("calibrate_pi", lambda: shipped_gate("calibrate_pi"))] + [
+    (f"m64-low{low}", lambda low=low: m64_gate(low, 1.0)) for low in (11.25, 12.0, 12.8)]
+
+
+@pytest.mark.parametrize("gate", [make for _, make in HALF_GATES], ids=[name for name, _ in HALF_GATES])
+def test_the_crossing_hold_is_brentqs(gate):
+    grid, spec, template, params, target = gate()
+    result = calibrate_hold_time(grid, spec, template, target, params)
+    expected = scipy_calibrated_hold(HoldScan.from_pulse(grid, spec, template, params), target)
+    assert abs(result.hold_duration - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("gate", [make for _, make in PI_GATES], ids=[name for name, _ in PI_GATES])
+def test_the_polished_pi_transfer_is_no_lower_than_minimize_scalars(gate):
+    grid, spec, template, params, target = gate()
+    result = calibrate_hold_time(grid, spec, template, target, params)
+    pulse = HoldScan.from_pulse(grid, spec, template, params)
+    expected = scipy_calibrated_hold(pulse, target)
+    # minimize_scalar stops within its xatol of 1e-5; Newton on dT/dh lands on the maximum. T is
+    # flat there, so a hold 1e-7 off it can read a few ulps higher from the rounding of T's sum
+    assert abs(result.hold_duration - expected) <= 1e-5
+    assert result.achieved_transfer >= float(pulse.transfer(expected)) - 4 * np.spacing(1.0)
+    assert abs(pulse.transfer_derivatives(result.hold_duration)[1]) <= 1e-12
+
+
+def test_a_polish_that_crosses_the_target_takes_the_root_before_the_peak():
+    # a target between the scan's best transfer and the true maximum: no scan interval
+    # crosses it, but the polished extremum does, so the hold is the crossing before it
+    grid, spec, template, params, _ = m64_gate(12.0, 1.0)
+    peak = calibrate_hold_time(grid, spec, template, 1.0, params)
+    scanned = max(t for _, t in peak.scan)
+    target = (scanned + peak.achieved_transfer) / 2
+    assert scanned < target < peak.achieved_transfer
+    result = calibrate_hold_time(grid, spec, template, target, params)
+    assert abs(result.achieved_transfer - target) <= 1e-12
+    assert result.hold_duration < peak.hold_duration
+    assert peak.hold_duration - result.hold_duration < peak.period_estimate / 23
 
 
 def test_calibrate_needs_two_scan_points():

@@ -154,9 +154,9 @@ RUNS = [
     ("walk walk_cycle64 --oracle", [], [], None),
     ("walk walk_complete16_dft --oracle", [], [], None),
     ("conveyor-verify conveyor_verify_n8 --seed 7", ["conveyor", "decompose"], [], None),
-    ("tdse tdse_pi", ["tdse"], ["special"], ["linalg", "optimize"]),
+    ("tdse tdse_pi", ["tdse"], [], None),
     ("decompose decompose_random8", ["decompose"], ["linalg"], []),
-    ("calibrate calibrate_pi", ["tdse"], ["special", "optimize"], []),
+    ("calibrate calibrate_pi", ["tdse"], [], None),
 ]
 
 
