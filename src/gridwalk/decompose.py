@@ -31,6 +31,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
+from .errors import UnitarityError
 from .util import (
     ByValue,
     check_unitary,
@@ -55,6 +56,11 @@ class Stage(ByValue):
     index pairs follow from n and d. ``u[k]`` acts on pair k of
     ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``: row 0 of ``u[k]`` yields
     the new amplitude at a, row 1 the one at b.
+
+    The constructor checks the blocks at ``ROTATION_TOL`` and keeps a
+    read-only copy. The stages of ``grover_stages`` and ``cs_decompose``
+    are checked where they are made, once per sequence as one stack, and
+    are read-only slices of that stack.
     """
 
     d: int
@@ -69,6 +75,14 @@ class Stage(ByValue):
         check_unitary(u, ROTATION_TOL, f"stride-{d} stage rotation")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "u", frozen(u))
+
+    @classmethod
+    def _checked(cls, d: int, u: np.ndarray) -> Stage:
+        """The stage of a read-only slice of a stack that ``_stage_sequence`` has checked: no check, no copy."""
+        stage = cls.__new__(cls)
+        object.__setattr__(stage, "d", d)
+        object.__setattr__(stage, "u", u)
+        return stage
 
     @property
     def n(self) -> int:
@@ -118,7 +132,8 @@ def cs_decompose(u: np.ndarray) -> StageSequence:
     stage's ``u`` are coin t's rotations, bit for bit those of
     ``cs_decompose(u[t])``. Raises ValueError when n < 2 or when n or L·n is
     not a power of two (pad first, see pad_unitary) and UnitarityError when
-    ``max|u†u − I| ≥ INPUT_UNITARITY_TOL`` for any coin.
+    ``max|u†u − I| ≥ INPUT_UNITARITY_TOL`` for any coin, or when a rotation
+    of the stages, all checked at once, misses ``ROTATION_TOL``.
     """
     u = np.asarray(u, dtype=complex)
     n = u.shape[-1]
@@ -130,17 +145,19 @@ def cs_decompose(u: np.ndarray) -> StageSequence:
     if not (is_power_of_two(n) and is_power_of_two(len(blocks))):
         raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad_unitary first)")
     check_unitary(blocks, INPUT_UNITARITY_TOL, "decomposition input")
-    return StageSequence(len(blocks) * n, tuple(_decompose_blocks(blocks)))
+    strides, stages = zip(*_decompose_blocks(blocks))
+    return _stage_sequence(len(blocks) * n, strides, np.stack(stages))  # leaves are complex, so is the stack
 
 
-def _decompose_blocks(blocks: np.ndarray) -> list[Stage]:
-    """Stages of the block-diagonal unitary of a (B, m, m) stack.
+def _decompose_blocks(blocks: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(stride, (B·m/2, 2, 2) rotations) of each stage of the block-diagonal unitary of a (B, m, m) stack.
 
-    Block t spans indices t·m+1..(t+1)·m.
+    Block t spans indices t·m+1..(t+1)·m. The rotations are unchecked:
+    ``cs_decompose`` checks them all at once.
     """
     count, m, _ = blocks.shape
     if m == 2:
-        return [Stage(2, blocks)]
+        return [(2, blocks)]
 
     h = m // 2
     # Exact identity blocks decompose into exact identity factors; they skip
@@ -161,7 +178,24 @@ def _decompose_blocks(blocks: np.ndarray) -> list[Stage]:
     middle[..., 0, 1] = np.where(is_eye[:, None], 0.0, -s)
     middle[..., 1, 0] = s
     right, left = sides.reshape(2, 2 * count, h, h)
-    return _decompose_blocks(right) + [Stage(m, middle.reshape(-1, 2, 2))] + _decompose_blocks(left)
+    return _decompose_blocks(right) + [(m, middle.reshape(-1, 2, 2))] + _decompose_blocks(left)
+
+
+def _stage_sequence(n: int, strides, stack: np.ndarray) -> StageSequence:
+    """The sequence of an (S, n/2, 2, 2) complex stack of stage rotations this module built.
+
+    Every rotation is checked at ``ROTATION_TOL`` in one pass over the whole
+    stack; a failure names the stride and the 1-based index of the first bad
+    stage. The stack is then made read-only, and each stage is its slice.
+    """
+    try:
+        check_unitary(stack, ROTATION_TOL, "stage rotation")
+    except UnitarityError:
+        for i, (d, u) in enumerate(zip(strides, stack)):  # name the first bad stage
+            check_unitary(u, ROTATION_TOL, f"stride-{d} stage {i + 1} rotation")
+        raise
+    stack.setflags(write=False)
+    return StageSequence(n, tuple(Stage._checked(d, u) for d, u in zip(strides, stack)))
 
 
 def grover_stages(active: np.ndarray) -> StageSequence:
@@ -181,7 +215,9 @@ def grover_stages(active: np.ndarray) -> StageSequence:
     coin is the identity, are exact identities in every stage.
 
     The stages span L·m indices in ``cs_decompose``'s stacked layout: rows
-    t·m/2 … (t+1)·m/2 − 1 of each stage's ``u`` are line t's. Raises
+    t·m/2 … (t+1)·m/2 − 1 of each stage's ``u`` are line t's. They are
+    written into one preallocated complex stack, whose rotations are all
+    checked at ``ROTATION_TOL`` once, and are read-only slices of it. Raises
     ValueError unless the mask is boolean with m ≥ 2 and L, m powers of two.
     """
     active = np.asarray(active)
@@ -191,29 +227,32 @@ def grover_stages(active: np.ndarray) -> StageSequence:
     if not (is_power_of_two(lines) and is_power_of_two(m)):
         raise ValueError(f"dimensions must be powers of two, got {active.shape}")
     live = active.sum(axis=1) >= 2
-    strides, blocks = [], []
+    # one stack of all 2·log₂m − 1 stages: the tree, the reflection at index
+    # ``tree``, the mirrored tree. Every rotation is real, so the blocks are
+    # written through the real view u and stay exactly real.
+    tree = m.bit_length() - 2
+    strides = [2**e for e in range(1, tree + 1)]
+    strides = strides + [m] + strides[::-1]
+    stack = np.zeros((len(strides), lines * m // 2, 2, 2), dtype=complex)
+    u = stack.real.reshape(len(strides), lines, m // 2, 2, 2)
+    u[..., 0, 0] = u[..., 1, 1] = 1.0
     counts = active.astype(float)  # active count of every block of the stride below
-    for e in range(1, m.bit_length() - 1):
+    for e in range(1, tree + 1):
         a, b = np.moveaxis(counts.reshape(lines, -1, 2), -1, 0)
         counts = a + b
         on = live[:, None] & (counts > 0)
         total = np.where(on, counts, 1.0)
-        u = np.broadcast_to(np.eye(2), (lines, m // 2**e, 2**(e - 1), 2, 2)).copy()
         c, sigma = np.where(on, np.sqrt(a / total), 1.0), np.where(on, np.sqrt(b / total), 0.0)
-        u[:, :, 0] = _block(c, sigma, -sigma, c)
-        strides.append(2**e)
-        blocks.append(u.reshape(lines, m // 2, 2, 2))
+        # the first pair of each block of 2**e indices rotates, in the tree and in its mirror
+        u[e - 1, :, ::2**(e - 1)] = _block(c, sigma, -sigma, c)
+        u[-e, :, ::2**(e - 1)] = _block(c, -sigma, sigma, c)
     # I − 2vv† on (1, m/2+1) from the half counts: 1 − 2c² = (b − a)/d, 2cσ = 2√(ab)/d
     a, b = counts.T
     d = np.where(live, a + b, 1.0)
     p, q = (b - a) / d, -2 * np.sqrt(a * b) / d
-    middle = np.broadcast_to(np.eye(2), (lines, m // 2, 2, 2)).copy()
-    middle[live, 0] = _block(p, q, q, -p)[live]
-    strides = strides + [m] + strides[::-1]
-    blocks = blocks + [middle] + [u.swapaxes(-1, -2) for u in blocks[::-1]]
-    sign = np.where(live[:, None] & active, -1.0, 1.0)
-    blocks[-1] = blocks[-1] * sign.reshape(lines, m // 2, 2, 1)
-    return StageSequence(lines * m, tuple(Stage(s, u.reshape(-1, 2, 2)) for s, u in zip(strides, blocks)))
+    u[tree][live, 0] = _block(p, q, q, -p)[live]
+    u[-1] *= np.where(live[:, None] & active, -1.0, 1.0).reshape(lines, m // 2, 2, 1)
+    return _stage_sequence(lines * m, strides, stack)
 
 
 def _block(w, x, y, z) -> np.ndarray:

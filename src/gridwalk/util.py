@@ -10,11 +10,23 @@ from .errors import InvariantViolation, UnitarityError
 
 
 def unitarity_defect(u: np.ndarray) -> float:
-    """Max-norm of u†u − I; for a stack of matrices, the worst over the stack."""
-    if u.shape[-1] == 2:  # stacks of 2×2 blocks: einsum beats the batched matmul
-        gram = np.einsum("...ji,...jk->...ik", u.conj(), u)
-    else:
-        gram = u.conj().swapaxes(-1, -2) @ u
+    """Max-norm of u†u − I; for a stack of matrices, the worst over the stack, 0.0 when it is empty.
+
+    A NaN or ±inf entry gives a NaN or inf defect, which no tolerance accepts.
+    """
+    if u.size == 0:
+        return 0.0
+    if u.shape[-2:] == (2, 2):
+        # u = [[a, b], [c, d]] has three distinct Gram entries: the column norms
+        # |a|² + |c|², |b|² + |d|² and the overlap ā·b + c̄·d (the fourth is its
+        # conjugate). Every entry enters a column norm as its squared modulus,
+        # so a NaN or inf anywhere reaches the max, which np.max propagates.
+        a, b, c, d = u.reshape(-1, 4).T
+        norm_a = a.real * a.real + a.imag * a.imag + (c.real * c.real + c.imag * c.imag) - 1
+        norm_b = b.real * b.real + b.imag * b.imag + (d.real * d.real + d.imag * d.imag) - 1
+        overlap = a.conj() * b + c.conj() * d
+        return float(np.max(np.stack([np.abs(norm_a), np.abs(norm_b), np.abs(overlap)])))
+    gram = u.conj().swapaxes(-1, -2) @ u
     return float(np.abs(gram - np.eye(u.shape[-1])).max())
 
 

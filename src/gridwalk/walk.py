@@ -198,6 +198,8 @@ class CoinGroup:
         if states.ndim != 2 or lines.shape != states.shape[:1]:
             raise ValueError(f"states shape {states.shape} does not match {len(lines)} lines")
         d = states.shape[1]
+        if d == 0:
+            raise ValueError("a coin group needs at least one active coin state per line, got d = 0")
         if sub.shape != (d, d):
             raise ValueError(f"sub-coin shape {sub.shape} does not match {d} active states")
         if np.any(np.diff(states, axis=1) <= 0):

@@ -71,6 +71,12 @@ def apply_cols_dense(amp: np.ndarray, coins) -> np.ndarray:
     return flat.reshape(amp.shape, order="F")
 
 
+def gram_defect(u) -> float:
+    """max|u†u − I| of a nonempty stack of square matrices, from the full Gram matrix of each."""
+    u = np.asarray(u)
+    return float(np.abs(u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])).max())
+
+
 def stage_matrix_dense(n: int, pairs, units) -> np.ndarray:
     """Permutation-conjugated block-diagonal build of a stage matrix."""
     order = []

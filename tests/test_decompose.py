@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,11 @@ from hypothesis import strategies as st
 from scipy.linalg import cossin
 
 import oracles
+from gridwalk import decompose
 from gridwalk.decompose import (
+    INPUT_UNITARITY_TOL,
+    RECONSTRUCTION_TOL,
+    ROTATION_TOL,
     Stage,
     StageSequence,
     apply_stage,
@@ -382,6 +387,17 @@ def test_stage_rejects_nan():
         Stage(4, u)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["a", "b", "c", "d"])
+def test_a_non_finite_rotation_entry_fails_every_stage_check(entry, value, rng):
+    stack = np.stack([random_stage(8, 2, rng).u, random_stage(8, 4, rng).u])
+    stack[1, 3][entry] = value
+    with pytest.raises(UnitarityError, match="stride-4 stage rotation"):
+        Stage(4, stack[1])
+    with pytest.raises(UnitarityError, match="stride-4 stage 2 rotation"):
+        decompose._stage_sequence(8, [2, 4], stack)
+
+
 @given(st.sampled_from([2, 4, 8, 16, 32, 64]), st.integers(0, 2**32 - 1))
 def test_cs_factor_is_bitwise_cossin(m, seed):
     blk = random_unitary(m, np.random.default_rng(seed))
@@ -409,6 +425,56 @@ def grover_mask(g):
     mask = np.zeros((npad, npad), dtype=bool)
     mask[:g.n, :g.n] = g.present
     return mask
+
+
+@given(st.integers(1, 8), st.integers(0, 3), st.floats(0, 1), st.integers(0, 2**32 - 1))
+def test_every_grover_stage_is_unitary_read_only_and_a_public_stage(log_m, log_lines, density, seed):
+    # the stages are checked once per sequence, as one stack; each must still
+    # pass the public constructor's own check and equal what it keeps
+    mask = np.random.default_rng(seed).random((2**log_lines, 2**log_m)) < density
+    for stage in grover_stages(mask).stages:
+        assert oracles.gram_defect(stage.u) < ROTATION_TOL
+        assert not stage.u.flags.writeable
+        assert stage == Stage(stage.d, stage.u.copy())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2)], ids=["2x2", "8x8-of-2x2-coins"])
+def test_a_near_unitary_input_passes_the_input_check_but_not_the_stage_check(shape, rng):
+    # at n = 2 the input blocks are the stage's rotations, so a defect between
+    # ROTATION_TOL and INPUT_UNITARITY_TOL is caught where the stage is made
+    u = np.stack([random_unitary(2, rng) for _ in range(math.prod(shape[:-2]))]).reshape(shape) * np.sqrt(1 + 5e-11)
+    assert ROTATION_TOL < oracles.gram_defect(u) < INPUT_UNITARITY_TOL
+    with pytest.raises(UnitarityError, match="stride-2 stage 1 rotation"):
+        cs_decompose(u)
+
+
+def test_a_near_unitary_full_coin_keeps_unitary_factors(rng):
+    # LAPACK's side factors of a full 8×8 coin are unitary to rounding, so its
+    # 5e-11 defect passes every stage check and shows in the reconstruction
+    u = random_unitary(8, rng) * np.sqrt(1 + 5e-11)
+    assert ROTATION_TOL < oracles.gram_defect(u) < INPUT_UNITARITY_TOL
+    seq = cs_decompose(u)
+    assert all(oracles.gram_defect(stage.u) < ROTATION_TOL for stage in seq.stages)
+    assert np.max(np.abs(reconstruct(seq) - u)) < RECONSTRUCTION_TOL
+
+
+@pytest.mark.parametrize("which", [0, 3, -1])
+@pytest.mark.parametrize("synthesize", [
+    lambda rng: grover_stages(rng.random((4, 16)) < 0.6),
+    lambda rng: cs_decompose(np.stack([random_unitary(16, rng) for _ in range(2)])),
+], ids=["grover", "cs"])
+def test_a_mutant_block_in_the_stage_stack_is_named_by_its_stride(synthesize, which, rng, monkeypatch):
+    build, named = decompose._stage_sequence, []
+
+    def mutant(n, strides, stack):
+        stack[which, len(stack[which]) // 2] *= 1 + 1e-11
+        named.append(f"stride-{strides[which]} stage {range(len(strides))[which] + 1} rotation")
+        return build(n, strides, stack)
+
+    monkeypatch.setattr(decompose, "_stage_sequence", mutant)
+    with pytest.raises(UnitarityError) as err:
+        synthesize(rng)
+    assert str(err.value).startswith(named[0] + " is not unitary")
 
 
 @pytest.mark.parametrize("lines", [1, 2, 8])

@@ -1,6 +1,7 @@
 import copy
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import oracles
 from gridwalk.decompose import (
+    ROTATION_TOL,
     Stage,
     cs_decompose,
     sequence_from_json,
@@ -20,6 +23,7 @@ from gridwalk.decompose import (
     unitary_from_json,
     unitary_to_json,
 )
+from gridwalk.errors import UnitarityError
 from gridwalk.graph import Graph
 from gridwalk.tdse import (
     BlochSamples,
@@ -29,7 +33,14 @@ from gridwalk.tdse import (
     wavefunction_from_json,
     wavefunction_to_json,
 )
-from gridwalk.util import check_version, complex_from_json, complex_to_json, random_unitary
+from gridwalk.util import (
+    check_unitary,
+    check_version,
+    complex_from_json,
+    complex_to_json,
+    random_unitary,
+    unitarity_defect,
+)
 from gridwalk.walk import Distribution, WalkState, state_from_json, state_to_json
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -124,6 +135,73 @@ def test_random_unitary_is_scipys_draw_to_the_bit(n):
         ours = random_unitary(n, np.random.default_rng(seed))
         theirs = unitary_group.rvs(n, random_state=np.random.default_rng(seed))
         assert ours.dtype == theirs.dtype and ours.tobytes() == theirs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# The closed-form 2×2 unitarity kernel beside its Gram oracle
+
+
+def haar_blocks(rng, lead: tuple[int, ...]) -> np.ndarray:
+    """Haar-random 2×2 unitaries stacked over the leading shape ``lead``."""
+    return np.stack([random_unitary(2, rng) for _ in range(math.prod(lead))]).reshape(lead + (2, 2))
+
+
+@st.composite
+def block_stacks(draw) -> np.ndarray:
+    """Stacks of shape (2, 2), (k, 2, 2) or (a, b, 2, 2): arbitrary, perturbed unitary or near ROTATION_TOL."""
+    lead = draw(st.sampled_from([(), (draw(st.integers(1, 9)),), (draw(st.integers(1, 4)), draw(st.integers(1, 4)))]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    family = draw(st.sampled_from(["arbitrary", "perturbed", "near_tolerance"]))
+    if family == "arbitrary":
+        return rng.uniform(-1, 1, lead + (2, 2)) + 1j * rng.uniform(-1, 1, lead + (2, 2))
+    u = haar_blocks(rng, lead)
+    if family == "perturbed":
+        return u + 10.0 ** rng.uniform(-17, -9) * (rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape))
+    # scaling a unitary by √(1 + δ) gives max|u†u − I| = δ
+    return u * np.sqrt(1 + rng.choice([0.5e-12, 0.9e-12, 1.1e-12, 2e-12], size=lead + (1, 1)))
+
+
+@given(block_stacks())
+def test_the_2x2_kernel_matches_the_gram_oracle(u):
+    assert abs(unitarity_defect(u) - oracles.gram_defect(u)) <= 1e-15
+
+
+@given(st.integers(1, 9), st.integers(0, 2**32 - 1), st.data())
+def test_the_2x2_kernel_and_the_oracle_decide_alike_near_the_rotation_tolerance(k, seed, data):
+    # one block of a unitary stack at a defect of half or twice ROTATION_TOL
+    rng = np.random.default_rng(seed)
+    for defect, accepted in ((0.5e-12, True), (2e-12, False)):
+        u = haar_blocks(rng, (k,))
+        u[data.draw(st.integers(0, k - 1))] *= np.sqrt(1 + defect)
+        assert (oracles.gram_defect(u) < ROTATION_TOL) is accepted
+        assert (unitarity_defect(u) < ROTATION_TOL) is accepted
+        if accepted:
+            check_unitary(u, ROTATION_TOL)
+        else:
+            with pytest.raises(UnitarityError):
+                check_unitary(u, ROTATION_TOL)
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, -np.inf)]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+@pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)], ids=["a", "b", "c", "d"])
+def test_a_non_finite_entry_fails_the_2x2_check(entry, value, rng):
+    u = random_unitary(2, rng)
+    u[entry] = value
+    with pytest.raises(UnitarityError):
+        check_unitary(u, ROTATION_TOL)
+    stack = haar_blocks(rng, (5,))
+    stack[3][entry] = value
+    with pytest.raises(UnitarityError):
+        check_unitary(stack, ROTATION_TOL)
+
+
+@pytest.mark.parametrize("shape", [(0, 2, 2), (2, 0, 2, 2), (0, 3, 3), (0, 0), (4, 0, 0)])
+def test_an_empty_stack_has_no_defect(shape):
+    assert unitarity_defect(np.zeros(shape, dtype=complex)) == 0.0
+    check_unitary(np.zeros(shape, dtype=complex), ROTATION_TOL)
 
 
 ROOT = Path(__file__).resolve().parents[1]

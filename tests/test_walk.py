@@ -652,6 +652,12 @@ def test_coin_set_rejects_bad_groups(lines, states, reason):
         CoinSet(3, (CoinGroup(np.array(lines), np.array(states), hadamard_coin()),))
 
 
+def test_a_coin_group_without_active_states_is_rejected_by_name():
+    # a d = 0 group would reach CoinSet with an empty sub-coin
+    with pytest.raises(ValueError, match="at least one active coin state per line, got d = 0"):
+        CoinGroup(np.array([0, 1]), np.zeros((2, 0), dtype=int), np.zeros((0, 0)))
+
+
 def test_nan_matrix_is_not_unitary():
     with pytest.raises(UnitarityError):
         check_unitary(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-12)
