@@ -31,7 +31,11 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 def check_unitary(u: np.ndarray, tol: float, what: str = "matrix") -> None:
-    defect = unitarity_defect(u)
+    check_defect(unitarity_defect(u), tol, what)
+
+
+def check_defect(defect: float, tol: float, what: str) -> None:
+    """Raise UnitarityError unless a defect max|u†u − I| is below tol; a NaN defect fails."""
     if not defect < tol:
         raise UnitarityError(f"{what} is not unitary: max|u†u − I| = {defect:.3e} ≥ {tol:.1e}")
 

@@ -30,7 +30,10 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import Graph
-from .util import ByValue, check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
+from .util import (
+    ByValue, check_defect, check_norm, check_version, complex_from_json, complex_to_json, frozen,
+    unitarity_defect,
+)
 
 NORM_TOL = 1e-12
 
@@ -131,14 +134,14 @@ def dft_coin(n: int) -> np.ndarray:
     """Discrete Fourier coin, entries exp(2πi jk/n)/√n."""
     if n < 1:
         raise ValueError(f"coin dimension must be positive, got {n}")
-    # jk mod n keeps the phase below 2π (raw jk reaches (n−1)²), reduced in place: no second n×n temporary
+    # entry (j, k) is root jk mod n: n exps, and a phase below 2π (raw jk reaches (n−1)²)
+    roots = np.arange(n) * (2j * np.pi)
+    roots /= n
+    np.exp(roots, out=roots)
+    roots /= np.sqrt(n)
     jk = np.outer(np.arange(n), np.arange(n))
     jk %= n
-    coin = jk * (2j * np.pi)
-    coin /= n
-    np.exp(coin, out=coin)
-    coin /= np.sqrt(n)
-    return coin
+    return roots[jk]
 
 
 _COIN_KINDS = ("grover", "dft", "hadamard")
@@ -170,6 +173,22 @@ def _structured_kind(sub: np.ndarray) -> str | None:
         if d and np.array_equal(bits, build(d).view(np.uint64)):
             return kind
     return None
+
+
+def _grover_rows(x: np.ndarray) -> None:
+    """Each row of an (L, d) array times ``grover_coin(d)``, in place: (2/d)·Σx − x."""
+    total = x.sum(axis=1, keepdims=True)
+    total *= 2 / x.shape[1]
+    np.subtract(total, x, out=x)
+
+
+def _dft_rows(x: np.ndarray) -> None:
+    """Each row of an (L, d) array times ``dft_coin(d)``, in place: an orthonormal inverse FFT."""
+    np.fft.ifft(x, axis=1, norm="ortho", out=x)
+
+
+# the walk's kernel of each structured coin kind
+_KERNELS = {"grover": _grover_rows, "dft": _dft_rows}
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,32 +246,68 @@ class CoinGroup:
         return grp
 
 
+def _sub_coin_defect(grp: CoinGroup) -> float:
+    """max|sub†·sub − I| of a group's sub-coin; a Grover or DFT one's formed by the walk's kernel.
+
+    Both coins are symmetric, so their kernel applied to the rows of
+    conj(sub) forms conj(sub)·subᵀ = sub†·sub in O(d²) or O(d² log d), and
+    checks in one pass the sub-coin and the operator the walk applies: a
+    sub-coin other than the kernel's coin reads its distance from it. A NaN
+    entry reads NaN.
+    """
+    kernel = _KERNELS.get(grp.kind)
+    if kernel is None:
+        return unitarity_defect(grp.sub)
+    x = grp.sub.conj()
+    kernel(x)
+    x.flat[:: len(x) + 1] -= 1
+    return float(np.abs(x).max())
+
+
 @dataclass(frozen=True, eq=False)
 class CoinSet:
     """The coins of all n lines for one step, as sub-coin groups.
 
     Lines in no group (degree-0 nodes, identity coins) are left unchanged.
-    Each distinct sub-coin is checked for unitarity once, on its own d×d
-    block. Dense n×n coins are built only on request, by ``dense``.
-    Compared by identity on purpose: a coin set is ``run_walk_physical``'s
-    synthesis cache key, so hashing one must stay O(1).
+    Every group's sub-coin is checked for unitarity when the set is built, on
+    its own d×d block (``_sub_coin_defect``). How each group steps is fixed
+    here too: the whole-line Grover or DFT group that holds more than half of
+    the lines, if there is one, steps in place with the index of the lines
+    outside it (``_in_place``); every other group gathers and scatters its
+    lines' active states (``_gathered``). Dense n×n coins are built only on
+    request, by ``dense``. Compared by identity on purpose: a coin set is
+    ``run_walk_physical``'s synthesis cache key, so hashing one must stay O(1).
     """
 
     n: int
     groups: tuple[CoinGroup, ...]
+    # (kernel, lines outside the group) of the group that steps in place: none or one
+    _in_place: tuple[tuple, ...] = field(init=False, repr=False)
+    # (index of the active states, kernel or None, sub-coin) of every other group
+    _gathered: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"coin set needs at least one line, got {self.n}")
         uses = np.zeros(self.n, dtype=int)
+        in_place, gathered = [], []
         for grp in self.groups:
             for idx in (grp.lines, grp.states):
                 if idx.size and (idx.min() < 0 or idx.max() >= self.n):
                     raise ValueError(f"coin index outside 1..{self.n}")
             np.add.at(uses, grp.lines, 1)
-            check_unitary(grp.sub, 1e-12, "sub-coin")
+            check_defect(_sub_coin_defect(grp), 1e-12, "sub-coin")
+            kernel, d = _KERNELS.get(grp.kind), grp.states.shape[1]
+            # in place copies the 2·(n − L) lines outside the group, the gather path 2·L
+            if kernel is not None and d == self.n and 2 * len(grp.lines) > self.n:
+                in_place.append((kernel, frozen(np.setdiff1d(np.arange(self.n), grp.lines))))
+            else:
+                index = grp.lines if d == self.n else (grp.lines[:, None], grp.states)
+                gathered.append((index, kernel, grp.sub))
         if np.any(uses > 1):
             raise ValueError(f"line {int(np.argmax(uses > 1)) + 1} belongs to two coin groups")
+        object.__setattr__(self, "_in_place", tuple(in_place))
+        object.__setattr__(self, "_gathered", tuple(gathered))
 
     @staticmethod
     def from_graph(g: Graph, kind: str = "grover") -> CoinSet:
@@ -325,26 +380,27 @@ def _buffer(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
 
 
 def _apply_groups(coins: CoinSet, lines: np.ndarray) -> None:
-    """lines[line, states] = sub · lines[line, states] for every group: gather, apply, scatter.
+    """lines[line, states] = sub · lines[line, states] for every group, in place.
 
-    A Grover sub-coin is applied as (2/d)·Σx − x and a DFT one as an
-    orthonormal inverse FFT, both in place on the gathered copy; any other
-    sub-coin by a matmul. A group whose states are all n coin states gathers
-    and scatters whole lines. Groups hold disjoint lines, so each scatter
-    writes only what its own gather read.
+    The whole-line Grover or DFT group that holds more than half of the
+    lines runs its kernel on every line of the buffer: the lines outside it
+    are gathered before and scattered back after. Every other group gathers
+    its lines' active states (whole lines when they are all n states),
+    applies its kernel (Grover (2/d)·Σx − x, DFT an orthonormal inverse FFT,
+    both on the gathered copy) or else a matmul by its sub-coin, and scatters
+    them back. Groups hold disjoint lines, so each scatter writes only what
+    its own gather read.
     """
-    for grp in coins.groups:
-        d = grp.states.shape[1]
-        index = grp.lines if d == len(lines) else (grp.lines[:, None], grp.states)
+    for kernel, outside in coins._in_place:
+        saved = lines[outside]
+        kernel(lines)
+        lines[outside] = saved
+    for index, kernel, sub in coins._gathered:
         x = lines[index]
-        if grp.kind == "grover":
-            total = x.sum(axis=1, keepdims=True)
-            total *= 2 / d
-            np.subtract(total, x, out=x)
-        elif grp.kind == "dft":
-            np.fft.ifft(x, axis=1, norm="ortho", out=x)
+        if kernel is None:
+            x = x @ sub.T
         else:
-            x = x @ grp.sub.T
+            kernel(x)
         lines[index] = x
 
 

@@ -88,6 +88,17 @@ def stage_matrix_dense(n: int, pairs, units) -> np.ndarray:
     return perm.T @ block_diag(*units) @ perm
 
 
+def dft_coin_by_entries(n: int) -> np.ndarray:
+    """The coin exp(2πi·(jk mod n)/n)/√n with one exp per entry: jk · 2πi, / n, exp, / √n."""
+    jk = np.outer(np.arange(n), np.arange(n))
+    jk %= n
+    coin = jk * (2j * np.pi)
+    coin /= n
+    np.exp(coin, out=coin)
+    coin /= np.sqrt(n)
+    return coin
+
+
 def dft_matrix(m: int) -> np.ndarray:
     j = np.arange(m)
     return np.exp(-2j * np.pi * np.outer(j, j) / m)

@@ -126,6 +126,11 @@ def test_standard_coins_unitary(n):
     assert unitarity_defect(dft_coin(n)) < 1e-12
 
 
+def test_dft_coin_from_its_roots_equals_the_coin_formed_entry_by_entry():
+    for n in range(1, 601):
+        assert dft_coin(n).tobytes() == oracles.dft_coin_by_entries(n).tobytes(), n
+
+
 @pytest.mark.parametrize("n", [255, 256, 512])
 def test_dft_coin_matches_the_fft_to_rounding(n, rng):
     # at these sizes a phase 2π·jk/n formed from the unreduced jk is up to 1e-14 off
@@ -469,10 +474,16 @@ def random_partial_coin(n, rng):
 
 
 def assert_kernel_matches_oracles(s, coin_set, dense):
+    """Both steps match the dense oracles, and keep the bits of every coin state its line's coin fixes."""
     rows, cols = oracles.apply_rows_dense(s.amp, dense), oracles.apply_cols_dense(s.amp, dense)
+    moved = np.stack(dense) != np.eye(s.n)
+    fixed = ~(moved.any(axis=1) | moved.any(axis=2))  # fixed[j, k]: coin j has identity row and column k
     for grouped in (coin_set, CoinSet.from_dense(dense)):
-        assert np.max(np.abs(apply_coin_rows(s.amp.copy(), grouped) - rows)) < 1e-12
-        assert np.max(np.abs(apply_coin_cols(s.amp.copy(), grouped) - cols)) < 1e-12
+        on_rows, on_cols = apply_coin_rows(s.amp.copy(), grouped), apply_coin_cols(s.amp.copy(), grouped)
+        assert np.max(np.abs(on_rows - rows)) < 1e-12
+        assert np.max(np.abs(on_cols - cols)) < 1e-12
+        assert on_rows[fixed].tobytes() == s.amp[fixed].tobytes()
+        assert on_cols[fixed.T].tobytes() == s.amp[fixed.T].tobytes()
 
 
 @given(st.integers(1, 7), st.sampled_from(["grover", "dft"]), st.integers(1, 5),
@@ -539,7 +550,58 @@ def test_structured_coin_kernels_match_dense_oracles(g, kind, seed):
     for coins in (graph_coins, CoinSet.from_dense(dense)):
         # a degree-1 node's coin is [[1]] under either kind, and is named Grover
         assert all(grp.kind == (kind if grp.states.shape[1] > 1 else "grover") for grp in coins.groups)
+    for grp in graph_coins.groups:
+        defect = walk._sub_coin_defect(grp)
+        assert defect < 1e-12
+        assert abs(defect - oracles.gram_defect(grp.sub)) <= len(grp.sub) * np.finfo(float).eps
     assert_kernel_matches_oracles(random_state(g.n, np.random.default_rng(seed)), graph_coins, dense)
+
+
+def whole_line_coins(n, kind, whole, rng):
+    """Dense coins of n lines: ``whole`` random lines carry the whole-line coin of ``kind``.
+
+    Each other line carries an exact identity, a Hadamard sub-coin on two
+    random states or a Haar sub-coin on a random subset of the states.
+    """
+    coin = coin_for_degree(kind, n)
+    order = rng.permutation(n)
+    coins = [coin] * n
+    for j in order[whole:]:
+        other = rng.integers(3)
+        if other == 0:
+            coins[j] = np.eye(n, dtype=complex)
+        elif other == 1:
+            coins[j] = oracles.mask_coin(hadamard_coin(), np.isin(np.arange(n), rng.choice(n, 2, replace=False)))
+        else:
+            coins[j] = random_partial_coin(n, rng)
+    return coins
+
+
+@example(n=16, kind="grover", whole=12, seed=1)
+@example(n=16, kind="dft", whole=12, seed=1)
+@example(n=17, kind="grover", whole=9, seed=2)  # just over half of the lines: in place
+@example(n=16, kind="dft", whole=8, seed=3)  # half of the lines: gathered
+@example(n=16, kind="grover", whole=16, seed=4)  # every line: nothing to restore
+@given(st.integers(2, 33), st.sampled_from(["grover", "dft"]), st.integers(1, 33), st.integers(0, 2**32 - 1))
+def test_whole_line_structured_groups_match_dense_oracles(n, kind, whole, seed):
+    whole = min(whole, n)
+    rng = np.random.default_rng(seed)
+    dense = whole_line_coins(n, kind, whole, rng)
+    coins = CoinSet.from_dense(dense)
+    # the group steps in place exactly when it holds more than half of the lines
+    assert len(coins._in_place) == (2 * whole > n)
+    assert_kernel_matches_oracles(random_state(n, rng), coins, dense)
+
+
+@pytest.mark.parametrize("kind", ["grover", "dft"])
+def test_an_in_place_step_that_does_not_restore_the_other_lines_fails_the_oracles(kind, rng):
+    n = 16
+    dense = whole_line_coins(n, kind, 12, rng)
+    coins = CoinSet.from_dense(dense)
+    ((kernel, outside),) = coins._in_place
+    object.__setattr__(coins, "_in_place", ((kernel, outside[:0]),))  # the mutant saves and restores nothing
+    with pytest.raises(AssertionError):
+        assert_kernel_matches_oracles(random_state(n, rng), coins, dense)
 
 
 def k64_minus_many():
@@ -549,6 +611,44 @@ def k64_minus_many():
     for j in range(2, 7):  # node j loses its edges to the last j nodes
         present[j - 1, 64 - j:] = present[64 - j:, j - 1] = False
     return Graph(64, np.argwhere(present) + 1)
+
+
+# extended precision, where the platform has it: a Gram product exact to well below 1e-15
+EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
+
+
+@example(kind="grover", d=512)
+@example(kind="dft", d=512)
+@given(st.sampled_from(["grover", "dft"]), st.integers(1, 512))
+def test_a_structured_sub_coin_is_checked_by_its_own_kernel(kind, d):
+    coin = coin_for_degree(kind, d)
+    grp = one_group(coin)
+    assert grp.kind == ("grover" if d == 1 else kind)
+    defect = walk._sub_coin_defect(grp)
+    assert defect < 1e-12
+    # the float Gram product rounds each of its d-term sums: its own error grows to about d·ε
+    assert abs(defect - oracles.gram_defect(coin)) <= d * np.finfo(float).eps
+    if d <= 128 and EXTENDED:
+        assert abs(defect - oracles.gram_defect(coin.astype(np.clongdouble))) <= 1e-15
+
+
+@pytest.mark.parametrize("kind", ["grover", "dft"])
+@pytest.mark.parametrize("spoil", ["shift", "nan", "sign"])
+def test_a_graph_sub_coin_that_is_not_its_kernels_coin_is_rejected(kind, spoil, monkeypatch):
+    build = getattr(walk, f"{kind}_coin")
+
+    def spoiled(d):
+        coin = build(d)
+        if spoil == "sign":
+            return -coin  # unitary and symmetric, but not the coin the kernel applies
+        coin[d // 2, d - 1] += 1e-9 if spoil == "shift" else np.nan
+        return coin
+
+    if spoil == "sign":
+        assert unitarity_defect(spoiled(64)) < 1e-12  # so a Gram check alone would pass it
+    monkeypatch.setattr(walk, f"{kind}_coin", spoiled)
+    with pytest.raises(UnitarityError, match=r"^sub-coin is not unitary: max\|u†u − I\| = .* ≥ 1\.0e-12$"):
+        CoinSet.from_graph(K64_MINUS_TWO, kind)
 
 
 @pytest.mark.parametrize("g, kind", [
