@@ -48,7 +48,11 @@ class Graph(ByValue):
         if outside.any():
             j, k = ends[np.argmax(outside)].tolist()
             raise ValueError(f"edge ({j},{k}) outside node range 1..{n}")
-        present = np.zeros((n, n), dtype=bool)
+        try:
+            present = np.zeros((n, n), dtype=bool)
+        except (MemoryError, ValueError):  # numpy raises ValueError when n² overflows an index
+            raise ValueError(f"a graph on {n} nodes needs a {n * n}-byte presence matrix, "
+                             "more than can be allocated") from None
         j, k = ends.T - 1
         present[j, k] = present[k, j] = True
         present.setflags(write=False)
@@ -163,11 +167,14 @@ def _parse_graph_json(text: str) -> Graph:
 
 # A plain edge list: blank lines, then the node count alone on its line, then
 # lines that are blank or "j k", in ASCII digits of at most 18 (so int64 holds
-# them), with no comment and no line break but "\n". The body is checked by
-# searching for the first line of any other form, which keeps no backtracking
-# state from one line to the next, unlike a match of the whole body.
+# them), with no comment and no line break but "\n". The body is admitted by
+# one match of the whole of it, the canonical "j k\n" line tried first. Every
+# quantifier is possessive, so the match keeps no backtracking state from one
+# line to the next: the same grammar with greedy quantifiers holds MiBs on a
+# 256-node complete graph.
 _PLAIN_HEADER = re.compile(r"(?:[ \t]*\n)*[ \t]*([0-9]{1,18})[ \t]*(?:\n|\Z)")
-_NOT_PLAIN_LINE = re.compile(r"(?m)^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18})?[ \t]*$)")
+_PLAIN_LINE = r"[ \t]*+(?:[0-9]{1,18}+[ \t]++[0-9]{1,18}+)?+[ \t]*+"
+_PLAIN_BODY = re.compile(r"(?:[0-9]{1,18}+ [0-9]{1,18}+\n|" + _PLAIN_LINE + r"\n)*+" + _PLAIN_LINE)
 
 
 def _parse_plain_edgelist(text: str) -> Graph | None:
@@ -177,7 +184,7 @@ def _parse_plain_edgelist(text: str) -> Graph | None:
     every error comes from ``_parse_edgelist_lines`` with its line number.
     """
     header = _PLAIN_HEADER.match(text)
-    if header is None or _NOT_PLAIN_LINE.search(text, header.end()):
+    if header is None or _PLAIN_BODY.fullmatch(text, header.end()) is None:
         return None
     n, body = int(header[1]), text[header.end():]
     # fromstring reads a string of whitespace alone as [0]

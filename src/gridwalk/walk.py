@@ -264,6 +264,12 @@ def _sub_coin_defect(grp: CoinGroup) -> float:
     return float(np.abs(x).max())
 
 
+def _flat_index(n: int, lines: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (L, d) indices of cells (line, state) in a C-ordered n×n buffer: by rows, by columns."""
+    lines = lines[:, None]
+    return frozen(lines * n + states), frozen(states * n + lines)
+
+
 @dataclass(frozen=True, eq=False)
 class CoinSet:
     """The coins of all n lines for one step, as sub-coin groups.
@@ -272,18 +278,22 @@ class CoinSet:
     Every group's sub-coin is checked for unitarity when the set is built, on
     its own d×d block (``_sub_coin_defect``). How each group steps is fixed
     here too: the whole-line Grover or DFT group that holds more than half of
-    the lines, if there is one, steps in place with the index of the lines
-    outside it (``_in_place``); every other group gathers and scatters its
-    lines' active states (``_gathered``). Dense n×n coins are built only on
-    request, by ``dense``. Compared by identity on purpose: a coin set is
-    ``run_walk_physical``'s synthesis cache key, so hashing one must stay O(1).
+    the lines, if there is one, steps in place, saving and restoring all n
+    states of the lines outside it (``_in_place``); every other group gathers
+    and scatters its lines' active states (``_gathered``). Each of these cell
+    sets is held as a pair of read-only (L, d) flat indices into a C-ordered
+    n×n buffer, ``line·n + state`` for rows and ``state·n + line`` for
+    columns: 16 bytes per cell, at most one amplitude buffer per set. Dense
+    n×n coins are built only on request, by ``dense``. Compared by identity
+    on purpose: a coin set is ``run_walk_physical``'s synthesis cache key, so
+    hashing one must stay O(1).
     """
 
     n: int
     groups: tuple[CoinGroup, ...]
-    # (kernel, lines outside the group) of the group that steps in place: none or one
+    # (kernel, flat indices of the lines outside the group) of the group that steps in place: none or one
     _in_place: tuple[tuple, ...] = field(init=False, repr=False)
-    # (index of the active states, kernel or None, sub-coin) of every other group
+    # (flat indices of the active states, kernel or None, sub-coin) of every other group
     _gathered: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -300,10 +310,10 @@ class CoinSet:
             kernel, d = _KERNELS.get(grp.kind), grp.states.shape[1]
             # in place copies the 2·(n − L) lines outside the group, the gather path 2·L
             if kernel is not None and d == self.n and 2 * len(grp.lines) > self.n:
-                in_place.append((kernel, frozen(np.setdiff1d(np.arange(self.n), grp.lines))))
+                outside = np.setdiff1d(np.arange(self.n), grp.lines)
+                in_place.append((kernel, _flat_index(self.n, outside, np.arange(self.n))))
             else:
-                index = grp.lines if d == self.n else (grp.lines[:, None], grp.states)
-                gathered.append((index, kernel, grp.sub))
+                gathered.append((_flat_index(self.n, grp.lines, grp.states), kernel, grp.sub))
         if np.any(uses > 1):
             raise ValueError(f"line {int(np.argmax(uses > 1)) + 1} belongs to two coin groups")
         object.__setattr__(self, "_in_place", tuple(in_place))
@@ -370,38 +380,46 @@ class CoinSet:
 
 
 def _buffer(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
-    """``amp`` if it is the complex (n, n) buffer of a coin set's n lines."""
+    """``amp`` if it is the C-contiguous complex (n, n) buffer of a coin set's n lines.
+
+    The groups write through a flat view of the buffer; any other layout
+    would make that view a copy and lose the writes.
+    """
     if not isinstance(coins, CoinSet):
         raise TypeError(f"coins must be a CoinSet, got {type(coins).__name__}")
     if not isinstance(amp, np.ndarray) or amp.dtype != complex or amp.shape != (coins.n, coins.n):
         raise ValueError(f"expected a complex ({coins.n}, {coins.n}) amplitude buffer, got "
                          f"{getattr(amp, 'dtype', type(amp).__name__)} {np.shape(amp)}")
+    if not amp.flags.c_contiguous:
+        raise ValueError(f"expected a C-contiguous amplitude buffer, got strides {amp.strides}")
     return amp
 
 
-def _apply_groups(coins: CoinSet, lines: np.ndarray) -> None:
-    """lines[line, states] = sub · lines[line, states] for every group, in place.
+def _apply_groups(coins: CoinSet, amp: np.ndarray, orientation: int) -> None:
+    """Each group's sub-coin on its lines' active states of ``amp``, in place: rows (0) or columns (1).
 
+    Every group reads and writes through its flat indices of that
+    orientation into ``amp.reshape(-1)``, a view of the C-contiguous buffer.
     The whole-line Grover or DFT group that holds more than half of the
-    lines runs its kernel on every line of the buffer: the lines outside it
-    are gathered before and scattered back after. Every other group gathers
-    its lines' active states (whole lines when they are all n states),
-    applies its kernel (Grover (2/d)·Σx − x, DFT an orthonormal inverse FFT,
-    both on the gathered copy) or else a matmul by its sub-coin, and scatters
-    them back. Groups hold disjoint lines, so each scatter writes only what
-    its own gather read.
+    lines runs its kernel on every line of ``amp`` or ``amp.T``: the lines
+    outside it are gathered before and scattered back after. Every other
+    group gathers its lines' active states into an (L, d) copy, applies its
+    kernel (Grover (2/d)·Σx − x, DFT an orthonormal inverse FFT) or else a
+    matmul by its sub-coin, and scatters them back. Groups hold disjoint
+    lines, so each scatter writes only what its own gather read.
     """
+    flat = amp.reshape(-1)
     for kernel, outside in coins._in_place:
-        saved = lines[outside]
-        kernel(lines)
-        lines[outside] = saved
+        saved = flat[outside[orientation]]
+        kernel(amp.T if orientation else amp)
+        flat[outside[orientation]] = saved
     for index, kernel, sub in coins._gathered:
-        x = lines[index]
+        x = flat[index[orientation]]
         if kernel is None:
             x = x @ sub.T
         else:
             kernel(x)
-        lines[index] = x
+        flat[index[orientation]] = x
 
 
 # ---------------------------------------------------------------------------
@@ -466,13 +484,13 @@ class CoinPlan:
 
 def apply_coin_rows(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
     """Replace row j of the buffer by coin_j · row_j, in place (the horizontal grouping)."""
-    _apply_groups(coins, _buffer(amp, coins))
+    _apply_groups(coins, _buffer(amp, coins), 0)
     return amp
 
 
 def apply_coin_cols(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
     """Replace column k of the buffer by coin_k · column_k, in place (the vertical grouping)."""
-    _apply_groups(coins, _buffer(amp, coins).T)
+    _apply_groups(coins, _buffer(amp, coins), 1)
     return amp
 
 

@@ -6,8 +6,16 @@ instead of per-line loops, a two-component line walk instead of the grid
 machinery, an explicitly constructed DFT matrix instead of FFT calls.
 """
 
+import re
+
 import numpy as np
 from scipy.linalg import block_diag
+
+# The first line, after the node count, of a document that is no plain edge
+# list: one that is not blank or "j k" in ASCII digits of at most 18. A search
+# from the end of the header, line by line, as the parser admitted bodies
+# before it matched the whole body at once.
+NOT_PLAIN_LINE = re.compile(r"(?m)^(?![ \t]*(?:[0-9]{1,18}[ \t]+[0-9]{1,18})?[ \t]*$)")
 
 
 def two_state_line_walk(n: int, start: int, steps: int) -> np.ndarray:
@@ -134,3 +142,48 @@ def free_gaussian(x: np.ndarray, t: float, x0: float, sigma0: float, k0: float) 
             - 1j * k0**2 * t / 2
         )
     )
+
+
+def apply_groups_fancy(coins, amp: np.ndarray, orientation: int) -> np.ndarray:
+    """A coin set applied to a copy of ``amp``'s rows (0) or columns (1) through 2-D fancy indices.
+
+    The coin layer as it was before its flat indices, as the bitwise
+    reference for them: on the line buffer ``lines`` (the copy, or its
+    transpose), the whole-line Grover or DFT group that holds more than half
+    of the lines runs its arithmetic on every line, with the lines outside
+    it saved before and restored after; every other group gathers
+    ``lines[lines_of_group[:, None], states]`` (whole lines by the line
+    index alone), applies the same arithmetic or a matmul by its sub-coin,
+    and scatters it back.
+    """
+    kernels = {"grover": _grover_rows, "dft": _dft_rows}
+    out = np.array(amp, dtype=complex, order="C")
+    lines, n = (out.T if orientation else out), coins.n
+    gathered = []
+    for grp in coins.groups:
+        kernel, d = kernels.get(grp.kind), grp.states.shape[1]
+        if kernel is not None and d == n and 2 * len(grp.lines) > n:
+            outside = np.setdiff1d(np.arange(n), grp.lines)
+            saved = lines[outside]
+            kernel(lines)
+            lines[outside] = saved
+        else:
+            gathered.append((grp.lines if d == n else (grp.lines[:, None], grp.states), kernel, grp.sub))
+    for index, kernel, sub in gathered:
+        x = lines[index]
+        if kernel is None:
+            x = x @ sub.T
+        else:
+            kernel(x)
+        lines[index] = x
+    return out
+
+
+def _grover_rows(x: np.ndarray) -> None:
+    total = x.sum(axis=1, keepdims=True)
+    total *= 2 / x.shape[1]
+    np.subtract(total, x, out=x)
+
+
+def _dft_rows(x: np.ndarray) -> None:
+    np.fft.ifft(x, axis=1, norm="ortho", out=x)

@@ -193,6 +193,14 @@ def test_walk_graph_from_file_and_snapshot(tmp_path):
     assert abs(sum(float(r.split()[1]) for r in rows) - 1) < 1e-12
 
 
+def test_a_walk_on_a_node_count_too_large_to_hold_is_a_config_error(tmp_path, capsys):
+    (tmp_path / "big.txt").write_text("100000000\n1 2\n")
+    cfg = write_config(tmp_path, {"version": 1, "graph": "big.txt", "steps": 2, "initial": {"node": 1, "coin": 2}})
+    assert main(["walk", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert "config error: a graph on 100000000 nodes" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_walk_resumed_from_an_odd_step_snapshot_is_the_straight_walk(tmp_path):
     # 6 nodes of degrees 1 to 3: a snapshot in grid form after 3 steps is the transposed state
     graph = {"n": 6, "edges": [[1, 2], [2, 3], [3, 4], [4, 5], [5, 6], [2, 5]]}

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from gridwalk import graph
 from gridwalk.errors import GraphParseError
 from gridwalk.graph import (
@@ -194,24 +195,49 @@ def edge_list_documents(draw):
     return end.join(lines) + draw(st.sampled_from(["", end]))
 
 
+# documents that every property over edge_list_documents() also tries
+EDGE_LIST_EXAMPLES = [
+    "\n  # ring\n3\n\n1 2  # first\n \t\n2 3\n3 1\n",
+    "4",
+    "4\r\n1 2\r\n",
+    "4\n+3 1\n",
+    "4\n1_000 1\n",
+    "1_000\n1 2\n",
+    "4\n\u0663 1\n",
+    "4\n1 " + "1" * 19 + "\n",
+    "4\n1 " + "0" * 18 + "2\n",
+    "4\n1 2\n3\n",
+    "4\n1 2 3\n",
+    "4\n0 1\n",
+    "4\n1 5\n",
+    "4\n1 2\n2 1\n1 2\n4 4\n",
+]
+
+
+def with_edge_list_examples(test):
+    for text in EDGE_LIST_EXAMPLES:
+        test = example(text)(test)
+    return test
+
+
 @settings(max_examples=400)
 @given(edge_list_documents())
-@example("\n  # ring\n3\n\n1 2  # first\n \t\n2 3\n3 1\n")
-@example("4")
-@example("4\r\n1 2\r\n")
-@example("4\n+3 1\n")
-@example("4\n1_000 1\n")
-@example("1_000\n1 2\n")
-@example("4\n\u0663 1\n")
-@example("4\n1 " + "1" * 19 + "\n")
-@example("4\n1 " + "0" * 18 + "2\n")
-@example("4\n1 2\n3\n")
-@example("4\n1 2 3\n")
-@example("4\n0 1\n")
-@example("4\n1 5\n")
-@example("4\n1 2\n2 1\n1 2\n4 4\n")
+@with_edge_list_examples
 def test_the_vectorized_edge_list_path_agrees_with_the_line_loop(text):
     assert parse_outcome(parse_graph, text) == parse_outcome(graph._parse_edgelist_lines, text)
+
+
+@settings(max_examples=400)
+@given(edge_list_documents())
+@with_edge_list_examples
+@example("4\n1 2\n\t3\t 4 \n \n")
+@example("4\n" + "1" * 17 + " 1\n" + "1" * 18 + " 1")
+@example("4\n1 2\n\n")
+def test_the_body_match_admits_what_the_line_search_admits(text):
+    header = graph._PLAIN_HEADER.match(text)
+    start = header.end() if header else 0  # a document without a header still tries the grammar
+    admitted = graph._PLAIN_BODY.fullmatch(text, start) is not None
+    assert admitted == (oracles.NOT_PLAIN_LINE.search(text, start) is None)
 
 
 @pytest.mark.parametrize("text, plain", [
@@ -230,18 +256,35 @@ def test_only_plain_edge_lists_take_the_vectorized_path(text, plain):
         assert g == graph._parse_edgelist_lines(text)
 
 
-def test_parsing_a_complete_256_node_edge_list_holds_little_memory():
-    n = 256
-    text = f"{n}\n" + "".join(f"{j} {k}\n" for j in range(1, n + 1) for k in range(j, n + 1))
+def complete_edge_list(n):
+    return f"{n}\n" + "".join(f"{j} {k}\n" for j in range(1, n + 1) for k in range(j, n + 1))
+
+
+def traced_peak(call):
+    """``call()`` and the peak of memory traced while it ran, in bytes."""
     tracemalloc.start()
     try:
-        g = parse_graph(text)
+        result = call()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return result, peak
+
+
+def test_parsing_a_complete_256_node_edge_list_holds_little_memory():
+    n = 256
+    text = complete_edge_list(n)
+    g, peak = traced_peak(lambda: parse_graph(text))
     assert g == complete_graph(n)
     # the text is 0.23 MiB and its endpoints as int64 0.25 MiB; a loop over the
     # 32 897 lines, or a regular expression that backtracks over them, holds many MiB
+    assert peak < 2 * 2**20
+    # the 512-node list is 0.95 MiB, and its body is admitted by one match that
+    # keeps no state across its 131 328 lines
+    text = complete_edge_list(512)
+    start = graph._PLAIN_HEADER.match(text).end()
+    match, peak = traced_peak(lambda: graph._PLAIN_BODY.fullmatch(text, start))
+    assert match is not None and match.end() == len(text)
     assert peak < 2 * 2**20
 
 
@@ -305,6 +348,13 @@ def test_graph_compares_and_hashes_by_value():
 def test_graph_rejects_a_node_count_that_is_no_positive_int(n):
     with pytest.raises(ValueError, match="node count"):
         Graph(n, frozenset())
+
+
+@pytest.mark.parametrize("text", ["100000000\n1 2\n", "100000000\n# big\n1 2\n", "1" * 18 + "\n"])
+def test_a_node_count_too_large_to_hold_is_a_value_error_naming_it(text):
+    n = int(text.split()[0])
+    with pytest.raises(ValueError, match=f"graph on {n} nodes needs a {n * n}-byte presence matrix"):
+        parse_graph(text)
 
 
 @pytest.mark.parametrize("edges, reason", [

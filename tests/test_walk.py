@@ -598,10 +598,48 @@ def test_an_in_place_step_that_does_not_restore_the_other_lines_fails_the_oracle
     n = 16
     dense = whole_line_coins(n, kind, 12, rng)
     coins = CoinSet.from_dense(dense)
-    ((kernel, outside),) = coins._in_place
-    object.__setattr__(coins, "_in_place", ((kernel, outside[:0]),))  # the mutant saves and restores nothing
+    ((kernel, (rows, cols)),) = coins._in_place
+    # the mutant saves and restores nothing, in either orientation
+    object.__setattr__(coins, "_in_place", ((kernel, (rows[:0], cols[:0])),))
     with pytest.raises(AssertionError):
         assert_kernel_matches_oracles(random_state(n, rng), coins, dense)
+
+
+@example(n=17, kind="grover", whole=9, seed=1, g=remove_edge(complete_graph(17), 1, 2))  # in place, d = 16
+@example(n=16, kind="dft", whole=8, seed=2, g=remove_edge(complete_graph(16), 3, 3))  # half: gathered
+@example(n=33, kind="grover", whole=5, seed=3, g=cycle_graph(33))
+@example(n=2, kind="dft", whole=0, seed=4, g=Graph(2))
+@given(st.integers(2, 33), st.sampled_from(["grover", "dft"]), st.integers(0, 33), st.integers(0, 2**32 - 1),
+       dense_graphs(33))
+def test_flat_index_groups_equal_the_fancy_index_oracle_bit_for_bit(n, kind, whole, seed, g):
+    rng = np.random.default_rng(seed)
+    sets = (
+        # a whole-line group in place or gathered, identity lines, Hadamard and Haar groups
+        CoinSet.from_dense(whole_line_coins(n, kind, min(whole, n), rng)),
+        # whole-line and partial-line groups of one kind
+        CoinSet.from_graph(g, kind),
+        CoinSet.from_graph(cycle_graph(max(n, 3)), "hadamard"),
+    )
+    for coins in sets:
+        amp = random_state(coins.n, rng).amp.copy()
+        for orientation, apply in enumerate((apply_coin_rows, apply_coin_cols)):
+            expected = oracles.apply_groups_fancy(coins, amp, orientation)
+            assert apply(amp.copy(), coins).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("apply", [apply_coin_rows, apply_coin_cols])
+@pytest.mark.parametrize("whole", [0, 12])
+def test_a_buffer_that_is_not_c_contiguous_is_rejected_untouched(apply, whole, rng):
+    n = 16
+    coins = CoinSet.from_dense(whole_line_coins(n, "grover", whole, rng))
+    assert len(coins._in_place) == (whole > 0)
+    big = random_state(2 * n, rng).amp.copy()
+    amp = big[:n, :n].copy()
+    for bad, whole_buffer in ((amp.T, amp), (big[::2, ::2], big)):
+        before = whole_buffer.copy()
+        with pytest.raises(ValueError, match="amplitude buffer"):
+            apply(bad, coins)
+        assert whole_buffer.tobytes() == before.tobytes()
 
 
 def k64_minus_many():
