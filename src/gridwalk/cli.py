@@ -4,9 +4,10 @@ Subcommands: walk, decompose, conveyor-verify, tdse, calibrate. Every run
 reads one JSON config document (versioned with a "version" field), writes its
 artifacts into --out atomically (temp file + rename), and records the seed in
 the report so reruns are byte-identical. Exit codes: 0 success, 2 config
-error, 3 invariant violation, 4 numerical-tolerance failure. Each subcommand
-returns its report and the bound of each value it enforces; ``main`` alone
-writes the report and exits 4 when a value exceeds its bound or is NaN.
+error (a size too large to allocate included), 3 invariant violation, 4
+numerical-tolerance failure. Each subcommand returns its report and the
+bound of each value it enforces; ``main`` alone writes the report and exits
+4 when a value exceeds its bound or is NaN.
 """
 
 from __future__ import annotations
@@ -182,17 +183,13 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
         stage = decompose.Stage(d, np.stack([random_unitary(2, rng) for _ in range(n // 2)]))
         amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         amp /= np.linalg.norm(amp)
-        state = walk.WalkState(n, amp)
         orientation = conveyor.ROW if rng.integers(2) else conveyor.COLUMN
         line = int(rng.integers(1, n + 1))
-        amp = conveyor.embed(state)
-        cells = conveyor.data_lines(amp, orientation)[line - 1]
+        logical = amp[line - 1] if orientation == conveyor.ROW else amp[:, line - 1]
+        cells = np.zeros(2 * n, dtype=complex)
+        cells[0::2] = logical
         conveyor.run_stage(cells, stage, orientation, line, trace)
-        physical = conveyor.extract(amp)
-        expected = state.amp.copy()
-        lines = expected if orientation == conveyor.ROW else expected.T
-        lines[line - 1] = decompose.apply_stage(lines[line - 1], stage)
-        worst = max(worst, float(np.max(np.abs(physical.amp - expected))))
+        worst = max(worst, float(np.max(np.abs(cells[0::2] - decompose.apply_stage(logical, stage)))))
     _atomic_write(out_dir, "trace.txt", conveyor.format_trace(trace))
     print(f"conveyor-verify: n={n} trials={trials} max deviation={worst:.3e} -> {out_dir}")
     report = {"n": n, "trials": trials, "max_deviation": worst,
@@ -339,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     except ToleranceFailure as e:
         print(f"tolerance failure: {e}", file=sys.stderr)
         return EXIT_TOLERANCE
-    except (ValueError, KeyError, OSError) as e:
+    except (ValueError, KeyError, OSError, MemoryError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except GridwalkError as e:

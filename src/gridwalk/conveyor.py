@@ -21,10 +21,12 @@ stage rotations by gate calibration. Register motion is an exact permutation
 (ideal adiabatic transport). Pair schedules satisfy k·d+r+d/2 ≤ n, so a +d
 shift never crosses the grid boundary.
 
-The primitives and the stage runner work in place on the last axis, the 2n
+Register dots off the data lines never hold amplitude in any stage, so the
+code holds one line's 2n cells at a time (a grid row for H, a grid column for
+V): the primitives and the stage runner work in place on the last axis, the 2n
 cells of a line, of one line or a block of lines. A stage leaves every
 register site empty, so ``run_walk_physical`` keeps just the n×n data sites
-between steps; ``embed``, ``extract`` and ``data_lines`` serve a 2n×2n grid.
+between steps.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ REGISTER_TOL = 1e-10
 
 ROW = "row"
 COLUMN = "column"
-
-
-def register_residue(amp: np.ndarray) -> float:
-    """Largest register-site amplitude of a 2n×2n grid buffer; NaN if any is NaN."""
-    return float(np.maximum(np.abs(amp[1::2]).max(), np.abs(amp[0::2, 1::2]).max()))
 
 
 @dataclass
@@ -79,36 +76,6 @@ def format_trace(trace: ProtocolTrace) -> str:
         for orientation, line, n, d in trace.stages
         for step, action, params in _stage_actions(n, d)
     )
-
-
-def data_lines(amp: np.ndarray, orientation: str) -> np.ndarray:
-    """The (n, 2n) block of data lines of a 2n×2n grid buffer, a writable view.
-
-    Row t of the block is the physical row (ROW) or column (COLUMN) 2t+1,
-    1-based, that carries logical line t+1.
-    """
-    if orientation == ROW:
-        return amp[0::2]
-    if orientation == COLUMN:
-        return amp[:, 0::2].T
-    raise ValueError(f"orientation must be {ROW!r} or {COLUMN!r}, got {orientation!r}")
-
-
-def embed(s: WalkState) -> np.ndarray:
-    """A writable 2n×2n grid buffer holding the walk amplitudes on its data sites."""
-    amp = np.zeros((2 * s.n, 2 * s.n), dtype=complex)
-    amp[0::2, 0::2] = s.amp
-    return amp
-
-
-def extract(amp: np.ndarray) -> WalkState:
-    """Read the walk state off the data sites of a grid buffer; register sites must be empty."""
-    worst = register_residue(amp)
-    if not worst <= REGISTER_TOL:
-        raise ProtocolIncompleteError(
-            f"register amplitude {worst:.3e} exceeds {REGISTER_TOL:.0e}; protocol incomplete"
-        )
-    return WalkState(amp.shape[0] // 2, amp[0::2, 0::2])
 
 
 def pi_transfer(cells: np.ndarray, positions) -> np.ndarray:

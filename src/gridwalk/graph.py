@@ -172,7 +172,7 @@ def _parse_graph_json(text: str) -> Graph:
 # quantifier is possessive, so the match keeps no backtracking state from one
 # line to the next: the same grammar with greedy quantifiers holds MiBs on a
 # 256-node complete graph.
-_PLAIN_HEADER = re.compile(r"(?:[ \t]*\n)*[ \t]*([0-9]{1,18})[ \t]*(?:\n|\Z)")
+_PLAIN_HEADER = re.compile(r"(?:[ \t]*\n)*[ \t]*[0-9]{1,18}[ \t]*(?:\n|\Z)")
 _PLAIN_LINE = r"[ \t]*+(?:[0-9]{1,18}+[ \t]++[0-9]{1,18}+)?+[ \t]*+"
 _PLAIN_BODY = re.compile(r"(?:[0-9]{1,18}+ [0-9]{1,18}+\n|" + _PLAIN_LINE + r"\n)*+" + _PLAIN_LINE)
 
@@ -186,10 +186,9 @@ def _parse_plain_edgelist(text: str) -> Graph | None:
     header = _PLAIN_HEADER.match(text)
     if header is None or _PLAIN_BODY.fullmatch(text, header.end()) is None:
         return None
-    n, body = int(header[1]), text[header.end():]
-    # fromstring reads a string of whitespace alone as [0]
-    ends = (np.fromstring(body, dtype=np.int64, sep=" ") if body.strip()
-            else np.empty(0, dtype=np.int64)).reshape(-1, 2)
+    # one read of the whole text, whose first number is the node count
+    numbers = np.fromstring(text, dtype=np.int64, sep=" ")
+    n, ends = int(numbers[0]), numbers[1:].reshape(-1, 2)
     if n < 1 or (ends.size and (ends.min() < 1 or ends.max() > n)):
         return None
     return Graph(n, ends)

@@ -1,6 +1,7 @@
 import argparse
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -519,6 +520,18 @@ def test_calibrate_unreachable_exit_code(tmp_path):
     doc["well"]["tilt"] = 0.5
     cfg = write_config(tmp_path, doc)
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_TOLERANCE
+
+
+@pytest.mark.parametrize("subcommand,name", [("tdse", "tdse_pi"), ("calibrate", "calibrate_pi")])
+def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, subcommand, name):
+    # the shipped config at m = 10⁶: the dense kinetic matrix alone would take 7.28 TiB,
+    # so its allocation fails at once
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
+    doc["grid"]["m"] = 10**6
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: Unable to allocate" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
 
 
 def small_gate_config(**overrides):

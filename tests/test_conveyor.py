@@ -8,18 +8,14 @@ from gridwalk.conveyor import (
     COLUMN,
     ROW,
     ProtocolTrace,
-    data_lines,
-    embed,
-    extract,
     format_trace,
     pi_transfer,
-    register_residue,
     rotate_pairs,
     run_stage,
     run_walk_physical,
     shift_register,
 )
-from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, stage_pairs
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, stage_pairs, stage_sites
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import next_power_of_two, random_unitary
@@ -40,8 +36,27 @@ def identity_stage(n, d):
     return Stage(d, np.broadcast_to(np.eye(2), (n // 2, 2, 2)))
 
 
-def line_of(amp, orientation, line):
-    return data_lines(amp, orientation)[line - 1]
+def random_line(n, rng):
+    amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return amp / np.linalg.norm(amp)
+
+
+def lay(logical):
+    """Cells of one line, or a block of lines, with ``logical`` on the data sites and empty registers."""
+    logical = np.asarray(logical, dtype=complex)
+    cells = np.zeros(logical.shape[:-1] + (2 * logical.shape[-1],), dtype=complex)
+    cells[..., 0::2] = logical
+    return cells
+
+
+def line_buffer(amp, orientation):
+    """The (n, 2n) cells of all n lines of an n×n state; for COLUMN a strided view of a (2n, n) array."""
+    n = amp.shape[0]
+    if orientation == ROW:
+        return lay(amp)
+    lines = np.zeros((2 * n, n), dtype=complex).T
+    lines[:, 0::2] = amp.T
+    return lines
 
 
 def line_stage(stage, n, t):
@@ -50,110 +65,85 @@ def line_stage(stage, n, t):
 
 
 # ---------------------------------------------------------------------------
-# Embed / extract
-
-
-def test_embed_localized():
-    amp = embed(init_localized(2, 1, 1))
-    expected = np.zeros((4, 4))
-    expected[0, 0] = 1
-    assert np.array_equal(amp, expected) and amp.flags.writeable
-
-
-def test_embed_norm_and_round_trip(rng):
-    s = random_state(4, rng)
-    amp = embed(s)
-    assert abs(np.sum(np.abs(amp) ** 2) - 1) < 1e-15
-    assert np.array_equal(extract(amp).amp, s.amp)
-
-
-def test_extract_rejects_dirty_register(rng):
-    amp = np.zeros((4, 4), dtype=complex)
-    amp[0, 1] = 1.0  # register site
-    with pytest.raises(ProtocolIncompleteError):
-        extract(amp)
-
-
-# ---------------------------------------------------------------------------
 # Primitives
 
 
 def test_pi_transfer_moves_amplitude():
-    amp = embed(init_localized(2, 1, 1))
-    pi_transfer(line_of(amp, ROW, 1), [1])
-    assert amp[0, 0] == 0 and amp[0, 1] == 1
+    cells = lay([1, 0])
+    pi_transfer(cells, [1])
+    assert cells[0] == 0 and cells[1] == 1
 
 
 def test_pi_transfer_involution(rng):
-    amp = embed(random_state(4, rng))
-    before = amp.copy()
-    cells = line_of(amp, ROW, 2)
+    cells = lay(random_line(4, rng))
+    before = cells.copy()
     pi_transfer(pi_transfer(cells, [1, 3]), [1, 3])
-    assert np.array_equal(amp, before)
+    assert np.array_equal(cells, before)
 
 
 def test_pi_transfer_norm_on_occupied_line(rng):
-    amp = embed(random_state(4, rng))
-    pi_transfer(line_of(amp, ROW, 3), [1, 2, 3, 4])
-    assert abs(np.sum(np.abs(amp) ** 2) - 1) < 1e-15
-    assert register_residue(amp) > 0
+    logical = random_line(4, rng)
+    cells = lay(logical)
+    pi_transfer(cells, [1, 2, 3, 4])
+    assert abs(np.sum(np.abs(cells) ** 2) - 1) < 1e-15
+    assert np.array_equal(cells[1::2], logical) and not cells[0::2].any()
 
 
 def test_pi_transfer_column_orientation():
-    amp = embed(init_localized(2, 2, 1))  # amplitude at physical (3,1)
-    pi_transfer(line_of(amp, COLUMN, 1), [2])
-    assert amp[2, 0] == 0 and amp[3, 0] == 1
+    grid = np.zeros((4, 2), dtype=complex)
+    cells = grid[:, 0]  # a grid column: a strided view
+    cells[2] = 1.0  # data site of position 2
+    pi_transfer(cells, [2])
+    assert grid[2, 0] == 0 and grid[3, 0] == 1
 
 
 def test_shift_zero_is_identity(rng):
-    amp = embed(random_state(2, rng))
-    before = amp.copy()
-    shift_register(line_of(amp, ROW, 1), 0)
-    assert np.array_equal(amp, before)
+    cells = lay(random_line(2, rng))
+    before = cells.copy()
+    shift_register(cells, 0)
+    assert np.array_equal(cells, before)
 
 
 def test_shift_moves_register_cell():
-    amp = np.zeros((8, 8), dtype=complex)
-    amp[0, 1] = 1.0  # register at physical column 2 (1-based)
-    shift_register(line_of(amp, ROW, 1), 4)
-    assert amp[0, 1] == 0 and amp[0, 5] == 1  # physical column 6
+    cells = np.zeros(8, dtype=complex)
+    cells[1] = 1.0  # register at physical cell 2 (1-based)
+    shift_register(cells, 4)
+    assert cells[1] == 0 and cells[5] == 1  # physical cell 6
 
 
 def test_shift_round_trip(rng):
-    amp = embed(random_state(4, rng))
-    cells = line_of(amp, ROW, 1)
+    cells = lay(random_line(4, rng))
     pi_transfer(cells, [1, 2])
-    before = amp.copy()
+    before = cells.copy()
     shift_register(shift_register(cells, 4), -4)
-    assert np.array_equal(amp, before)
+    assert np.array_equal(cells, before)
 
 
 def test_shift_rejects_odd_offset(rng):
-    amp = embed(random_state(2, rng))
     with pytest.raises(ValueError):
-        shift_register(line_of(amp, ROW, 1), 3)
+        shift_register(lay(random_line(2, rng)), 3)
 
 
 def test_shift_out_of_range():
-    amp = np.zeros((4, 4), dtype=complex)
-    amp[0, 3] = 1.0  # last register cell of row line 1
+    cells = np.zeros(4, dtype=complex)
+    cells[3] = 1.0  # last register cell of the line
     with pytest.raises(ShiftOutOfRangeError):
-        shift_register(line_of(amp, ROW, 1), 2)
+        shift_register(cells, 2)
     # on a block of lines the check runs per line and names the offending one
-    amp = np.zeros((8, 8), dtype=complex)
-    amp[5, 4] = 1.0  # register cell next to position 3 on column line 3
+    block = line_buffer(np.zeros((4, 4)), COLUMN)
+    block[2, 5] = 1.0  # register cell next to position 3 on column line 3
     with pytest.raises(ShiftOutOfRangeError, match="line 3"):
-        shift_register(data_lines(amp, COLUMN), 4)
-    assert amp[5, 4] == 1.0 and np.count_nonzero(amp) == 1
-    shift_register(data_lines(amp, COLUMN), 2)
-    assert amp[7, 4] == 1.0 and np.count_nonzero(amp) == 1
+        shift_register(block, 4)
+    assert block[2, 5] == 1.0 and np.count_nonzero(block) == 1
+    shift_register(block, 2)
+    assert block[2, 7] == 1.0 and np.count_nonzero(block) == 1
 
 
 def test_rotate_pairs_identity(rng):
-    amp = embed(random_state(4, rng))
-    before = amp.copy()
-    rotate_pairs(line_of(amp, ROW, 1), identity_stage(4, 2))
-    assert np.array_equal(amp, before)
+    cells = lay(random_line(4, rng))
+    before = cells.copy()
+    rotate_pairs(cells, identity_stage(4, 2))
+    assert np.array_equal(cells, before)
 
 
 # ---------------------------------------------------------------------------
@@ -161,29 +151,28 @@ def test_rotate_pairs_identity(rng):
 
 
 def test_run_stage_identity_rotations(rng):
-    amp = embed(random_state(4, rng))
-    before = amp.copy()
-    run_stage(line_of(amp, ROW, 2), identity_stage(4, 4), ROW, 2)
-    assert np.max(np.abs(amp - before)) < 1e-12
-    assert register_residue(amp) == 0.0
+    cells = lay(random_line(4, rng))
+    before = cells.copy()
+    run_stage(cells, identity_stage(4, 4), ROW, 2)
+    assert np.max(np.abs(cells - before)) < 1e-12
+    assert not cells[1::2].any()
 
 
 def test_run_stage_swap_via_full_protocol():
     swap = np.array([[0, 1], [1, 0]], dtype=complex)
     eye = np.eye(2, dtype=complex)
     stage = Stage(4, np.stack([swap, eye]))  # pairs (1,3), (2,4)
-    amp = embed(init_localized(4, 1, 1))  # amplitude at logical (1,1)
-    run_stage(line_of(amp, ROW, 1), stage, ROW, 1)
-    out = extract(amp)
-    # row line 1: position 1 and 3 swapped end to end
-    assert out.amp[0, 2] == 1.0 and out.amp[0, 0] == 0.0
+    cells = lay([1, 0, 0, 0])
+    run_stage(cells, stage, ROW, 1)
+    # positions 1 and 3 swapped end to end
+    assert cells[4] == 1.0 and cells[0] == 0.0
 
 
 def test_run_stage_trace_schedule_matches_five_steps():
     # stride-4 stage on an 8-line: transfers at kd+r = 1,2,5,6, move by 4, rotate, undo
     trace = ProtocolTrace()
     stage = identity_stage(8, 4)
-    run_stage(line_of(embed(init_localized(8, 1, 1)), ROW, 1), stage, ROW, 1, trace)
+    run_stage(lay(np.eye(8)[0]), stage, ROW, 1, trace)
     assert trace.stages == [(ROW, 1, 8, 4)]
     transfer = "ACTION=pi_transfer line=1 orient=H params=positions=1,2,5,6"
     assert format_trace(trace).splitlines() == [
@@ -197,7 +186,7 @@ def test_run_stage_trace_schedule_matches_five_steps():
 
 def test_trace_export_format():
     trace = ProtocolTrace()
-    run_stage(line_of(embed(init_localized(4, 1, 1)), COLUMN, 3), identity_stage(4, 2), COLUMN, 3, trace)
+    run_stage(lay(np.zeros(4)), identity_stage(4, 2), COLUMN, 3, trace)
     text = format_trace(trace)
     lines = text.strip().splitlines()
     assert len(lines) == 5
@@ -212,21 +201,17 @@ def test_physical_equals_logical(n, d, orientation, rng):
         stage = random_stage(n, d, rng)
         s = random_state(n, rng)
         line = int(rng.integers(1, n + 1))
-        amp = embed(s)
-        run_stage(line_of(amp, orientation, line), stage, orientation, line)
-        out = extract(amp)
-        expected = s.amp.copy()
-        if orientation == ROW:
-            expected[line - 1, :] = apply_stage(expected[line - 1, :], stage)
-        else:
-            expected[:, line - 1] = apply_stage(expected[:, line - 1], stage)
-        assert np.max(np.abs(out.amp - expected)) < 1e-12
+        cells = line_buffer(s.amp, orientation)[line - 1]
+        logical = cells[0::2].copy()
+        run_stage(cells, stage, orientation, line)
+        assert np.max(np.abs(cells[0::2] - apply_stage(logical, stage))) < 1e-12
+        assert not cells[1::2].any()
 
 
 def test_register_exactly_empty_after_stage(rng):
-    amp = embed(random_state(8, rng))
-    run_stage(line_of(amp, ROW, 5), random_stage(8, 8, rng), ROW, 5)
-    assert register_residue(amp) == 0.0
+    cells = lay(random_line(8, rng))
+    run_stage(cells, random_stage(8, 8, rng), ROW, 5)
+    assert not cells[1::2].any()
 
 
 def test_run_sequence_applies_whole_coin(rng):
@@ -234,14 +219,12 @@ def test_run_sequence_applies_whole_coin(rng):
     n = 8
     u = random_unitary(n, rng)
     seq = cs_decompose(u)
-    s = random_state(n, rng)
-    amp = embed(s)
+    logical = random_line(n, rng)
+    cells = lay(logical)
     for stage in seq.stages:
-        run_stage(line_of(amp, ROW, 3), stage, ROW, 3)
-    out = extract(amp)
-    expected = s.amp.copy()
-    expected[2, :] = u @ expected[2, :]
-    assert np.max(np.abs(out.amp - expected)) < 1e-12
+        run_stage(cells, stage, ROW, 3)
+    assert np.max(np.abs(cells[0::2] - u @ logical)) < 1e-12
+    assert not cells[1::2].any()
 
 
 def test_run_sequence_consumes_exported_format(rng):
@@ -250,14 +233,12 @@ def test_run_sequence_consumes_exported_format(rng):
     n = 4
     u = random_unitary(n, rng)
     seq = sequence_from_json(sequence_to_json(cs_decompose(u)))
-    s = random_state(n, rng)
-    amp = embed(s)
+    logical = random_line(n, rng)
+    cells = lay(logical)
     for stage in seq.stages:
-        run_stage(line_of(amp, COLUMN, 2), stage, COLUMN, 2)
-    out = extract(amp)
-    expected = s.amp.copy()
-    expected[:, 1] = u @ expected[:, 1]
-    assert np.max(np.abs(out.amp - expected)) < 1e-12
+        run_stage(cells, stage, COLUMN, 2)
+    assert np.max(np.abs(cells[0::2] - u @ logical)) < 1e-12
+    assert not cells[1::2].any()
 
 
 # ---------------------------------------------------------------------------
@@ -397,41 +378,23 @@ def test_grover_walk_records_2_log2_npad_minus_1_stages_per_line_and_step(n):
     assert {d for _, _, _, d in trace.stages} == {2**e for e in range(1, npad.bit_length())}
 
 
-def test_extract_rejects_nan_and_norm_loss(rng):
-    # NaN on a register site, in a data or a register row, fails the register
-    # check, not only the norm check
-    for cell in [(3, 4), (2, 5), (5, 7)]:
-        amp = embed(random_state(4, rng))
-        amp[cell] = np.nan
-        assert np.isnan(register_residue(amp))
-        with pytest.raises(ProtocolIncompleteError):
-            extract(amp)
-    # NaN or a norm away from 1 on the data sites fails the walk state
-    amp = embed(random_state(4, rng))
-    amp[2, 4] = np.nan
-    with pytest.raises(InvariantViolation):
-        extract(amp)
-    with pytest.raises(InvariantViolation):
-        extract(2 * embed(random_state(4, rng)))
-
-
 # ---------------------------------------------------------------------------
 # Line and block protocol
 
 
 @given(st.integers(1, 6), st.data(), st.sampled_from([ROW, COLUMN]), st.integers(0, 2**32 - 1))
 def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
-    # every stride 2..n for n up to 64, in place on a block of L lines of one
-    # buffer; L = 1 runs on the bare (2n,) line
+    # every stride 2..n for n up to 64, in place on a block of L of the n lines
+    # of one buffer, a strided view for COLUMN; L = 1 runs on the bare (2n,) line
     n = 2**log_n
     d = 2 ** data.draw(st.integers(1, log_n))
     size = 2 ** data.draw(st.integers(0, log_n))
     first = data.draw(st.integers(1, n - size + 1))
     rng = np.random.default_rng(seed)
     stage = random_stage(size * n, d, rng)
-    amp = embed(random_state(n, rng))
-    before = amp.copy()
-    lines = data_lines(amp, orientation)[first - 1:first - 1 + size]
+    buffer = line_buffer(random_state(n, rng).amp, orientation)
+    before = buffer.copy()
+    lines = buffer[first - 1:first - 1 + size]
     cells = lines[0] if size == 1 else lines
     logical = [apply_stage(row[0::2], line_stage(stage, n, t)) for t, row in enumerate(lines)]
     assert run_stage(cells, stage, orientation, first) is cells
@@ -439,38 +402,57 @@ def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
         assert row[0::2].tobytes() == logical[t].tobytes()
     assert not lines[:, 1::2].any()
     # nothing off the block moved
-    lines[:] = data_lines(before, orientation)[first - 1:first - 1 + size]
-    assert amp.tobytes() == before.tobytes()
+    lines[:] = before[first - 1:first - 1 + size]
+    assert buffer.tobytes() == before.tobytes()
 
 
 def test_grid_run_stage_wraps_the_line_protocol(rng):
     # one stage on the whole block of a grid's lines equals each line's own run
     n, d = 8, 4
     stage = random_stage(n * n, d, rng)
-    amp = embed(random_state(n, rng))
-    per_line = amp.copy()
+    block = line_buffer(random_state(n, rng).amp, COLUMN)
+    per_line = block.copy()
     trace_block, trace_line = ProtocolTrace(), ProtocolTrace()
-    block = data_lines(amp, COLUMN)
     assert run_stage(block, stage, COLUMN, 1, trace_block) is block
     for t in range(n):
-        run_stage(line_of(per_line, COLUMN, t + 1), line_stage(stage, n, t), COLUMN, t + 1, trace_line)
-    assert amp.tobytes() == per_line.tobytes()
+        run_stage(per_line[t], line_stage(stage, n, t), COLUMN, t + 1, trace_line)
+    assert block.tobytes() == per_line.tobytes()
     assert format_trace(trace_block) == format_trace(trace_line)
     assert trace_block.stages == [(COLUMN, t, n, d) for t in range(1, n + 1)]
 
 
 def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
-    amp = embed(random_state(4, rng))
-    amp[2] *= np.sqrt(0.5)
-    amp[2, 1] = np.sqrt(1 - np.sum(np.abs(amp) ** 2))  # register cell after position 1
+    lines = line_buffer(random_state(4, rng).amp, ROW)
+    lines[1] *= np.sqrt(0.5)
+    lines[1, 1] = np.sqrt(1 - np.sum(np.abs(lines) ** 2))  # register cell after position 1
     with pytest.raises(ProtocolIncompleteError, match="line 2"):
-        run_stage(line_of(amp.copy(), ROW, 2), identity_stage(4, 2), ROW, 2)
+        run_stage(lines[1].copy(), identity_stage(4, 2), ROW, 2)
     with pytest.raises(ProtocolIncompleteError, match="line 2"):
-        run_stage(data_lines(amp.copy(), ROW), identity_stage(16, 2), ROW, 1)
+        run_stage(lines.copy(), identity_stage(16, 2), ROW, 1)
     trace = ProtocolTrace()
     with pytest.raises(ProtocolIncompleteError):
-        run_stage(data_lines(amp.copy(), ROW), identity_stage(16, 2), ROW, 1, trace)
+        run_stage(lines.copy(), identity_stage(16, 2), ROW, 1, trace)
     assert not trace.stages  # a failed stage records nothing
+
+
+@pytest.mark.parametrize("n,d", [(4, 2), (4, 4), (8, 2), (8, 4), (8, 8)])
+def test_a_nan_on_any_register_cell_fails_the_stage(n, d, rng):
+    # the NaN moves only by exact exchanges and is never rotated, so it ends on a
+    # register cell of its line, unless the +d shift would push it off the line first
+    carried = set(stage_sites(n, d)[:, 0].tolist())
+    for site in range(n):
+        lost = site not in carried and site + d // 2 >= n
+        error = ShiftOutOfRangeError if lost else ProtocolIncompleteError
+        cells = lay(random_line(n, rng))
+        cells[2 * site + 1] = np.nan
+        with pytest.raises(error, match="line 1"):
+            run_stage(cells, random_stage(n, d, rng), ROW, 1)
+        block = lay([random_line(n, rng) for _ in range(4)])  # lines 2..5
+        block[1, 2 * site + 1] = np.nan
+        trace = ProtocolTrace()
+        with pytest.raises(error, match="line 3"):
+            run_stage(block, random_stage(4 * n, d, rng), COLUMN, 2, trace)
+        assert not trace.stages
 
 
 def test_line_primitives_work_in_place():
@@ -487,20 +469,11 @@ def test_line_primitives_work_in_place():
 
 @pytest.mark.parametrize("positions", [[0], [5], [2, 5]])
 def test_pi_transfer_rejects_bad_positions(positions, rng):
-    amp = embed(random_state(4, rng))
+    lines = line_buffer(random_state(4, rng).amp, ROW)
     with pytest.raises(ValueError):
-        pi_transfer(line_of(amp, ROW, 1), positions)
+        pi_transfer(lines[0], positions)
     with pytest.raises(ValueError):
-        pi_transfer(data_lines(amp, ROW), positions)
-
-
-def test_data_lines_are_views_of_the_data_rows_and_columns(rng):
-    amp = embed(random_state(4, rng))
-    assert np.shares_memory(data_lines(amp, ROW), amp) and np.shares_memory(data_lines(amp, COLUMN), amp)
-    assert np.array_equal(data_lines(amp, ROW), amp[[0, 2, 4, 6]])
-    assert np.array_equal(data_lines(amp, COLUMN), amp[:, [0, 2, 4, 6]].T)
-    with pytest.raises(ValueError):
-        data_lines(amp, "diagonal")
+        pi_transfer(lines, positions)
 
 
 @pytest.mark.parametrize("run", [lambda s0, plan: evolve(s0, plan.steps, plan), run_walk_physical],

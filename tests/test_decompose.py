@@ -30,7 +30,7 @@ from gridwalk.decompose import (
     unitary_from_json,
     unitary_to_json,
 )
-from gridwalk.conveyor import COLUMN, ROW, data_lines
+from gridwalk.conveyor import COLUMN, ROW
 from gridwalk.errors import UnitarityError
 from gridwalk.util import next_power_of_two, random_unitary, unitarity_defect
 from gridwalk.walk import CoinSet, hadamard_coin
@@ -292,23 +292,28 @@ def test_apply_stage_order_insensitive(rng):
 
 @given(st.integers(1, 5), st.data(), st.sampled_from([ROW, COLUMN]), st.integers(0, 2**32 - 1))
 def test_rotate_in_place_is_bitwise_per_pair_scalar_products(log_n, data, orientation, seed):
-    # every stride 2..n for n up to 32, on the data sites of L = 1, 2, 4 or 8 data lines
-    # of a 2n×2n buffer, a strided view for COLUMN; L = 1 runs on the bare line
+    # every stride 2..n for n up to 32, on the data sites of L = 1, 2, 4 or 8 of the n
+    # lines of 2n cells of one buffer, a strided view for COLUMN; L = 1 runs on the bare line
     n = 2**log_n
     d = 2 ** data.draw(st.integers(1, log_n))
     size = 2 ** data.draw(st.integers(0, min(3, log_n)))
     rng = np.random.default_rng(seed)
-    amp = rng.standard_normal((2 * n, 2 * n)) + 1j * rng.standard_normal((2 * n, 2 * n))
+    shape = (n, 2 * n) if orientation == ROW else (2 * n, n)
+    amp = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def lines_of(buffer):
+        return buffer if orientation == ROW else buffer.T
+
     stage = random_stage(size * n, d, rng)
     sites = stage_sites(n, d)
     expected = amp.copy()
     u = stage.u.reshape(size, n // 2, 2, 2)
-    for t, line in enumerate(data_lines(expected, orientation)[:size, 0::2]):
+    for t, line in enumerate(lines_of(expected)[:size, 0::2]):
         for k, (a, b) in enumerate(sites.tolist()):
             xa, xb = line[a], line[b]
             line[a] = u[t, k, 0, 0] * xa + u[t, k, 0, 1] * xb
             line[b] = u[t, k, 1, 0] * xa + u[t, k, 1, 1] * xb
-    block = data_lines(amp, orientation)[:size, 0::2]
+    block = lines_of(amp)[:size, 0::2]
     rotate_in_place(block[0] if size == 1 else block, sites, stage)
     assert amp.tobytes() == expected.tobytes()
 

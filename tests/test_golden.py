@@ -7,11 +7,14 @@ the same platform (numpy 2.4, scipy 1.17, x86-64).
 """
 
 import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 
 import pytest
 
+from gridwalk.cli import EXIT_OK, main
 from gridwalk.conveyor import ProtocolTrace, format_trace, run_walk_physical
 from gridwalk.decompose import cs_decompose, sequence_to_json
 from gridwalk.graph import Graph
@@ -28,14 +31,27 @@ MASKED_STACK_SHA256 = {
     "dft": "e178efd233bf6ccfa9e6aecd40941a033f0c8c7e390e1ebb624ca6a61c437da9",
 }
 
+# recorded from the 2n×2n-grid conveyor-verify (embed a whole grid per stage, run the
+# stage on one of its lines, read the whole grid back), at --seed 7
+CONVEYOR_VERIFY_SHA256 = {
+    "conveyor_verify_n8": {
+        "report.json": "a998c30cf56f7dee45b379c4ccb37930a11a5f7bc3de8d52f56c0e230c36f4e3",
+        "trace.txt": "55236a7a00b38a5c0d9a5d9aaf523c553f14c7f0cbcdfa696907cf2c9959013f",
+    },
+    "conveyor_verify_n64": {
+        "report.json": "0e2142233e1aa6bd6423fdaf394b6508dddc68917c9c98af8c762021af2f3963",
+        "trace.txt": "db7f8e01546d73a7b4327ddc2f0e524669c4260ce217fbc820088b1a8fae6a7e",
+    },
+}
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
 def test_traced_padded_physical_walk_is_byte_identical():
-    # n = 6 pads to 8: every coin goes through pad_unitary, every line through
-    # seven stages, three steps alternate rows, columns, rows
+    # n = 6 pads to 8: the stacked coins are padded with identity lines and states,
+    # every line runs seven stages, three steps alternate rows, columns, rows
     rng = np.random.default_rng(5)
     n, steps = 6, 3
     plan = CoinPlan.from_step_coins(
@@ -64,3 +80,13 @@ def test_sequence_json_of_a_masked_coin_stack_is_byte_identical(kind):
     plan = CoinPlan.from_graph(Graph(8, frozenset(edges)), 1, kind)
     seq = cs_decompose(np.stack(plan.coins_for_step(1)))
     assert sha256(sequence_to_json(seq).encode()) == MASKED_STACK_SHA256[kind]
+
+
+@pytest.mark.parametrize("name", sorted(CONVEYOR_VERIFY_SHA256))
+def test_seeded_conveyor_verify_outputs_are_byte_identical(name, tmp_path):
+    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    assert main(["conveyor-verify", "--config", str(config), "--out", str(tmp_path), "--seed", "7"]) == EXIT_OK
+    for file, digest in CONVEYOR_VERIFY_SHA256[name].items():
+        assert sha256((tmp_path / file).read_bytes()) == digest, file
+    # the conveyor and apply_stage share rotate_in_place, so they agree bit for bit
+    assert json.loads((tmp_path / "report.json").read_text())["max_deviation"] == 0.0

@@ -286,6 +286,11 @@ def test_parsing_a_complete_256_node_edge_list_holds_little_memory():
     match, peak = traced_peak(lambda: graph._PLAIN_BODY.fullmatch(text, start))
     assert match is not None and match.end() == len(text)
     assert peak < 2 * 2**20
+    # the whole parse reads the text once, with no copy of its body: its 262 656
+    # endpoints as int64 are 2.0 MiB, grown by reallocation, and the graph's own arrays
+    g, peak = traced_peak(lambda: parse_graph(text))
+    assert g == complete_graph(512)
+    assert peak < 5 * 2**20
 
 
 def test_cycle_graph_degrees():
