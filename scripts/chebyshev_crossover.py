@@ -69,7 +69,7 @@ def main():
         e_min, e_max = tdse.energy_bounds(grid, v)
         params = ChebyshevParams(dt=args.dt, e_min=e_min, e_max=e_max)
         try:
-            terms = len(tdse.chebyshev_coefficients(params.alpha, params.tail_tolerance))
+            terms = len(tdse.chebyshev_coefficients(params.alpha))
         except ToleranceFailure as err:
             print(f"{m:>5} skipped: {err}")
             continue

@@ -176,12 +176,14 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
         raise ConfigError("stages must be ≥ 1")
     rng = np.random.default_rng(args.seed)
     strides = [2**e for e in range(1, n.bit_length())]
+    # the state's parts, allocated before the first draw so that a size too large fails at once
+    re, im = np.empty((n, n)), np.empty((n, n))
     worst = 0.0
     trace = conveyor.ProtocolTrace()
     for _ in range(trials):
         d = int(rng.choice(strides))
         stage = decompose.Stage(d, np.stack([random_unitary(2, rng) for _ in range(n // 2)]))
-        amp = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        amp = rng.standard_normal(out=re) + 1j * rng.standard_normal(out=im)
         amp /= np.linalg.norm(amp)
         orientation = conveyor.ROW if rng.integers(2) else conveyor.COLUMN
         line = int(rng.integers(1, n + 1))
@@ -269,10 +271,10 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
         grid, spec, timeline, target, params=params, scan_points=scan_points
     )
     calibrated = replace(timeline, hold_duration=result.hold_duration)
-    phi_left, phi_right = result.basis
+    phi_left, phi_right = result.pulse.basis
     # the replay starts where the scan's ramp down ended and checks the hold and the ramp up
     traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20,
-                                ramp_down=result.ramp_down)
+                                ramp_down=result.pulse.ramp_down)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)
     achieved = abs(beta) ** 2
@@ -287,7 +289,7 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
         "leakage": leak,
         "replay_deviation": max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage)),
         "max_norm_drift": float(np.max(np.abs(traj.norms() - 1.0))),
-        "period_estimate": result.period_estimate,
+        "period_estimate": result.pulse.period,
         "scan": [[h, t] for h, t in result.scan],
     }
     return report, {"replay_deviation": REPLAY_TOL, "max_norm_drift": tdse.NORM_DRIFT_TOL}

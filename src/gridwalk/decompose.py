@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 import numpy as np
 
@@ -40,7 +40,6 @@ from .util import (
     complex_to_json,
     frozen,
     is_power_of_two,
-    next_power_of_two,
 )
 
 RECONSTRUCTION_TOL = 1e-10
@@ -53,9 +52,9 @@ class Stage(ByValue):
     """One layer of n/2 disjoint 2×2 rotations at a common stride d; compared by value.
 
     A stage is its stride and its read-only (n/2, 2, 2) blocks ``u``; the
-    index pairs follow from n and d. ``u[k]`` acts on pair k of
-    ``stage_pairs(n, d)``, (a, b) = ``pairs[k]``: row 0 of ``u[k]`` yields
-    the new amplitude at a, row 1 the one at b.
+    index pairs follow from n and d. ``u[k]`` acts on pair (a, b) =
+    ``stage_pairs(n, d)[k]``: row 0 of ``u[k]`` yields the new amplitude
+    at a, row 1 the one at b.
 
     The constructor checks the blocks at ``ROTATION_TOL`` and keeps a
     read-only copy. The stages of ``grover_stages`` and ``cs_decompose``
@@ -87,11 +86,6 @@ class Stage(ByValue):
     @property
     def n(self) -> int:
         return 2 * len(self.u)
-
-    @cached_property
-    def pairs(self) -> np.ndarray:
-        """Read-only (n/2, 2) array of the 1-based pairs (a, b), sorted by a."""
-        return frozen(stage_sites(self.n, self.d) + 1)
 
 
 @dataclass(frozen=True)
@@ -131,7 +125,8 @@ def cs_decompose(u: np.ndarray) -> StageSequence:
     the n−1 stages span L·n indices, and rows t·n/2 … (t+1)·n/2 − 1 of each
     stage's ``u`` are coin t's rotations, bit for bit those of
     ``cs_decompose(u[t])``. Raises ValueError when n < 2 or when n or L·n is
-    not a power of two (pad first, see pad_unitary) and UnitarityError when
+    not a power of two (pad u ⊕ I to the next power of two first, which
+    leaves the padded indices fixed) and UnitarityError when
     ``max|u†u − I| ≥ INPUT_UNITARITY_TOL`` for any coin, or when a rotation
     of the stages, all checked at once, misses ``ROTATION_TOL``.
     """
@@ -143,7 +138,7 @@ def cs_decompose(u: np.ndarray) -> StageSequence:
         raise ValueError(f"a {n}×{n} coin has no pairs to rotate; pad it to 2×2 first")
     blocks = u.reshape(-1, n, n)
     if not (is_power_of_two(n) and is_power_of_two(len(blocks))):
-        raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad_unitary first)")
+        raise ValueError(f"dimensions must be powers of two, got {u.shape} (pad with the identity to a power of two first)")
     check_unitary(blocks, INPUT_UNITARITY_TOL, "decomposition input")
     strides, stages = zip(*_decompose_blocks(blocks))
     return _stage_sequence(len(blocks) * n, strides, np.stack(stages))  # leaves are complex, so is the stack
@@ -347,22 +342,6 @@ def apply_stage(line: np.ndarray, stage: Stage) -> np.ndarray:
     return out
 
 
-def pad_unitary(u: np.ndarray) -> tuple[np.ndarray, int]:
-    """Embed u ⊕ I at the next power-of-two dimension; returns (padded, original n).
-
-    Padded indices are fixed points of the padded unitary, consistent with the
-    coin-masking convention for inactive states.
-    """
-    u = np.asarray(u, dtype=complex)
-    n = u.shape[0]
-    p = next_power_of_two(n)
-    if p == n:
-        return u, n
-    out = np.eye(p, dtype=complex)
-    out[:n, :n] = u
-    return out, n
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -375,7 +354,7 @@ def sequence_to_json(seq: StageSequence) -> str:
         entries = complex_to_json(s.u)
         pairs = [
             {"a": a, "b": b, "u": entries[4 * k:4 * k + 4]}
-            for k, (a, b) in enumerate(s.pairs.tolist())
+            for k, (a, b) in enumerate(stage_pairs(s.n, s.d))
         ]
         stages.append({"d": s.d, "pairs": pairs})
     return json.dumps({"version": _SEQ_VERSION, "n": seq.n, "stages": stages})

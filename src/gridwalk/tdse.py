@@ -15,9 +15,9 @@ weighted by Bessel functions J_n(α), α = (E_max − E_min)·dt/2:
 
 with c_0 = 1 and c_n = 2 for n ≥ 1 (Tal-Ezer & Kosloff, J. Chem. Phys. 81,
 3967 (1984)). The series is truncated at the first n > α with |J_n(α)| below
-the tail tolerance, where the Bessel tail decays super-exponentially; the
-coefficients are computed once per (α, tolerance), the J_n(α) by Miller's
-backward recurrence, so the solver needs no scipy.
+TAIL_TOLERANCE = 1e-14, where the Bessel tail decays super-exponentially; the
+coefficients are computed once per α, the J_n(α) by Miller's backward
+recurrence, so the solver needs no scipy.
 The kinetic term is spectral: the exact Laplacian of the band-limited grid
 function, so E_max = max(V) + k_max²/2 with k_max = π/dx bounds the grid
 spectrum tightly. On grids of at most DENSE_MAX_M = 384 points a step forms
@@ -79,6 +79,8 @@ NORM_DRIFT_TOL = 1e-8
 # largest grid whose Chebyshev steps apply H̃ as a dense matrix (the measured crossover);
 # larger ones use FFTs
 DENSE_MAX_M = 384
+# the Chebyshev series is cut at the first term past α whose |J_n(α)| falls below this
+TAIL_TOLERANCE = 1e-14
 # Chebyshev terms a step keeps at once; a fuller ring is summed by one product with the weights
 CHEBYSHEV_RING = 16
 # a run of equal steps on a dense grid goes through one step propagator once run × rows × this
@@ -221,18 +223,15 @@ class BarrierTimeline:
 
 @dataclass(frozen=True)
 class ChebyshevParams:
-    """Step size, spectral bounds, and truncation threshold for the expansion."""
+    """Step size and spectral bounds for the expansion."""
 
     dt: float
     e_min: float
     e_max: float
-    tail_tolerance: float = 1e-14
 
     def __post_init__(self):
         if not self.e_max > self.e_min:
             raise ValueError(f"need e_max > e_min, got ({self.e_min}, {self.e_max})")
-        if not (0 < self.tail_tolerance <= 1e-8):
-            raise ValueError(f"tail tolerance must lie in (0, 1e-8], got {self.tail_tolerance}")
 
     @property
     def alpha(self) -> float:
@@ -343,25 +342,24 @@ def _bessel_j(alpha: float, n_max: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def chebyshev_coefficients(alpha: float, tail_tolerance: float) -> np.ndarray:
+def chebyshev_coefficients(alpha: float) -> np.ndarray:
     """Weights c_n·(−i)^n·J_n(α) for n = 0..n_max, truncated as in the module docstring.
 
-    Cached per (α, tolerance). Raises ToleranceFailure, on every call, when the tail
-    never falls below the tolerance or only beyond α + 60 terms.
+    Cached per α. Raises ToleranceFailure, on every call, when the tail never falls
+    below TAIL_TOLERANCE or only beyond α + 60 terms.
     """
     first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
     bessel = _bessel_j(alpha, limit)
-    below = np.flatnonzero(np.abs(bessel[first:]) < tail_tolerance)
+    below = np.flatnonzero(np.abs(bessel[first:]) < TAIL_TOLERANCE)
     if below.size == 0:
         raise ToleranceFailure(
-            f"Chebyshev tail |J_n({alpha:.3g})| did not reach {tail_tolerance:.1e} "
+            f"Chebyshev tail |J_n({alpha:.3g})| did not reach {TAIL_TOLERANCE:.1e} "
             f"within {limit} terms"
         )
     n_max = first + int(below[0])
-    if tail_tolerance >= 1e-14 and n_max > abs(alpha) + 60:
+    if n_max > abs(alpha) + 60:
         raise ToleranceFailure(
-            f"truncation order {n_max} exceeds α + 60 = {abs(alpha) + 60:.1f}; "
-            "reduce dt or widen the tail tolerance"
+            f"truncation order {n_max} exceeds α + 60 = {abs(alpha) + 60:.1f}; reduce dt"
         )
     weights = 2 * bessel[: n_max + 1] * np.array([1, -1j, -1, 1j])[np.arange(n_max + 1) % 4]
     weights[0] = bessel[0]
@@ -384,7 +382,7 @@ def chebyshev_step(grid: SpatialGrid, rows: np.ndarray, v: np.ndarray, params: C
         raise ValueError(f"expected a (k, {grid.m}) block of states, got shape {rows.shape}")
     if params.dt == 0.0:
         return np.asarray(rows, dtype=complex)
-    weights = chebyshev_coefficients(params.alpha, params.tail_tolerance)
+    weights = chebyshev_coefficients(params.alpha)
     de = params.e_max - params.e_min
     shift = params.e_max + params.e_min
 
@@ -738,13 +736,10 @@ class CalibrationResult:
     hold_duration: float
     achieved_transfer: float
     leakage: float
-    target: float
-    period_estimate: float
     scan: list[tuple[float, float]]
-    # the qubit basis (L, R) at the high barrier that the transfer and leakage refer to
-    basis: tuple[WaveFunction, WaveFunction]
-    # L and its state after each ramp-down step, where a replay of the pulse may start
-    ramp_down: Trajectory
+    # the pulse's ramps in closed form: its basis (L, R) is what the transfer and leakage
+    # refer to, its period is the scan's, and a replay of the pulse may start from its ramp_down
+    pulse: HoldScan
 
 
 def doublet_splitting(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -> float:
@@ -888,8 +883,7 @@ def calibrate_hold_time(
 
     def result(hold: float) -> CalibrationResult:
         tr, leak = float(pulse.transfer(hold)), float(pulse.leakage(hold))
-        return CalibrationResult(float(hold), tr, leak, target_transfer, pulse.period, scan, pulse.basis,
-                                 pulse.ramp_down)
+        return CalibrationResult(float(hold), tr, leak, scan, pulse)
 
     gap = values - target_transfer
     crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)

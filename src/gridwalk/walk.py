@@ -234,13 +234,12 @@ class CoinGroup:
     def _of_kind(cls, lines: np.ndarray, states: np.ndarray, kind: str) -> CoinGroup:
         """The group of ``coin_for_degree(kind, d)``, its kind known from ``kind``: one coin built, none copied.
 
-        The kind is the one derived by value: a Grover or DFT coin is named,
-        a Hadamard one is not, and the 1×1 coin is Grover.
+        The kind is the one derived by value: a Grover or DFT coin of d ≥ 2 is
+        named, a Hadamard one is not.
         """
-        d = states.shape[1]
         grp = cls.__new__(cls)
-        object.__setattr__(grp, "kind", "grover" if d == 1 else kind if kind in ("grover", "dft") else None)
-        coin = coin_for_degree(kind, d)
+        object.__setattr__(grp, "kind", kind if kind in _KERNELS else None)
+        coin = coin_for_degree(kind, states.shape[1])
         coin.setflags(write=False)  # nothing else holds it, so the group takes it as it is
         grp.__init__(lines, states, coin)
         return grp
@@ -321,11 +320,16 @@ class CoinSet:
 
     @staticmethod
     def from_graph(g: Graph, kind: str = "grover") -> CoinSet:
-        """``coin_for_degree(kind, d)`` on the active states of every degree-d node."""
+        """``coin_for_degree(kind, d)`` on the active states of every degree-d node.
+
+        A degree-1 node's Grover or DFT coin is [[1]], so its line joins no group.
+        """
         present = g.present
         degrees = present.sum(axis=1)
         groups = []
         for d in np.unique(degrees[degrees > 0]):
+            if d == 1 and kind in _KERNELS:
+                continue
             lines = np.flatnonzero(degrees == d)
             states = np.nonzero(present[lines])[1].reshape(len(lines), d)
             groups.append(CoinGroup._of_kind(lines, states, kind))

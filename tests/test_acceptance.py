@@ -117,7 +117,7 @@ def test_criterion_3_decomposition_round_trip():
             seq = cs_decompose(u)
             assert len(seq.stages) == n - 1
             for stage in seq.stages:
-                assert set(map(tuple, stage.pairs.tolist())) == valid_pairs[stage.d]
+                assert set(stage_pairs(stage.n, stage.d)) == valid_pairs[stage.d]
             worst = max(worst, float(np.max(np.abs(reconstruct(seq) - u))))
     elapsed = time.perf_counter() - start
     report(3, "staged decomposition round-trip", worst <= 1e-10,

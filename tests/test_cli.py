@@ -1,12 +1,13 @@
 import argparse
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gridwalk import conveyor, decompose, tdse, walk
+from gridwalk import cli, conveyor, decompose, tdse, walk
 from gridwalk.cli import EXIT_CONFIG, EXIT_INVARIANT, EXIT_OK, EXIT_TOLERANCE, REPLAY_TOL, main
 from gridwalk.decompose import unitary_to_json
 from gridwalk.util import random_unitary
@@ -404,6 +405,21 @@ def test_conveyor_verify_rejects_a_size_that_is_no_power_of_two(tmp_path, capsys
     cfg = write_config(tmp_path, {"version": 1, "n": n, "stages": 2})
     assert main(["conveyor-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"n must be a power of two ≥ 2, got {n}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_conveyor_verify_fails_before_its_first_draw_on_a_size_it_cannot_hold(tmp_path, capsys, monkeypatch):
+    # n = 2²⁰: the n×n state would take 8 TiB per part, so its allocation fails at once,
+    # before the n/2 rotations of the first stage are drawn
+    draws = []
+    monkeypatch.setattr(cli, "random_unitary", lambda *args: draws.append(args) or random_unitary(*args))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {"version": 1, "n": 2**20, "stages": 1})
+    start = time.perf_counter()
+    assert main(["conveyor-verify", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert time.perf_counter() - start < 1.0
+    assert draws == []
+    assert "config error: Unable to allocate" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

@@ -19,7 +19,6 @@ from gridwalk.decompose import (
     cs_decompose,
     cs_factor,
     grover_stages,
-    pad_unitary,
     reconstruct,
     rotate_in_place,
     sequence_from_json,
@@ -205,16 +204,6 @@ def test_rejects_non_power_of_two(rng):
         cs_decompose(u)
 
 
-def test_pad_unitary_fixes_extra_indices(rng):
-    u = random_unitary(3, rng)
-    padded, n = pad_unitary(u)
-    assert n == 3 and padded.shape == (4, 4)
-    assert padded[3, 3] == 1.0
-    assert unitarity_defect(padded) < 1e-12
-    seq = cs_decompose(padded)
-    assert np.max(np.abs(reconstruct(seq)[:3, :3] - u)) < 1e-10
-
-
 def test_reconstruct_empty_sequence():
     assert np.array_equal(reconstruct(StageSequence(4, ())), np.eye(4))
 
@@ -265,7 +254,7 @@ def test_apply_stage_norm_preserved(rng):
 def test_apply_stage_matches_dense_oracle(rng):
     n, d = 8, 4
     stage = random_stage(n, d, rng)
-    pairs = [tuple(p) for p in stage.pairs.tolist()]
+    pairs = stage_pairs(n, d)
     units = list(stage.u)
     dense = oracles.stage_matrix_dense(n, pairs, units)
     line = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -283,7 +272,7 @@ def test_apply_stage_order_insensitive(rng):
         perm = np.random.default_rng(perm_seed).permutation(n // 2)
         shuffled = line.copy()
         for k in perm:
-            a, b = stage.pairs[k] - 1
+            a, b = stage_sites(n, d)[k]
             xa, xb = shuffled[a], shuffled[b]
             shuffled[a] = stage.u[k, 0, 0] * xa + stage.u[k, 0, 1] * xb
             shuffled[b] = stage.u[k, 1, 0] * xa + stage.u[k, 1, 1] * xb
@@ -379,10 +368,11 @@ def test_stage_and_sequence_compare_and_hash_by_value(rng):
 
 def test_stage_arrays_are_read_only(rng):
     stage = random_stage(8, 4, rng)
-    for array in (stage.u, stage.pairs):
+    for array in (stage.u, stage_sites(stage.n, stage.d)):
         with pytest.raises(ValueError):
             array[0] = 0
-    assert [tuple(p) for p in stage.pairs.tolist()] == stage_pairs(8, 4)
+    # the pairs follow from n and d: a stage keeps no table of its own
+    assert set(vars(stage)) == {"d", "u"}
 
 
 def test_stage_rejects_nan():

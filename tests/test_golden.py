@@ -44,6 +44,34 @@ CONVEYOR_VERIFY_SHA256 = {
     },
 }
 
+# recorded while CalibrationResult still copied basis, ramp_down and period from its
+# HoldScan and Stage objects still cached their 1-based pair tables;
+# calibrate_pi_unequal (ramp_up 3, ramp_down 4) reaches HoldScan's second pass
+SHIPPED_RUN_SHA256 = {
+    ("decompose", "decompose_random8"): {
+        "report.json": "205608d53fc9039c12b52bc03a1fe667bea0fc9b3bec6f97a2cc8b65cdfa7d54",
+        "stages.json": "7e8c5218aa13cc75fcebe3d27ece2b8c2c04b1b8601521505d8f2de8576d4657",
+    },
+    ("tdse", "tdse_pi"): {
+        "report.json": "86de50c3521a25448b34aa87cdafecb95560dfed675e88c52d5e4b767ebc7754",
+        "trajectory.txt": "b16dce5204a89355ddb01a01f07705c3124dc84f2cb776a91c8222b45e75b706",
+    },
+    ("calibrate", "calibrate_pi"): {
+        "report.json": "bd296d036259b33b8a84d23d06bd5b11bc80a369ba61a59eae2f0aa0dcbf3ab2",
+        "trajectory.txt": "5ca6aa0920312eddb9a5a99e15ea37070b37c92d6fa9c3561dce741f978dad70",
+    },
+    ("calibrate", "calibrate_half"): {
+        "report.json": "229f726077a3c99464494137c51d6cdcc1633e96c48f7cf41e0663cedf9a0c6a",
+        "trajectory.txt": "9f8b18c170ec5fdce4461f4adf415b60c708c8dbff5d647c91dfcd749ab5995c",
+    },
+    ("calibrate", "calibrate_pi_unequal"): {
+        "report.json": "89febddd19e9e395ac5fd22212e082d21350bc9ec5b00d016dd3bb8d0370b6e4",
+        "trajectory.txt": "1cdc539448a2aa48a7dfbf5cf58c45848f34532a3a4ab07f6aa16226e1e75e2f",
+    },
+}
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
@@ -84,9 +112,17 @@ def test_sequence_json_of_a_masked_coin_stack_is_byte_identical(kind):
 
 @pytest.mark.parametrize("name", sorted(CONVEYOR_VERIFY_SHA256))
 def test_seeded_conveyor_verify_outputs_are_byte_identical(name, tmp_path):
-    config = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+    config = CONFIGS / f"{name}.json"
     assert main(["conveyor-verify", "--config", str(config), "--out", str(tmp_path), "--seed", "7"]) == EXIT_OK
     for file, digest in CONVEYOR_VERIFY_SHA256[name].items():
         assert sha256((tmp_path / file).read_bytes()) == digest, file
     # the conveyor and apply_stage share rotate_in_place, so they agree bit for bit
     assert json.loads((tmp_path / "report.json").read_text())["max_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("run", sorted(SHIPPED_RUN_SHA256), ids="-".join)
+def test_shipped_config_outputs_are_byte_identical(run, tmp_path):
+    sub, name = run
+    assert main([sub, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == EXIT_OK
+    for file, digest in SHIPPED_RUN_SHA256[run].items():
+        assert sha256((tmp_path / file).read_bytes()) == digest, file

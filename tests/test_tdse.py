@@ -286,7 +286,7 @@ def fft_reference_step(grid: SpatialGrid, psi: np.ndarray, v: np.ndarray, params
     de, shift = params.e_max - params.e_min, params.e_max + params.e_min
     first = int(abs(alpha)) + 1
     bessel = jv(np.arange(first + 200), alpha)
-    n_max = first + int(np.flatnonzero(np.abs(bessel[first:]) < params.tail_tolerance)[0])
+    n_max = first + int(np.flatnonzero(np.abs(bessel[first:]) < tdse.TAIL_TOLERANCE)[0])
 
     def h_tilde(arr):
         return (2 * apply_hamiltonian(arr, v, grid) - shift * arr) / de
@@ -305,7 +305,7 @@ STEP_SIZES = [16, 17, 64, 127, 128, 256, 383, 384, 385, 400]
 
 def step_length(m: int, dt: float) -> float:
     # α grows as m²: above m = 256 shrink dt so α stays within what m = 256 reaches,
-    # where the default tail tolerance still truncates inside α + 60 terms
+    # where TAIL_TOLERANCE still truncates inside α + 60 terms
     return dt * min(1.0, (256 / m) ** 2)
 
 
@@ -393,7 +393,7 @@ def test_block_norm_checks_are_per_row():
 
 @pytest.mark.parametrize("m", [64, 400])
 def test_step_memory_does_not_grow_with_the_truncation_order(m):
-    # the uncapped tail tolerance lets a long step run to over a thousand terms; the
+    # α = 200 runs to 259 terms, near the longest step the α + 60 guard admits; the
     # step's peak allocation stays the ring of CHEBYSHEV_RING terms (plus 2H̃ when dense)
     grid = SpatialGrid(-8.0, 8.0, m)
     v = np.zeros(m)
@@ -401,15 +401,15 @@ def test_step_memory_does_not_grow_with_the_truncation_order(m):
     rows = np.array([normalized(grid, np.exp(-((grid.x - c) ** 2))).psi for c in (-1.0, 1.0)])
     grid.kinetic
     peaks, orders = [], []
-    for alpha in (20, 1200):
+    for alpha in (20, 200):
         dt = 2 * alpha / (e_max - e_min)
-        params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max, tail_tolerance=1e-15)
-        orders.append(len(tdse.chebyshev_coefficients(params.alpha, params.tail_tolerance)))
+        params = ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)
+        orders.append(len(tdse.chebyshev_coefficients(params.alpha)))
         tracemalloc.start()
         chebyshev_step(grid, rows, v, params)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert orders[1] > 10 * orders[0] and orders[1] > 1000
+    assert orders == [50, 259]
     assert peaks[1] <= peaks[0] + rows.nbytes
     matrix = 8 * m * m if m <= tdse.DENSE_MAX_M else 0
     assert peaks[1] <= matrix + (tdse.CHEBYSHEV_RING + 10) * rows.nbytes
@@ -450,7 +450,7 @@ def test_bessel_recurrence_matches_scipy_and_truncates_where_it_does(tail_tolera
 
 def test_chebyshev_weights_are_the_bessel_series():
     for alpha in (1.82, 6.35, -6.35, 40.0):
-        weights = tdse.chebyshev_coefficients(alpha, 1e-14)
+        weights = tdse.chebyshev_coefficients(alpha)
         bessel = jv(np.arange(len(weights)), alpha)
         expected = 2 * bessel * (-1j) ** np.arange(len(weights))
         expected[0] = bessel[0]
@@ -460,15 +460,15 @@ def test_chebyshev_weights_are_the_bessel_series():
 
 @pytest.mark.parametrize("alpha, shown", [(1000.0, "1e+03"), (-1000.0, "-1e+03")])
 def test_chebyshev_truncation_failures_keep_their_messages(alpha, shown):
-    # J_1200(1000) ≈ 8e-39, so no term up to |α| + 200 falls below 1e-40; below 1e-14 the
-    # first one is J_1097, beyond |α| + 60
+    # no |J_n(±1e5)| up to 1e5 + 200 falls below 1e-14; at α = ±1000 the first one below
+    # is J_1097, beyond |α| + 60
     with pytest.raises(ToleranceFailure) as caught:
-        tdse.chebyshev_coefficients(alpha, 1e-40)
-    assert str(caught.value) == f"Chebyshev tail |J_n({shown})| did not reach 1.0e-40 within 1200 terms"
+        tdse.chebyshev_coefficients(100 * alpha)
+    far = shown.replace("e+03", "e+05")
+    assert str(caught.value) == f"Chebyshev tail |J_n({far})| did not reach 1.0e-14 within 100200 terms"
     with pytest.raises(ToleranceFailure) as caught:
-        tdse.chebyshev_coefficients(alpha, 1e-14)
-    assert str(caught.value) == ("truncation order 1097 exceeds α + 60 = 1060.0; "
-                                 "reduce dt or widen the tail tolerance")
+        tdse.chebyshev_coefficients(alpha)
+    assert str(caught.value) == "truncation order 1097 exceeds α + 60 = 1060.0; reduce dt"
 
 
 # ---------------------------------------------------------------------------
@@ -654,7 +654,7 @@ def test_calibrate_half_transfer():
     result = calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=12)
     assert abs(result.achieved_transfer - 0.5) <= 0.01
     assert result.leakage <= 0.01
-    assert result.hold_duration < result.period_estimate / 2
+    assert result.hold_duration < result.pulse.period / 2
 
 
 def test_calibrate_unreachable_with_tilt():
@@ -689,8 +689,6 @@ def test_spec_validation():
                        barrier_width=1.0, barrier_height=-1.0)
     with pytest.raises(ValueError):
         ChebyshevParams(dt=0.1, e_min=1.0, e_max=0.0)
-    with pytest.raises(ValueError):
-        ChebyshevParams(dt=0.1, e_min=0.0, e_max=1.0, tail_tolerance=1e-6)
 
 
 def test_spatial_grid_compares_and_hashes_by_its_parameters():
@@ -1021,7 +1019,7 @@ def test_calibrate_half_lands_on_one_half(low):
     params = gatecfg.gate_params(grid, spec, template, dt=0.1)
     result = calibrate_hold_time(grid, spec, template, 0.5, params=params)
     assert abs(result.achieved_transfer - 0.5) <= 1e-6
-    assert result.hold_duration < result.period_estimate / 2
+    assert result.hold_duration < result.pulse.period / 2
 
 
 @pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
@@ -1113,7 +1111,7 @@ def test_a_polish_that_crosses_the_target_takes_the_root_before_the_peak():
     result = calibrate_hold_time(grid, spec, template, target, params)
     assert abs(result.achieved_transfer - target) <= 1e-12
     assert result.hold_duration < peak.hold_duration
-    assert peak.hold_duration - result.hold_duration < peak.period_estimate / 23
+    assert peak.hold_duration - result.hold_duration < peak.pulse.period / 23
 
 
 def test_calibrate_needs_two_scan_points():

@@ -698,13 +698,28 @@ def test_a_graph_coin_set_builds_each_structured_coin_once(g, kind, monkeypatch)
         monkeypatch.setattr(walk, name, lambda d, build=build: calls.append(d) or build(d))
     coins = CoinSet.from_graph(g, kind)
     monkeypatch.undo()
-    degrees = {g.degree(j) for j in range(1, g.n + 1)}
+    # a degree-1 node's Grover or DFT coin is [[1]]: it is neither built nor grouped
+    degrees = {g.degree(j) for j in range(1, g.n + 1)} - ({1} if kind in ("grover", "dft") else set())
     assert sorted(calls) == ([] if kind == "hadamard" else sorted(degrees))
     assert sorted(grp.states.shape[1] for grp in coins.groups) == sorted(degrees)
     for grp in coins.groups:
         # the sub-coin and kind a group derived by value before it was told its kind
         assert grp.sub.tobytes() == coin_for_degree(kind, grp.states.shape[1]).tobytes()
         assert grp.kind == walk._structured_kind(grp.sub)
+
+
+@pytest.mark.parametrize("kind", ["grover", "dft"])
+def test_a_degree_one_line_joins_no_group(kind):
+    # the path 1–2–…–8: the end nodes have degree 1, whose coin [[1]] fixes their lines
+    n = 8
+    g = Graph(n, frozenset((j, j + 1) for j in range(1, n)))
+    coins = CoinSet.from_graph(g, kind)
+    assert [grp.states.shape[1] for grp in coins.groups] == [2]
+    assert coins.groups[0].lines.tolist() == list(range(1, n - 1))
+    assert np.array_equal(coins.dense[0], np.eye(n)) and np.array_equal(coins.dense[-1], np.eye(n))
+    assert all(np.array_equal(a, b) for a, b in zip(coins.dense, dense_graph_coins(g, kind)))
+    with pytest.raises(ValueError, match="hadamard coin needs degree 2, node has degree 1"):
+        CoinSet.from_graph(g, "hadamard")
 
 
 @pytest.mark.parametrize("kind", ["grover", "dft", "hadamard"])
@@ -753,7 +768,8 @@ def test_graph_plan_holds_no_dense_coins(which, monkeypatch, rng):
     assert len(sets) == 1 and all("dense" not in vars(c) for c in sets)
     assert all(a.shape != (n, n) for a in arrays)
     assert sum(a.nbytes for a in arrays) < 2**20
-    degrees = {g.degree(j) for j in range(1, n + 1)} - {0}
+    # degree-0 lines and the Grover coin [[1]] of degree-1 lines join no group
+    degrees = {g.degree(j) for j in range(1, n + 1)} - {0, 1}
     assert sorted(calls) == sorted(degrees)
 
 
