@@ -58,8 +58,7 @@ def main():
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
 
-    spec = DoubleWellSpec(well_depth=20.0, well_width=0.9, well_separation=1.7,
-                          barrier_width=0.6, barrier_height=28.0)
+    spec = DoubleWellSpec(well_depth=20.0, well_width=0.9, well_separation=1.7, barrier_width=0.6)
     print(f"{'m':>5} {'terms':>6} {'build µs':>9} {'dense µs':>9} {'fft µs':>9} "
           f"{'dense/step µs':>14} {'fft/step µs':>12} {'row step µs':>12} {'P build µs':>11} "
           f"{'P step µs':>10} {'P pays from':>12} {'rule from':>10}")

@@ -134,7 +134,7 @@ def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
     snapshot = _get(config, "snapshot", bool, default=False)
     plan = walk.CoinPlan.from_graph(g, steps, kind)
     s0 = _initial_state(config, base, g)
-    final, dist = walk.walk_node_distribution(s0, steps, plan)
+    final, dist = walk.walk_node_distribution(s0, plan)
 
     _atomic_write(out_dir, "distribution.txt", walk.distribution_to_text(dist))
     report = {"n": g.n, "steps": steps, "coin": kind,
@@ -143,7 +143,7 @@ def cmd_walk(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
         _atomic_write(out_dir, "state.json", walk.state_to_json(final))
     limits = {}
     if args.oracle:
-        ref = walk.reference_evolve(s0, steps, plan)
+        ref = walk.reference_evolve(s0, plan)
         report["oracle_max_deviation"] = float(np.max(np.abs(final.amp - ref.amp)))
         limits["oracle_max_deviation"] = ORACLE_TOL
     print(f"walk: n={g.n} steps={steps} sigma={dist.std():.6f} -> {out_dir}")
@@ -200,7 +200,10 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
 
 
 def _tdse_setup(config: dict, *keys: str):
-    """Grid, well, timeline and solver of a gate config whose top level also holds ``keys``."""
+    """Grid, well, timeline and step size of a gate config whose top level also holds ``keys``.
+
+    The well's barrier_height is the timeline's default high barrier.
+    """
     from . import tdse
 
     _only(config, "config", "version", "grid", "well", "timeline", "solver", *keys)
@@ -211,35 +214,34 @@ def _tdse_setup(config: dict, *keys: str):
         _get(gdoc, "m", int, required=True),
     )
     wdoc = _only(_get(config, "well", dict, required=True), "well", "depth", "width", "separation",
-                 "barrier_width", "barrier_height", "center", "tilt")
+                 "barrier_width", "barrier_height", "tilt")
     spec = tdse.DoubleWellSpec(
         well_depth=_get(wdoc, "depth", float, required=True),
         well_width=_get(wdoc, "width", float, required=True),
         well_separation=_get(wdoc, "separation", float, required=True),
         barrier_width=_get(wdoc, "barrier_width", float, required=True),
-        barrier_height=_get(wdoc, "barrier_height", float, required=True),
-        center=_get(wdoc, "center", float, default=0.0),
         tilt=_get(wdoc, "tilt", float, default=0.0),
     )
+    barrier_height = _get(wdoc, "barrier_height", float, required=True)
+    if barrier_height < 0:
+        raise ConfigError(f"barrier height must be ≥ 0, got {barrier_height}")
     tdoc = _only(_get(config, "timeline", dict, required=True), "timeline",
                  "ramp_down", "hold", "ramp_up", "high", "low")
     timeline = tdse.BarrierTimeline(
         ramp_down_duration=_get(tdoc, "ramp_down", float, required=True),
         hold_duration=_get(tdoc, "hold", float, default=0.0),
         ramp_up_duration=_get(tdoc, "ramp_up", float, required=True),
-        high_barrier=_get(tdoc, "high", float, default=spec.barrier_height),
+        high_barrier=_get(tdoc, "high", float, default=barrier_height),
         low_barrier=_get(tdoc, "low", float, required=True),
     )
     sdoc = _only(_get(config, "solver", dict, default={}), "solver", "dt")
-    e_min, e_max = tdse.timeline_energy_bounds(grid, spec, timeline)
-    params = tdse.ChebyshevParams(_get(sdoc, "dt", float, default=0.01), e_min, e_max)
-    return grid, spec, timeline, params
+    return grid, spec, timeline, _get(sdoc, "dt", float, default=0.01)
 
 
 def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     from . import tdse
 
-    grid, spec, timeline, params = _tdse_setup(config, "initial", "sample_stride", "snapshot")
+    grid, spec, timeline, dt = _tdse_setup(config, "initial", "sample_stride", "snapshot")
     which = _get(config, "initial", str, default="left")
     if which not in ("left", "right"):
         raise ConfigError(f"initial state must be 'left' or 'right', got {which!r}")
@@ -247,7 +249,7 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
     snapshot = _get(config, "snapshot", bool, default=False)
     phi_left, phi_right = tdse.well_ground_states(grid, spec, timeline.high_barrier)
     psi0 = phi_left if which == "left" else phi_right
-    traj = tdse.evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=stride)
+    traj = tdse.evolve_timeline(psi0, spec, timeline, dt, sample_stride=stride)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     final = traj.states[-1]
     if snapshot:
@@ -264,16 +266,13 @@ def cmd_tdse(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) 
 def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namespace) -> tuple[dict, dict]:
     from . import tdse
 
-    grid, spec, timeline, params = _tdse_setup(config, "target_transfer", "scan_points")
+    grid, spec, timeline, dt = _tdse_setup(config, "target_transfer")
     target = _get(config, "target_transfer", float, required=True)
-    scan_points = _get(config, "scan_points", int, default=24)
-    result = tdse.calibrate_hold_time(
-        grid, spec, timeline, target, params=params, scan_points=scan_points
-    )
+    result = tdse.calibrate_hold_time(grid, spec, timeline, target, dt)
     calibrated = replace(timeline, hold_duration=result.hold_duration)
     phi_left, phi_right = result.pulse.basis
     # the replay starts where the scan's ramp down ended and checks the hold and the ramp up
-    traj = tdse.evolve_timeline(phi_left, grid, spec, calibrated, params, sample_stride=20,
+    traj = tdse.evolve_timeline(phi_left, spec, calibrated, dt, sample_stride=20,
                                 ramp_down=result.pulse.ramp_down)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)

@@ -231,7 +231,7 @@ def run_walk_physical(s0: WalkState, plan: CoinPlan, trace: ProtocolTrace | None
         if trace is not None:
             last[:] = [(orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages]
 
-    out = _walk(s0, plan.steps, plan, functools.partial(apply, ROW), functools.partial(apply, COLUMN))
+    out = _walk(s0, plan, functools.partial(apply, ROW), functools.partial(apply, COLUMN))
     if trace is not None:
         trace.stages.extend(last)
     return out

@@ -88,6 +88,8 @@ CHEBYSHEV_RING = 16
 PROPAGATOR_CROSSOVER = 192
 # how close a polished scan extremum must come to a target no scan interval crosses
 CALIBRATION_TOL = 0.005
+# holds a calibration evaluates in closed form over slightly more than one tunneling oscillation
+SCAN_POINTS = 24
 
 
 @dataclass(frozen=True)
@@ -158,27 +160,25 @@ def gaussian_packet(grid: SpatialGrid, x0: float, sigma: float, k0: float = 0.0)
     return normalized(grid, psi)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DoubleWellSpec:
-    """Two inverted Gaussian wells plus a central Gaussian barrier.
+    """Two inverted Gaussian wells plus a central Gaussian barrier, by keyword only.
 
-    The wells sit at center ± well_separation/2 and the barrier bump of
-    controllable height at the center, so the potential is mirror-symmetric
-    about the center whenever tilt is zero. A nonzero tilt adds a linear bias
-    that detunes the two wells (used to model asymmetric dots).
+    The wells sit at x = ±well_separation/2 and the barrier bump at x = 0, so
+    the potential is mirror-symmetric about 0 whenever tilt is zero; the grid
+    places them. The bump's height is not the spec's: a pulse sets it
+    (BarrierTimeline), and every potential is built at a given height. A
+    nonzero tilt adds a linear bias that detunes the two wells (used to model
+    asymmetric dots).
     """
 
     well_depth: float
     well_width: float
     well_separation: float
     barrier_width: float
-    barrier_height: float
-    center: float = 0.0
     tilt: float = 0.0
 
     def __post_init__(self):
-        if self.barrier_height < 0:
-            raise ValueError(f"barrier height must be ≥ 0, got {self.barrier_height}")
         for name in ("well_depth", "well_width", "well_separation", "barrier_width"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
@@ -248,14 +248,14 @@ def double_well_potential(grid: SpatialGrid, spec: DoubleWellSpec):
     The wells, the bump and the tilt do not depend on the barrier, so they are computed
     once; each call adds the scaled bump to them.
     """
-    u = grid.x - spec.center
+    x = grid.x
     half = spec.well_separation / 2
     wells = -spec.well_depth * (
-        np.exp(-((u - half) ** 2) / (2 * spec.well_width**2))
-        + np.exp(-((u + half) ** 2) / (2 * spec.well_width**2))
+        np.exp(-((x - half) ** 2) / (2 * spec.well_width**2))
+        + np.exp(-((x + half) ** 2) / (2 * spec.well_width**2))
     )
-    bump = np.exp(-(u**2) / (2 * spec.barrier_width**2))
-    slope = spec.tilt * u
+    bump = np.exp(-(x**2) / (2 * spec.barrier_width**2))
+    slope = spec.tilt * x
 
     def potential(barrier: float) -> np.ndarray:
         if barrier < 0:
@@ -265,9 +265,9 @@ def double_well_potential(grid: SpatialGrid, spec: DoubleWellSpec):
     return potential
 
 
-def build_double_well(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float | None = None) -> np.ndarray:
-    """Potential samples for the given barrier height (spec's height if None)."""
-    return double_well_potential(grid, spec)(spec.barrier_height if barrier is None else barrier)
+def build_double_well(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -> np.ndarray:
+    """Potential samples for the given barrier height."""
+    return double_well_potential(grid, spec)(barrier)
 
 
 def apply_hamiltonian(psi, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
@@ -565,27 +565,27 @@ def _step_propagator(grid: SpatialGrid, v: np.ndarray, params: ChebyshevParams) 
 
 def evolve_timeline(
     psi0: WaveFunction,
-    grid: SpatialGrid,
     spec: DoubleWellSpec,
     timeline: BarrierTimeline,
-    params: ChebyshevParams,
+    dt: float,
     sample_stride: int = 1,
     ramp_down: Trajectory | None = None,
 ) -> Trajectory:
-    """Propagate through a barrier timeline, sampling every `sample_stride` steps.
+    """Propagate psi0 on its own grid through a barrier timeline, sampling every `sample_stride` steps.
 
-    Steps as in timeline_steps; the initial and final states are always sampled.
+    Steps of at most dt as in timeline_steps, each a Chebyshev step bracketed by
+    timeline_energy_bounds; the initial and final states are always sampled.
     ramp_down, when given, is psi0 and its state after each ramp-down step, as
     HoldScan.ramp_down holds them: the run then takes its ramp-down samples from it
     and steps only the hold and the ramp up. Raises ValueError when its times are not
     this timeline's ramp down or it does not start at psi0.
     """
-    if psi0.grid is not grid and psi0.grid != grid:
-        raise ValueError("initial state lives on a different grid")
     if sample_stride < 1:
         raise ValueError("sample stride must be ≥ 1")
 
-    segments = timeline_steps(timeline, params.dt)
+    grid = psi0.grid
+    params = ChebyshevParams(dt, *timeline_energy_bounds(grid, spec, timeline))
+    segments = timeline_steps(timeline, dt)
     steps = [step for _, seg in segments for step in seg]
     ends = [t0 + (i + 1) * dt_seg for t0, seg in segments for i, (_, dt_seg) in enumerate(seg)]
     states, done = [psi0.psi], 0
@@ -611,16 +611,16 @@ def evolve_timeline(
 
 
 def well_ground_states(
-    grid: SpatialGrid, spec: DoubleWellSpec, barrier: float | None = None
+    grid: SpatialGrid, spec: DoubleWellSpec, barrier: float
 ) -> tuple[WaveFunction, WaveFunction]:
-    """Left- and right-localized combinations of the lowest doublet.
+    """Left- and right-localized combinations of the lowest doublet at the given barrier height.
 
-    Diagonalizes the dense Hamiltonian at the given barrier (spec's height by
-    default) and rotates within the span of the two lowest eigenstates so the
-    position operator is diagonal there. For symmetric wells this is exactly
-    the sum/difference combination (e0 ± e1)/√2 of the doublet; for detuned
-    wells it still yields one state per well. Signs are fixed so each state
-    has positive real amplitude at its own well minimum.
+    Diagonalizes the dense Hamiltonian and rotates within the span of the two
+    lowest eigenstates so the position operator is diagonal there. For
+    symmetric wells this is exactly the sum/difference combination
+    (e0 ± e1)/√2 of the doublet; for detuned wells it still yields one state
+    per well. Signs are fixed so each state has positive real amplitude at its
+    own well minimum, x = ∓well_separation/2.
     """
     v = build_double_well(grid, spec, barrier)
     h = dense_hamiltonian(grid, v)
@@ -631,18 +631,18 @@ def well_ground_states(
     e1 = np.real(e1 * np.exp(-1j * np.angle(e1[np.argmax(np.abs(e1))])))
     e0 /= np.linalg.norm(e0)
     e1 /= np.linalg.norm(e1)
-    u = grid.x - spec.center
+    x = grid.x
     pos = np.array(
         [
-            [np.sum(u * e0 * e0), np.sum(u * e0 * e1)],
-            [np.sum(u * e1 * e0), np.sum(u * e1 * e1)],
+            [np.sum(x * e0 * e0), np.sum(x * e0 * e1)],
+            [np.sum(x * e1 * e0), np.sum(x * e1 * e1)],
         ]
     )
     _, rot = np.linalg.eigh(pos)  # columns ordered by position expectation
     left = e0 * rot[0, 0] + e1 * rot[1, 0]
     right = e0 * rot[0, 1] + e1 * rot[1, 1]
-    i_left = int(np.argmin(np.abs(grid.x - (spec.center - spec.well_separation / 2))))
-    i_right = int(np.argmin(np.abs(grid.x - (spec.center + spec.well_separation / 2))))
+    half = spec.well_separation / 2
+    i_left, i_right = int(np.argmin(np.abs(x + half))), int(np.argmin(np.abs(x - half)))
     if left[i_left] < 0:
         left = -left
     if right[i_right] < 0:
@@ -766,10 +766,8 @@ class HoldScan:
     ramp_down: Trajectory
 
     @classmethod
-    def from_pulse(
-        cls, grid: SpatialGrid, spec: DoubleWellSpec, template: BarrierTimeline, params: ChebyshevParams
-    ) -> HoldScan:
-        """Propagate through the template's ramps forward only; its hold is ignored.
+    def from_pulse(cls, grid: SpatialGrid, spec: DoubleWellSpec, template: BarrierTimeline, dt: float) -> HoldScan:
+        """Propagate through the template's ramps forward only, in steps of at most dt; its hold is ignored.
 
         Every H(b) is real symmetric and L, R are real, so U_up†·φ = conj(F·φ), where F steps
         forward through the ramp up's steps in reverse order. With equal ramps those are the
@@ -778,7 +776,8 @@ class HoldScan:
         of L through the ramp down and a 2-row pass through the reversed ramp up.
         """
         phi_left, phi_right = well_ground_states(grid, spec, template.high_barrier)
-        (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), params.dt)
+        params = ChebyshevParams(dt, *timeline_energy_bounds(grid, spec, template))
+        (_, ramp_down), _, (_, ramp_up) = timeline_steps(replace(template, hold_duration=0.0), dt)
         basis = np.array([phi_left.psi, phi_right.psi])
         mirrored = ramp_up[::-1] == ramp_down
         down, samples = _propagate(grid, spec, basis if mirrored else basis[:1], ramp_down, params, 1)
@@ -851,27 +850,24 @@ def calibrate_hold_time(
     spec: DoubleWellSpec,
     timeline_template: BarrierTimeline,
     target_transfer: float,
-    params: ChebyshevParams,
-    scan_points: int = 24,
+    dt: float,
 ) -> CalibrationResult:
     """Find the smallest hold duration whose transfer matches the target.
 
-    Starting from the left-well state, the template's ramps are fixed and the
-    transfer T is evaluated in closed form (HoldScan) on `scan_points` holds
-    over slightly more than one tunneling oscillation. The root in the first
-    scan interval that crosses the target is found by Newton's method on T,
-    safeguarded by bisection; if none does (targets near 0 or 1), the scan's
-    extrema towards the target are polished in order by the same method on
-    dT/dh, between the neighbouring scan holds, and the first within
-    CALIBRATION_TOL wins; a polish that crosses the target takes the root
-    before it instead. Raises CalibrationUnreachableError when none is.
+    Starting from the left-well state, the template's ramps are fixed (stepped
+    by at most dt) and the transfer T is evaluated in closed form (HoldScan) on
+    SCAN_POINTS holds over slightly more than one tunneling oscillation. The
+    root in the first scan interval that crosses the target is found by
+    Newton's method on T, safeguarded by bisection; if none does (targets near
+    0 or 1), the scan's extrema towards the target are polished in order by
+    the same method on dT/dh, between the neighbouring scan holds, and the
+    first within CALIBRATION_TOL wins; a polish that crosses the target takes
+    the root before it instead. Raises CalibrationUnreachableError when none is.
     """
     if not 0.0 <= target_transfer <= 1.0:
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
-    if scan_points < 2:
-        raise ValueError(f"scan needs at least 2 points, got {scan_points}")
-    pulse = HoldScan.from_pulse(grid, spec, timeline_template, params)
-    holds = np.linspace(0.0, 1.05 * pulse.period, scan_points)
+    pulse = HoldScan.from_pulse(grid, spec, timeline_template, dt)
+    holds = np.linspace(0.0, 1.05 * pulse.period, SCAN_POINTS)
     values = pulse.transfer(holds)
     scan = list(zip(holds.tolist(), values.tolist()))
 
@@ -896,7 +892,7 @@ def calibrate_hold_time(
     gap = np.abs(gap)
     padded = np.concatenate(([np.inf], gap, [np.inf]))
     for i in np.flatnonzero((gap <= padded[:-2]) & (gap <= padded[2:])):
-        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
+        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, SCAN_POINTS - 1)]
         hold = holds[i]
         peak = _bracketed_root(lambda h: pulse.transfer_derivatives(h)[1:], lo, hi)
         if peak is not None and side * offset(peak) <= 0:

@@ -341,34 +341,24 @@ class CoinSet:
 
         A coin's support is every index whose row or column differs from the
         identity; outside it the coin is an exact fixed point. Lines whose
-        sub-coins are equal share one group, and a coin object repeated over
-        lines is split once.
+        sub-coins are equal share one group, in the order of their first line.
         """
         n = len(coins)
         eye = np.eye(n, dtype=complex)
-        # id(coin) -> (coin, support, sub-coin bytes); holding the coin keeps its id unique
-        split: dict[int, tuple[object, np.ndarray, bytes]] = {}
         # sub-coin bytes -> (sub-coin, lines, their supports)
         members: dict[bytes, tuple[np.ndarray, list[int], list[np.ndarray]]] = {}
         for j, coin in enumerate(coins):
-            if id(coin) not in split:
-                c = np.asarray(coin, dtype=complex)
-                if c.shape != (n, n):
-                    raise ValueError(f"coin {j + 1} has shape {c.shape}, expected {(n, n)}")
-                moved = c != eye
-                idx = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
-                sub = c[np.ix_(idx, idx)]
-                key = sub.tobytes()
-                split[id(coin)] = (coin, idx, key)
-                members.setdefault(key, (sub, [], []))
-            _, idx, key = split[id(coin)]
+            c = np.asarray(coin, dtype=complex)
+            if c.shape != (n, n):
+                raise ValueError(f"coin {j + 1} has shape {c.shape}, expected {(n, n)}")
+            moved = c != eye
+            idx = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
             if len(idx):
-                members[key][1].append(j)
-                members[key][2].append(idx)
-        groups = tuple(
-            CoinGroup(np.array(lines), np.array(states), sub)
-            for sub, lines, states in members.values() if lines
-        )
+                sub = c[np.ix_(idx, idx)]
+                _, lines, states = members.setdefault(sub.tobytes(), (sub, [], []))
+                lines.append(j)
+                states.append(idx)
+        groups = tuple(CoinGroup(np.array(lines), np.array(states), sub) for sub, lines, states in members.values())
         return CoinSet(n, groups)
 
     @cached_property
@@ -498,58 +488,54 @@ def apply_coin_cols(amp: np.ndarray, coins: CoinSet) -> np.ndarray:
     return amp
 
 
-def _walk(s0: WalkState, steps: int, plan: CoinPlan, rows, cols) -> WalkState:
-    """``rows(amp, coins)`` on odd steps, ``cols(amp, coins)`` on even ones, in place; the norm after each."""
+def _walk(s0: WalkState, plan: CoinPlan, rows, cols) -> WalkState:
+    """A step per coin set of the plan: ``rows(amp, coins)`` on odd steps, ``cols`` on even ones; the norm after each."""
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
-    if plan.steps < steps:
-        raise ValueError(f"plan covers {plan.steps} steps, {steps} requested")
-    if steps == 0:
+    if not plan.steps:
         return s0
     amp = s0.amp.copy()
-    for i in range(1, steps + 1):
-        (rows if i % 2 == 1 else cols)(amp, plan.coin_set(i))
+    for i, coins in enumerate(plan.coin_sets, 1):
+        (rows if i % 2 == 1 else cols)(amp, coins)
         check_norm(amp, NORM_TOL, f"state after step {i}")
     return WalkState(s0.n, amp)
 
 
-def evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
-    """Alternate row/column coin applications on one copy of the amplitudes, starting with rows.
+def evolve(s0: WalkState, plan: CoinPlan) -> WalkState:
+    """Walk every step of the plan, alternating row/column coin applications on one copy of the amplitudes.
 
-    The norm is checked after every step. Odd step counts end after a row
-    application, leaving the state in the transposed (columns-index-nodes)
-    convention; transpose_state restores the rows-index-nodes reading.
+    Rows come first, and the norm is checked after every step. Odd step
+    counts end after a row application, leaving the state in the transposed
+    (columns-index-nodes) convention; transpose_state restores the
+    rows-index-nodes reading. run_walk_physical takes the same (s0, plan).
     """
-    return _walk(s0, steps, plan, apply_coin_rows, apply_coin_cols)  # looked up per call, so a wrapper is seen
+    return _walk(s0, plan, apply_coin_rows, apply_coin_cols)  # looked up per call, so a wrapper is seen
 
 
-def reference_evolve(s0: WalkState, steps: int, plan: CoinPlan) -> WalkState:
-    """Oracle evolution: per step, multiply each row by its dense coin, then transpose.
+def reference_evolve(s0: WalkState, plan: CoinPlan) -> WalkState:
+    """Oracle evolution: per step of the plan, multiply each row by its dense coin, then transpose.
 
     The transpose realizes the translation |j,k| -> |k,j|. Serves as the
     independent reference for evolve: both agree at even step counts.
     """
     if plan.n != s0.n:
         raise ValueError(f"plan dimension {plan.n} does not match state {s0.n}")
-    if plan.steps < steps:
-        raise ValueError(f"plan covers {plan.steps} steps, {steps} requested")
     s = s0
-    for i in range(1, steps + 1):
-        coins = plan.coins_for_step(i)
-        rows = np.array([coins[j] @ s.amp[j, :] for j in range(s.n)])
+    for coins in plan.coin_sets:
+        rows = np.array([coin @ s.amp[j, :] for j, coin in enumerate(coins.dense)])
         s = transpose_state(WalkState(s.n, rows))
     return s
 
 
-def walk_node_distribution(s0: WalkState, steps: int, plan: CoinPlan) -> tuple[WalkState, Distribution]:
-    """Evolve and read out the state and its node probabilities, both with nodes on rows.
+def walk_node_distribution(s0: WalkState, plan: CoinPlan) -> tuple[WalkState, Distribution]:
+    """Walk every step of the plan; read out the state and its node probabilities, both with nodes on rows.
 
     After an odd number of grid applications the nodes sit on columns; the
     readout transposes once, so the state is reference_evolve's, can seed a
     further walk, and the distribution refers to nodes.
     """
-    s = evolve(s0, steps, plan)
-    readout = transpose_state(s) if steps % 2 == 1 else s
+    s = evolve(s0, plan)
+    readout = transpose_state(s) if plan.steps % 2 == 1 else s
     return readout, position_distribution(readout)
 
 

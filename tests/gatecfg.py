@@ -6,7 +6,7 @@ the rest splitting ≈ 2.3e-3 so a parked packet barely tunnels, and cosine
 ramps of 4 time units keep leakage in the 1e-3 range at every hold.
 """
 
-from gridwalk.tdse import BarrierTimeline, ChebyshevParams, DoubleWellSpec, SpatialGrid, timeline_energy_bounds
+from gridwalk.tdse import BarrierTimeline, DoubleWellSpec, SpatialGrid
 
 BARRIER_HIGH = 28.0
 BARRIER_LOW = 12.0
@@ -23,7 +23,6 @@ def gate_spec(tilt: float = 0.0) -> DoubleWellSpec:
         well_width=0.9,
         well_separation=1.7,
         barrier_width=0.6,
-        barrier_height=BARRIER_HIGH,
         tilt=tilt,
     )
 
@@ -36,8 +35,3 @@ def gate_timeline(hold: float = 0.0, low: float = BARRIER_LOW) -> BarrierTimelin
         high_barrier=BARRIER_HIGH,
         low_barrier=low,
     )
-
-
-def gate_params(grid, spec, timeline, dt: float = 0.01) -> ChebyshevParams:
-    e_min, e_max = timeline_energy_bounds(grid, spec, timeline)
-    return ChebyshevParams(dt=dt, e_min=e_min, e_max=e_max)

@@ -90,6 +90,15 @@ def test_tdse_solver_takes_only_dt(tmp_path, capsys, extra):
     assert "solver takes only 'dt'" in capsys.readouterr().err
 
 
+def test_a_negative_well_barrier_height_is_a_config_error(tmp_path, capsys):
+    # also when the timeline sets its own high barrier, so that the default is never read
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, gate_config(well={**gate_config()["well"], "barrier_height": -1.0}))
+    assert main(["tdse", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "barrier height must be ≥ 0, got -1.0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 def test_a_misspelled_hold_is_a_config_error(tmp_path, capsys):
     timeline = {"ramp_down": 4.0, "ramp_up": 4.0, "high": 28.0, "low": 12.0, "hodl": 10.8}
     cfg = write_config(tmp_path, gate_config(timeline=timeline))
@@ -115,6 +124,9 @@ WALK_DOC = {"version": 1, "graph": k_graph_doc(2), "steps": 1, "initial": {"node
         "barrier_height": 28.0}), "seperation"),
     ("tdse", gate_config(solver={"dtt": 0.01}), "dtt"),
     ("walk", {**WALK_DOC, "graph": {"n": 2, "edgse": [[1, 2]]}}, "edgse"),
+    # keys that are gone: a calibration scans tdse.SCAN_POINTS holds, and the grid places the wells
+    ("calibrate", gate_config(target_transfer=1.0, scan_points=24), "scan_points"),
+    ("tdse", gate_config(well={**gate_config()["well"], "center": 0.0}), "center"),
 ])
 def test_an_unknown_config_key_is_named(tmp_path, capsys, subcommand, doc, key):
     out = tmp_path / "out"
@@ -523,7 +535,7 @@ def test_tdse_snapshot_of_a_drifted_state_loads_back(tmp_path, monkeypatch):
 
 def test_calibrate_half_split(tmp_path):
     out = tmp_path / "out"
-    cfg = write_config(tmp_path, gate_config(version=1, target_transfer=0.5, scan_points=10))
+    cfg = write_config(tmp_path, gate_config(version=1, target_transfer=0.5))
     assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert abs(report["achieved_transfer"] - 0.5) <= 0.01
@@ -532,7 +544,7 @@ def test_calibrate_half_split(tmp_path):
 
 
 def test_calibrate_unreachable_exit_code(tmp_path):
-    doc = gate_config(version=1, target_transfer=1.0, scan_points=8)
+    doc = gate_config(version=1, target_transfer=1.0)
     doc["well"]["tilt"] = 0.5
     cfg = write_config(tmp_path, doc)
     assert main(["calibrate", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_TOLERANCE
@@ -653,7 +665,7 @@ def test_calibrate_computes_the_qubit_basis_once(tmp_path, monkeypatch):
     assert main(["calibrate", "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]) == EXIT_OK
     assert len(bases) == 1
     grid = tdse.SpatialGrid(-8.0, 8.0, doc["grid"]["m"])
-    spec = tdse.DoubleWellSpec(20.0, 0.9, 1.7, 0.6, 28.0)
+    spec = tdse.DoubleWellSpec(well_depth=20.0, well_width=0.9, well_separation=1.7, barrier_width=0.6)
     assert bases[0] == well_ground_states(grid, spec, 28.0)
 
 

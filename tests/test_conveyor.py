@@ -262,13 +262,13 @@ def test_physical_walk_equals_grid_walk(n, rng):
     )
     s0 = random_state(n, rng)
     physical = run_walk_physical(s0, plan)
-    logical = evolve(s0, steps, plan)
+    logical = evolve(s0, plan)
     assert np.max(np.abs(physical.amp - logical.amp)) < 1e-10
     assert abs(np.sum(np.abs(physical.amp) ** 2) - 1) < 1e-10
     # a plan of no steps returns the start state; a plan of another size is refused as evolve refuses it
     assert run_walk_physical(s0, CoinPlan(n, ())) == s0
     other = CoinPlan.uniform(np.eye(n + 1, dtype=complex), steps)
-    for run in (run_walk_physical, lambda s, p: evolve(s, steps, p)):
+    for run in (run_walk_physical, evolve):
         with pytest.raises(ValueError, match=f"^plan dimension {n + 1} does not match state {n}$"):
             run(s0, other)
 
@@ -280,7 +280,7 @@ def test_physical_walk_pads_non_power_of_two(rng):
     )
     s0 = random_state(n, rng)
     physical = run_walk_physical(s0, plan)
-    logical = evolve(s0, steps, plan)
+    logical = evolve(s0, plan)
     assert np.max(np.abs(physical.amp - logical.amp)) < 1e-10
 
 
@@ -312,7 +312,7 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
     physical = run_walk_physical(s0, plan)
     assert calls["cs_decompose"] == []
     assert len(calls["grover_stages"]) == 1 and np.array_equal(calls["grover_stages"][0], g.present)
-    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+    assert np.max(np.abs(physical.amp - evolve(s0, plan).amp)) < 1e-10
 
     # two coin sets taking turns over four steps; n = 6 pads to 8 identity lines
     n = 6
@@ -326,7 +326,7 @@ def test_physical_walk_synthesizes_each_coin_once_per_run(monkeypatch, rng):
         assert np.array_equal(stack[:n, :n, :n], np.stack(coins.dense))
         assert np.array_equal(stack[n:], np.broadcast_to(np.eye(8), (2, 8, 8)))
         assert np.array_equal(stack[:n, n:, :], np.eye(8)[None, n:].repeat(n, 0))
-    assert np.max(np.abs(physical.amp - evolve(s0, 4, plan).amp)) < 1e-10
+    assert np.max(np.abs(physical.amp - evolve(s0, plan).amp)) < 1e-10
 
 
 @given(dense_graphs(16), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -335,7 +335,7 @@ def test_grover_physical_walk_equals_grid_walk(g, steps, seed):
     plan = CoinPlan.from_graph(g, steps)
     s0 = random_state(g.n, np.random.default_rng(seed))
     physical = run_walk_physical(s0, plan)
-    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+    assert np.max(np.abs(physical.amp - evolve(s0, plan).amp)) < 1e-10
 
 
 def test_physical_walk_falls_back_to_cs_synthesis_for_one_line_that_is_not_grover(monkeypatch, rng):
@@ -351,7 +351,7 @@ def test_physical_walk_falls_back_to_cs_synthesis_for_one_line_that_is_not_grove
     physical = run_walk_physical(s0, plan)
     assert calls["grover_stages"] == [] and len(calls["cs_decompose"]) == 1
     assert np.array_equal(calls["cs_decompose"][0][:n, :n, :n], np.stack(coins))
-    assert np.max(np.abs(physical.amp - evolve(s0, steps, plan).amp)) < 1e-10
+    assert np.max(np.abs(physical.amp - evolve(s0, plan).amp)) < 1e-10
 
 
 def test_a_uniform_grover_plan_takes_the_closed_form_synthesis(monkeypatch, rng):
@@ -364,7 +364,7 @@ def test_a_uniform_grover_plan_takes_the_closed_form_synthesis(monkeypatch, rng)
     physical = run_walk_physical(s0, plan, trace)
     assert calls["cs_decompose"] == [] and len(calls["grover_stages"]) == 1
     assert len(trace.stages) == n * (2 * 3 - 1)
-    assert np.max(np.abs(physical.amp - evolve(s0, 1, plan).amp)) < 1e-10
+    assert np.max(np.abs(physical.amp - evolve(s0, plan).amp)) < 1e-10
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 8, 12])
@@ -476,7 +476,7 @@ def test_pi_transfer_rejects_bad_positions(positions, rng):
         pi_transfer(lines, positions)
 
 
-@pytest.mark.parametrize("run", [lambda s0, plan: evolve(s0, plan.steps, plan), run_walk_physical],
+@pytest.mark.parametrize("run", [evolve, run_walk_physical],
                          ids=["evolve", "run_walk_physical"])
 def test_both_walks_check_the_norm_after_every_step_in_the_one_walk_loop(run, monkeypatch, rng):
     n, steps = 4, 3

@@ -39,6 +39,7 @@ from gridwalk.tdse import (
     gaussian_packet,
     normalized,
     qubit_projection,
+    timeline_energy_bounds,
     timeline_steps,
     trajectory_to_text,
     well_ground_states,
@@ -60,7 +61,7 @@ def reflect(values: np.ndarray) -> np.ndarray:
 
 def test_double_well_symmetric():
     grid = gatecfg.gate_grid()
-    v = build_double_well(grid, gatecfg.gate_spec())
+    v = build_double_well(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     assert np.max(np.abs(v - reflect(v))) < 1e-14
 
 
@@ -87,7 +88,7 @@ def test_large_barrier_decouples_wells():
 
 def test_tilt_breaks_symmetry():
     grid = gatecfg.gate_grid()
-    v = build_double_well(grid, gatecfg.gate_spec(tilt=0.5))
+    v = build_double_well(grid, gatecfg.gate_spec(tilt=0.5), gatecfg.BARRIER_HIGH)
     assert np.max(np.abs(v - reflect(v))) > 0.1
 
 
@@ -437,14 +438,13 @@ def test_zero_dt_is_identity():
 BESSEL_ALPHAS = [*np.linspace(-200.0, 200.0, 601), 1.82, 6.35, 0.3, -0.3, 1e-5, 2e-9, 1e-9, 5e-10, -1e-12, 0.0]
 
 
-@pytest.mark.parametrize("tail_tolerance", [1e-8, 1e-12, 1e-14, 1e-15])
-def test_bessel_recurrence_matches_scipy_and_truncates_where_it_does(tail_tolerance):
+def test_bessel_recurrence_matches_scipy_and_truncates_where_it_does():
     for alpha in BESSEL_ALPHAS:
         first, limit = int(abs(alpha)) + 1, int(abs(alpha)) + 200
         ours, theirs = tdse._bessel_j(alpha, limit), jv(np.arange(limit + 1), alpha)
         assert ours.shape == theirs.shape
         assert np.abs(ours - theirs)[: int(abs(alpha)) + 61].max() <= 1e-14, alpha
-        below = [np.flatnonzero(np.abs(j[first:]) < tail_tolerance)[0] for j in (ours, theirs)]
+        below = [np.flatnonzero(np.abs(j[first:]) < tdse.TAIL_TOLERANCE)[0] for j in (ours, theirs)]
         assert below[0] == below[1], alpha
 
 
@@ -479,9 +479,8 @@ def test_zero_duration_timeline():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, 0.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_LOW)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, _ = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params)
+    phi_left, _ = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01)
     assert len(traj.states) == 1
     assert traj.grid == phi_left.grid and traj.states[-1].tobytes() == phi_left.psi.tobytes()
 
@@ -490,9 +489,8 @@ def test_high_barrier_hold_keeps_packet_left():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, 20.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_HIGH)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, phi_right = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
+    phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=10**9)
     _, beta, _ = qubit_projection(traj.states[-1], phi_left, phi_right)
     assert abs(beta) ** 2 < 1e-3
 
@@ -501,19 +499,17 @@ def test_dt_must_resolve_ramps():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = gatecfg.gate_timeline(hold=1.0)
-    params = replace(gatecfg.gate_params(grid, spec, timeline), dt=1.0)
-    phi_left, _ = well_ground_states(grid, spec)
+    phi_left, _ = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
     with pytest.raises(ValueError):
-        evolve_timeline(phi_left, grid, spec, timeline, params)
+        evolve_timeline(phi_left, spec, timeline, 1.0)
 
 
 def test_timeline_norm_conserved():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = gatecfg.gate_timeline(hold=5.0)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, _ = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=25)
+    phi_left, _ = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=25)
     assert np.max(np.abs(traj.norms() - 1)) < 1e-10
 
 
@@ -523,11 +519,10 @@ def test_ramp_discretization_converges_quadratically():
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.5, 0.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_LOW)
-    phi_left, _ = well_ground_states(grid, spec)
+    phi_left, _ = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
 
     def final_at(dt):
-        params = gatecfg.gate_params(grid, spec, timeline, dt=dt)
-        traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
+        traj = evolve_timeline(phi_left, spec, timeline, dt, sample_stride=10**9)
         return traj.states[-1]
 
     dts = [1e-3, 5e-4, 2.5e-4, 1.25e-4, 6.25e-5]
@@ -554,7 +549,7 @@ def test_barrier_timeline_continuous():
 
 def test_well_states_orthonormal():
     grid = gatecfg.gate_grid()
-    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec())
+    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     assert abs(phi_left.norm_squared() - 1) < 1e-12
     assert abs(phi_right.norm_squared() - 1) < 1e-12
     overlap = abs(np.vdot(phi_left.psi, phi_right.psi) * grid.dx)
@@ -563,13 +558,13 @@ def test_well_states_orthonormal():
 
 def test_well_states_mirror_each_other():
     grid = gatecfg.gate_grid()
-    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec())
+    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     assert np.max(np.abs(reflect(phi_left.psi) - phi_right.psi)) < 1e-8
 
 
 def test_well_states_localized_on_their_side():
     grid = gatecfg.gate_grid()
-    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec())
+    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     assert grid.x[np.argmax(np.abs(phi_left.psi))] < 0
     assert grid.x[np.argmax(np.abs(phi_right.psi))] > 0
     assert phi_left.psi[np.argmax(np.abs(phi_left.psi))].real > 0
@@ -577,7 +572,7 @@ def test_well_states_localized_on_their_side():
 
 def test_projection_of_basis_states():
     grid = gatecfg.gate_grid()
-    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec())
+    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     alpha, beta, leak = qubit_projection(phi_left, phi_left, phi_right)
     assert abs(alpha - 1) < 1e-10
     assert abs(beta) < 1e-10
@@ -586,7 +581,7 @@ def test_projection_of_basis_states():
 
 def test_projection_of_equal_superposition():
     grid = gatecfg.gate_grid()
-    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec())
+    phi_left, phi_right = well_ground_states(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     psi = normalized(grid, (phi_left.psi + 1j * phi_right.psi) / np.sqrt(2))
     alpha, beta, _ = qubit_projection(psi, phi_left, phi_right)
     assert abs(abs(alpha) ** 2 - 0.5) < 1e-10
@@ -602,9 +597,8 @@ def test_bloch_trajectory_stationary():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, 2.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_HIGH)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, phi_right = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=40)
+    phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=40)
     samples = bloch_trajectory(traj, phi_left, phi_right)
     assert np.all(samples.alpha_abs > 0.999)
     assert np.all(samples.beta_abs < 1e-2)
@@ -618,9 +612,8 @@ def test_transfer_ascends_during_half_period_hold():
     spec = gatecfg.gate_spec()
     period = 2 * np.pi / doublet_splitting(grid, spec, gatecfg.BARRIER_LOW)
     timeline = gatecfg.gate_timeline(hold=0.42 * period)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, phi_right = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=50)
+    phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=50)
     samples = bloch_trajectory(traj, phi_left, phi_right)
     hold = (traj.times > timeline.ramp_down_duration) & (
         traj.times < timeline.ramp_down_duration + timeline.hold_duration
@@ -637,9 +630,8 @@ def test_trajectory_export_columns():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, 1.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_HIGH)
-    params = gatecfg.gate_params(grid, spec, timeline)
-    phi_left, phi_right = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=20)
+    phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=20)
     text = trajectory_to_text(traj, phi_left, phi_right)
     rows = [line.split() for line in text.strip().splitlines() if not line.startswith("#")]
     assert all(len(row) == 6 for row in rows)
@@ -650,8 +642,7 @@ def test_calibrate_half_transfer():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
-    params = gatecfg.gate_params(grid, spec, template)
-    result = calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=12)
+    result = calibrate_hold_time(grid, spec, template, 0.5, 0.01)
     assert abs(result.achieved_transfer - 0.5) <= 0.01
     assert result.leakage <= 0.01
     assert result.hold_duration < result.pulse.period / 2
@@ -661,9 +652,8 @@ def test_calibrate_unreachable_with_tilt():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec(tilt=0.5)
     template = gatecfg.gate_timeline()
-    params = gatecfg.gate_params(grid, spec, template)
     with pytest.raises(CalibrationUnreachableError) as err:
-        calibrate_hold_time(grid, spec, template, 1.0, params, scan_points=10)
+        calibrate_hold_time(grid, spec, template, 1.0, 0.01)
     assert err.value.max_achieved < 0.5
 
 
@@ -685,8 +675,10 @@ def test_wavefunction_snapshot_round_trip():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        DoubleWellSpec(well_depth=1.0, well_width=1.0, well_separation=1.0,
-                       barrier_width=1.0, barrier_height=-1.0)
+        build_double_well(gatecfg.gate_grid(), gatecfg.gate_spec(), -1.0)
+    # keyword only: in the old field order the fifth value, a barrier height, would be read as the tilt
+    with pytest.raises(TypeError):
+        DoubleWellSpec(20.0, 0.9, 1.7, 0.6, 28.0)
     with pytest.raises(ValueError):
         ChebyshevParams(dt=0.1, e_min=1.0, e_max=0.0)
 
@@ -695,18 +687,6 @@ def test_spatial_grid_compares_and_hashes_by_its_parameters():
     a, b = SpatialGrid(-8.0, 8.0, 128), SpatialGrid(-8.0, 8.0, 128)
     assert a == b and a is not b and hash(a) == hash(b)
     assert a != SpatialGrid(-8.0, 8.0, 64)
-
-
-def test_timeline_accepts_an_equal_but_distinct_grid():
-    grid = gatecfg.gate_grid(m=64)
-    spec = gatecfg.gate_spec()
-    timeline = gatecfg.gate_timeline(hold=1.0)
-    params = gatecfg.gate_params(grid, spec, timeline, dt=0.1)
-    phi_left, _ = well_ground_states(grid, spec)
-    same = evolve_timeline(phi_left, grid, spec, timeline, params, sample_stride=10**9)
-    other = evolve_timeline(phi_left, gatecfg.gate_grid(m=64), spec, timeline, params,
-                            sample_stride=10**9)
-    assert np.array_equal(same.states[-1], other.states[-1])
 
 
 def test_wavefunction_rejects_nan_amplitudes():
@@ -724,7 +704,7 @@ def hold_run(m: int, barrier: float, dt: float, run: int):
     grid = SpatialGrid(-8.0, 8.0, m)
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, run * dt, 0.0, gatecfg.BARRIER_HIGH, barrier)
-    params = gatecfg.gate_params(grid, spec, timeline, dt=dt)
+    params = ChebyshevParams(dt, *timeline_energy_bounds(grid, spec, timeline))
     (_, hold), = [segment for segment in timeline_steps(timeline, dt) if segment[1]]
     return grid, spec, timeline, params, hold
 
@@ -754,7 +734,7 @@ def test_a_hold_through_the_step_propagator_matches_single_steps(m, barrier, dt,
         assert np.abs(block - singles[n - 1]).max() <= 1e-12 * n
     assert np.abs(final - singles[-1]).max() <= 1e-12 * len(hold)
 
-    traj = evolve_timeline(WaveFunction(grid, rows[0]), grid, spec, timeline, params, sample_stride=stride)
+    traj = evolve_timeline(WaveFunction(grid, rows[0]), spec, timeline, dt, sample_stride=stride)
     for n, state in zip(sampled, traj.states[1:]):
         assert np.abs(state - singles[n - 1][0]).max() <= 1e-12 * n
     assert np.abs(traj.states[-1] - singles[-1][0]).max() <= 1e-12 * len(hold)
@@ -798,7 +778,7 @@ def test_each_evolve_timeline_call_builds_its_own_step_propagator(monkeypatch):
 
     monkeypatch.setattr(tdse, "chebyshev_step", counted)
     psi0 = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
-    first, second = (evolve_timeline(psi0, grid, spec, timeline, params, sample_stride=10) for _ in range(2))
+    first, second = (evolve_timeline(psi0, spec, timeline, params.dt, sample_stride=10) for _ in range(2))
     assert builds == [hold[0][1]] * 2
     assert first == second
 
@@ -806,7 +786,7 @@ def test_each_evolve_timeline_call_builds_its_own_step_propagator(monkeypatch):
 def test_chebyshev_step_rejects_a_nan_state():
     grid = gatecfg.gate_grid(m=64)
     psi = np.full((1, grid.m), np.nan, dtype=complex)
-    v = build_double_well(grid, gatecfg.gate_spec())
+    v = build_double_well(grid, gatecfg.gate_spec(), gatecfg.BARRIER_HIGH)
     e_min, e_max = energy_bounds(grid, v)
     with pytest.raises(ToleranceFailure):
         chebyshev_step(grid, psi, v, ChebyshevParams(dt=0.1, e_min=e_min, e_max=e_max))
@@ -865,7 +845,6 @@ def test_evolve_timeline_builds_one_potential_per_barrier(monkeypatch):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     timeline = gatecfg.gate_timeline(hold=2.05)
-    params = gatecfg.gate_params(grid, spec, timeline, dt=0.1)
     phi_left = normalized(grid, np.exp(-((grid.x + 0.85) ** 2)))
     built = []
     double_well_potential = tdse.double_well_potential
@@ -880,11 +859,13 @@ def test_evolve_timeline_builds_one_potential_per_barrier(monkeypatch):
         return counted_potential
 
     monkeypatch.setattr(tdse, "double_well_potential", counted)
-    evolve_timeline(phi_left, grid, spec, timeline, params)
-    (_, down), (_, hold), (_, up) = timeline_steps(timeline, params.dt)
+    evolve_timeline(phi_left, spec, timeline, 0.1)
+    (_, down), (_, hold), (_, up) = timeline_steps(timeline, 0.1)
     assert len(hold) == 21
-    assert len(built) == len(down) + 1 + len(up)
-    assert built.count(gatecfg.BARRIER_LOW) == 1
+    # the spectral bracket's two potentials, low then high, come before the loop's
+    assert built[:2] == [gatecfg.BARRIER_LOW, gatecfg.BARRIER_HIGH]
+    assert len(built[2:]) == len(down) + 1 + len(up)
+    assert built[2:].count(gatecfg.BARRIER_LOW) == 1
 
 
 def test_backward_chebyshev_step_undoes_a_forward_step():
@@ -923,8 +904,8 @@ def test_the_conjugate_forward_ramp_down_is_the_backward_ramp_up(low, tilt, m, d
     grid = gatecfg.gate_grid(m=m)
     spec = gatecfg.gate_spec(tilt=tilt)
     template = gatecfg.gate_timeline(low=low)
-    params = gatecfg.gate_params(grid, spec, template, dt=dt)
-    basis = np.array([state.psi for state in well_ground_states(grid, spec)])
+    params = ChebyshevParams(dt, *timeline_energy_bounds(grid, spec, template))
+    basis = np.array([state.psi for state in well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)])
     (_, down), _, (_, up) = timeline_steps(template, dt)
     forward, _ = tdse._propagate(grid, spec, basis, down, params)
     backward, _ = tdse._propagate(grid, spec, basis, [(b, -dt_seg) for b, dt_seg in reversed(up)], params)
@@ -945,12 +926,10 @@ def test_hold_scan_matches_timeline_replays(low, tilt, fraction, ramp_up):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec(tilt=tilt)
     template = replace(gatecfg.gate_timeline(low=low), ramp_up_duration=ramp_up)
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
-    scan = HoldScan.from_pulse(grid, spec, template, params)
+    scan = HoldScan.from_pulse(grid, spec, template, 0.1)
     hold = fraction * scan.period
-    phi_left, phi_right = well_ground_states(grid, spec)
-    traj = evolve_timeline(phi_left, grid, spec, replace(template, hold_duration=hold), params,
-                           sample_stride=10**9)
+    phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
+    traj = evolve_timeline(phi_left, spec, replace(template, hold_duration=hold), 0.1, sample_stride=10**9)
     _, beta, leak = qubit_projection(traj.states[-1], phi_left, phi_right)
     assert abs(scan.transfer(hold) - abs(beta) ** 2) <= 1e-9
     assert abs(scan.leakage(hold) - leak) <= 1e-9
@@ -961,25 +940,24 @@ def test_a_replay_from_the_scans_ramp_down_matches_a_full_replay(ramp_up):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = replace(gatecfg.gate_timeline(), ramp_up_duration=ramp_up)
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
-    scan = HoldScan.from_pulse(grid, spec, template, params)
+    scan = HoldScan.from_pulse(grid, spec, template, 0.1)
     phi_left = scan.basis[0]
     pulse = replace(template, hold_duration=0.3 * scan.period)
-    full = evolve_timeline(phi_left, grid, spec, pulse, params, sample_stride=7)
-    reused = evolve_timeline(phi_left, grid, spec, pulse, params, sample_stride=7, ramp_down=scan.ramp_down)
+    full = evolve_timeline(phi_left, spec, pulse, 0.1, sample_stride=7)
+    reused = evolve_timeline(phi_left, spec, pulse, 0.1, sample_stride=7, ramp_down=scan.ramp_down)
     assert np.array_equal(reused.times, full.times)
     assert np.abs(reused.states - full.states).max() <= 1e-12
     # the ramp down of another timeline, or from another state, is refused
     for psi0, other in [(phi_left, replace(pulse, ramp_down_duration=3.0)), (scan.basis[1], pulse)]:
         with pytest.raises(ValueError, match="ramp down"):
-            evolve_timeline(psi0, grid, spec, other, params, ramp_down=scan.ramp_down)
+            evolve_timeline(psi0, spec, other, 0.1, ramp_down=scan.ramp_down)
 
 
 def test_transfer_derivatives_match_finite_differences():
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
-    scan = HoldScan.from_pulse(grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1))
+    scan = HoldScan.from_pulse(grid, spec, template, 0.1)
     step = 1e-4
     for hold in np.linspace(0.0, scan.period, 7):
         value, slope, curvature = scan.transfer_derivatives(hold)
@@ -993,7 +971,7 @@ def test_hold_scan_period_is_the_low_barrier_doublet_period():
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
-    scan = HoldScan.from_pulse(grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1))
+    scan = HoldScan.from_pulse(grid, spec, template, 0.1)
     splitting = doublet_splitting(grid, spec, gatecfg.BARRIER_LOW)
     assert scan.period == pytest.approx(2 * np.pi / splitting, rel=1e-10)
 
@@ -1006,9 +984,8 @@ def test_calibration_makes_no_timeline_replay(monkeypatch):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
     for target in (1.0, 0.5):
-        calibrate_hold_time(grid, spec, template, target, params=params)
+        calibrate_hold_time(grid, spec, template, target, dt=0.1)
 
 
 @pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
@@ -1016,8 +993,7 @@ def test_calibrate_half_lands_on_one_half(low):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline(low=low)
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
-    result = calibrate_hold_time(grid, spec, template, 0.5, params=params)
+    result = calibrate_hold_time(grid, spec, template, 0.5, dt=0.1)
     assert abs(result.achieved_transfer - 0.5) <= 1e-6
     assert result.hold_duration < result.pulse.period / 2
 
@@ -1027,8 +1003,7 @@ def test_calibrate_pi_tops_its_scan_bracket(low):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline(low=low)
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
-    result = calibrate_hold_time(grid, spec, template, 1.0, params=params)
+    result = calibrate_hold_time(grid, spec, template, 1.0, dt=0.1)
     holds, values = np.array(result.scan).T
     # the first maximum of the scan and its neighbours bracket the result
     i = next(i for i in range(1, len(values) - 1) if values[i - 1] <= values[i] >= values[i + 1])
@@ -1037,12 +1012,12 @@ def test_calibrate_pi_tops_its_scan_bracket(low):
     assert result.achieved_transfer >= 0.99
 
 
-def scipy_calibrated_hold(pulse: HoldScan, target: float, scan_points: int = 24) -> float:
+def scipy_calibrated_hold(pulse: HoldScan, target: float) -> float:
     """The hold the search found with scipy: brentq on the first crossing interval of the
     scan, else a bounded minimize_scalar of |T − target| around each scan extremum."""
     from scipy.optimize import brentq, minimize_scalar
 
-    holds = np.linspace(0.0, 1.05 * pulse.period, scan_points)
+    holds = np.linspace(0.0, 1.05 * pulse.period, tdse.SCAN_POINTS)
     gap = pulse.transfer(holds) - target
     crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)
     if crossings.size:
@@ -1051,7 +1026,7 @@ def scipy_calibrated_hold(pulse: HoldScan, target: float, scan_points: int = 24)
     gap = np.abs(gap)
     padded = np.concatenate(([np.inf], gap, [np.inf]))
     for i in np.flatnonzero((gap <= padded[:-2]) & (gap <= padded[2:])):
-        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, scan_points - 1)]
+        lo, hi = holds[max(i - 1, 0)], holds[min(i + 1, tdse.SCAN_POINTS - 1)]
         polish = minimize_scalar(lambda h: abs(float(pulse.transfer(h)) - target), bounds=(lo, hi),
                                  method="bounded")
         hold = polish.x if polish.fun < gap[i] else holds[i]
@@ -1061,16 +1036,16 @@ def scipy_calibrated_hold(pulse: HoldScan, target: float, scan_points: int = 24)
 
 
 def shipped_gate(name: str):
-    """Grid, well, timeline, solver and target of a shipped calibrate config."""
+    """Grid, well, timeline, step size and target of a shipped calibrate config."""
     from gridwalk.cli import _tdse_setup
 
     doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / f"{name}.json").read_text())
-    return (*_tdse_setup(doc, "target_transfer", "scan_points"), doc["target_transfer"])
+    return (*_tdse_setup(doc, "target_transfer"), doc["target_transfer"])
 
 
 def m64_gate(low: float, target: float):
     grid, spec, template = gatecfg.gate_grid(m=64), gatecfg.gate_spec(), gatecfg.gate_timeline(low=low)
-    return grid, spec, template, gatecfg.gate_params(grid, spec, template, dt=0.1), target
+    return grid, spec, template, 0.1, target
 
 
 HALF_GATES = [("calibrate_half", lambda: shipped_gate("calibrate_half"))] + [
@@ -1081,17 +1056,17 @@ PI_GATES = [("calibrate_pi", lambda: shipped_gate("calibrate_pi"))] + [
 
 @pytest.mark.parametrize("gate", [make for _, make in HALF_GATES], ids=[name for name, _ in HALF_GATES])
 def test_the_crossing_hold_is_brentqs(gate):
-    grid, spec, template, params, target = gate()
-    result = calibrate_hold_time(grid, spec, template, target, params)
-    expected = scipy_calibrated_hold(HoldScan.from_pulse(grid, spec, template, params), target)
+    grid, spec, template, dt, target = gate()
+    result = calibrate_hold_time(grid, spec, template, target, dt)
+    expected = scipy_calibrated_hold(HoldScan.from_pulse(grid, spec, template, dt), target)
     assert abs(result.hold_duration - expected) <= 1e-10
 
 
 @pytest.mark.parametrize("gate", [make for _, make in PI_GATES], ids=[name for name, _ in PI_GATES])
 def test_the_polished_pi_transfer_is_no_lower_than_minimize_scalars(gate):
-    grid, spec, template, params, target = gate()
-    result = calibrate_hold_time(grid, spec, template, target, params)
-    pulse = HoldScan.from_pulse(grid, spec, template, params)
+    grid, spec, template, dt, target = gate()
+    result = calibrate_hold_time(grid, spec, template, target, dt)
+    pulse = HoldScan.from_pulse(grid, spec, template, dt)
     expected = scipy_calibrated_hold(pulse, target)
     # minimize_scalar stops within its xatol of 1e-5; Newton on dT/dh lands on the maximum. T is
     # flat there, so a hold 1e-7 off it can read a few ulps higher from the rounding of T's sum
@@ -1103,21 +1078,13 @@ def test_the_polished_pi_transfer_is_no_lower_than_minimize_scalars(gate):
 def test_a_polish_that_crosses_the_target_takes_the_root_before_the_peak():
     # a target between the scan's best transfer and the true maximum: no scan interval
     # crosses it, but the polished extremum does, so the hold is the crossing before it
-    grid, spec, template, params, _ = m64_gate(12.0, 1.0)
-    peak = calibrate_hold_time(grid, spec, template, 1.0, params)
+    grid, spec, template, dt, _ = m64_gate(12.0, 1.0)
+    peak = calibrate_hold_time(grid, spec, template, 1.0, dt)
     scanned = max(t for _, t in peak.scan)
     target = (scanned + peak.achieved_transfer) / 2
     assert scanned < target < peak.achieved_transfer
-    result = calibrate_hold_time(grid, spec, template, target, params)
+    result = calibrate_hold_time(grid, spec, template, target, dt)
     assert abs(result.achieved_transfer - target) <= 1e-12
     assert result.hold_duration < peak.hold_duration
     assert peak.hold_duration - result.hold_duration < peak.pulse.period / 23
 
-
-def test_calibrate_needs_two_scan_points():
-    grid = gatecfg.gate_grid(m=64)
-    spec = gatecfg.gate_spec()
-    template = gatecfg.gate_timeline()
-    params = gatecfg.gate_params(grid, spec, template, dt=0.1)
-    with pytest.raises(ValueError):
-        calibrate_hold_time(grid, spec, template, 0.5, params, scan_points=1)

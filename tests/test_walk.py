@@ -269,15 +269,14 @@ def test_masking_isolation(rng):
 
 def test_evolve_zero_steps(rng):
     s0 = random_state(3, rng)
-    plan = CoinPlan.uniform(dft_coin(3), 1)
-    assert evolve(s0, 0, plan) is s0
+    assert evolve(s0, CoinPlan(3, ())) is s0
 
 
 def test_evolve_matches_reference_on_k2():
     plan = CoinPlan.uniform(hadamard_coin(), 2)
     s0 = init_localized(2, 1, 1)
-    a = evolve(s0, 2, plan)
-    b = reference_evolve(s0, 2, plan)
+    a = evolve(s0, plan)
+    b = reference_evolve(s0, plan)
     assert np.max(np.abs(a.amp - b.amp)) < 1e-14
 
 
@@ -285,8 +284,8 @@ def test_evolve_matches_reference_on_k2():
 def test_oracle_equivalence_even_steps(n, m, rng):
     plan = random_plan(n, 2 * m, rng)
     s0 = random_state(n, rng)
-    a = evolve(s0, 2 * m, plan)
-    b = reference_evolve(s0, 2 * m, plan)
+    a = evolve(s0, plan)
+    b = reference_evolve(s0, plan)
     assert np.max(np.abs(a.amp - b.amp)) < 1e-10
 
 
@@ -294,8 +293,8 @@ def test_odd_steps_differ_by_transpose(rng):
     n, steps = 4, 7
     plan = random_plan(n, steps, rng)
     s0 = random_state(n, rng)
-    a = evolve(s0, steps, plan)
-    b = reference_evolve(s0, steps, plan)
+    a = evolve(s0, plan)
+    b = reference_evolve(s0, plan)
     assert np.max(np.abs(a.amp.T - b.amp)) < 1e-12
 
 
@@ -304,8 +303,8 @@ def test_walk_node_distribution_reads_out_the_reference_state(steps, rng):
     n = 4
     plan = random_plan(n, steps, rng)
     s0 = random_state(n, rng)
-    readout, dist = walk.walk_node_distribution(s0, steps, plan)
-    assert np.max(np.abs(readout.amp - reference_evolve(s0, steps, plan).amp)) < 1e-12
+    readout, dist = walk.walk_node_distribution(s0, plan)
+    assert np.max(np.abs(readout.amp - reference_evolve(s0, plan).amp)) < 1e-12
     assert dist == position_distribution(readout)
 
 
@@ -317,10 +316,10 @@ def test_evolve_builds_one_state_and_checks_the_norm_after_every_step(monkeypatc
     check_norm, post_init = walk.check_norm, WalkState.__post_init__
     monkeypatch.setattr(walk, "check_norm", lambda *a: checked.append(a[2]) or check_norm(*a))
     monkeypatch.setattr(WalkState, "__post_init__", lambda s: built.append(1) or post_init(s))
-    final = evolve(s0, steps, plan)
+    final = evolve(s0, plan)
     assert len(built) == 1 and final is not s0
     assert checked == [f"state after step {i}" for i in range(1, steps + 1)] + ["state"]
-    assert np.max(np.abs(final.amp.T - reference_evolve(s0, steps, plan).amp)) < 1e-12
+    assert np.max(np.abs(final.amp.T - reference_evolve(s0, plan).amp)) < 1e-12
 
 
 @pytest.mark.parametrize("spoil, step", [(lambda amp: amp.fill(np.nan), 2),
@@ -341,39 +340,33 @@ def test_evolve_raises_at_the_step_that_spoils_the_norm(spoil, step, monkeypatch
 
     monkeypatch.setattr(walk, "apply_coin_cols", spoiled_cols)
     with pytest.raises(InvariantViolation, match=f"state after step {step} norm²"):
-        evolve(random_state(n, rng), 6, plan)
+        evolve(random_state(n, rng), plan)
     assert 2 * len(calls) == step
 
 
 def test_evolve_norm_after_many_steps(rng):
     plan = random_plan(4, 20, rng)
-    s = evolve(random_state(4, rng), 20, plan)
+    s = evolve(random_state(4, rng), plan)
     assert abs(np.sum(np.abs(s.amp) ** 2) - 1) < 1e-10
 
 
 def test_reference_identity_coins_transpose(rng):
     s0 = random_state(3, rng)
     plan = CoinPlan.uniform(np.eye(3, dtype=complex), 1)
-    s = reference_evolve(s0, 1, plan)
+    s = reference_evolve(s0, plan)
     assert np.array_equal(s.amp, s0.amp.T)
 
 
 def test_reference_norm_fifty_steps(rng):
     plan = random_plan(4, 50, rng)
-    s = reference_evolve(random_state(4, rng), 50, plan)
+    s = reference_evolve(random_state(4, rng), plan)
     assert abs(np.sum(np.abs(s.amp) ** 2) - 1) < 1e-10
-
-
-def test_plan_shorter_than_steps(rng):
-    plan = random_plan(3, 2, rng)
-    with pytest.raises(ValueError):
-        evolve(random_state(3, rng), 3, plan)
 
 
 def test_unitarity_drift_hundred_steps(rng):
     n = 16
     plan = random_plan(n, 100, rng)
-    s = evolve(random_state(n, rng), 100, plan)
+    s = evolve(random_state(n, rng), plan)
     assert abs(np.sum(np.abs(s.amp) ** 2) - 1) < 1e-10
 
 
@@ -439,7 +432,7 @@ def test_cycle_walk_matches_line_walk_oracle():
     amp[start - 1, start - 2] = 1 / np.sqrt(2)
     amp[start - 1, start] = 1j / np.sqrt(2)
     s0 = WalkState(n, amp)
-    final = evolve(s0, steps, plan)
+    final = evolve(s0, plan)
     d = position_distribution(final)
     expected = oracles.two_state_line_walk(n, start, steps)
     assert np.max(np.abs(d.p - expected)) < 1e-10
@@ -495,8 +488,8 @@ def test_grouped_graph_coins_match_dense_oracles(n, kind, steps, seed, data):
     plan = CoinPlan.from_graph(g, steps, kind)
     dense = dense_graph_coins(g, kind)
     assert_kernel_matches_oracles(s0, plan.coin_set(1), dense)
-    reference = reference_evolve(s0, steps, CoinPlan.from_node_coins(dense, steps))
-    grid = evolve(s0, steps, plan).amp
+    reference = reference_evolve(s0, CoinPlan.from_node_coins(dense, steps))
+    grid = evolve(s0, plan).amp
     assert np.max(np.abs((grid.T if steps % 2 else grid) - reference.amp)) < 1e-12
 
 
@@ -505,13 +498,13 @@ def test_grouped_step_coins_match_dense_oracles(n, steps, seed):
     rng = np.random.default_rng(seed)
     s0 = random_state(n, rng)
     step_coins = [[random_partial_coin(n, rng) for _ in range(n)] for _ in range(steps)]
-    # an array input hands out a fresh view per coin, so ids of freed views recur
+    # an array of coins is read as nested lists of coins are
     plan = CoinPlan.from_step_coins(np.array(step_coins))
     for i, dense in enumerate(step_coins, start=1):
         assert_kernel_matches_oracles(s0, plan.coin_set(i), dense)
         assert all(np.array_equal(a, b) for a, b in zip(plan.coins_for_step(i), dense))
-    grid = evolve(s0, steps, plan).amp
-    reference = reference_evolve(s0, steps, plan)
+    grid = evolve(s0, plan).amp
+    reference = reference_evolve(s0, plan)
     assert np.max(np.abs((grid.T if steps % 2 else grid) - reference.amp)) < 1e-12
 
 
