@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -70,10 +71,14 @@ def _get(config: dict, key: str, kind, default=None, required: bool = False):
         return default
     value = config[key]
     if kind is float and type(value) is int:
-        value = float(value)
+        # an integer beyond the float range reads as inf, so that it is named below, not an overflow
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     # JSON true and false load as bools, which are ints, but are no numbers
     if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"config field {key!r} must be {kind.__name__}, got {type(value).__name__}")
+    # JSON NaN, Infinity and -Infinity load as floats, but no duration, size or height is one
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"config field {key!r} must be a finite number, got {config[key]!r}")
     return value
 
 
@@ -190,7 +195,8 @@ def cmd_conveyor_verify(config: dict, base: Path, out_dir: Path, args: argparse.
         logical = amp[line - 1] if orientation == conveyor.ROW else amp[:, line - 1]
         cells = np.zeros(2 * n, dtype=complex)
         cells[0::2] = logical
-        conveyor.run_stage(cells, stage, orientation, line, trace)
+        conveyor.run_stage(cells, stage, line)
+        trace.stages.append((orientation, line, n, d))
         worst = max(worst, float(np.max(np.abs(cells[0::2] - decompose.apply_stage(logical, stage)))))
     _atomic_write(out_dir, "trace.txt", conveyor.format_trace(trace))
     print(f"conveyor-verify: n={n} trials={trials} max deviation={worst:.3e} -> {out_dir}")

@@ -145,19 +145,14 @@ def rotate_pairs(cells: np.ndarray, stage: Stage) -> np.ndarray:
     return cells
 
 
-def run_stage(
-    cells: np.ndarray,
-    stage: Stage,
-    orientation: str,
-    line: int,
-    trace: ProtocolTrace | None = None,
-) -> np.ndarray:
+def run_stage(cells: np.ndarray, stage: Stage, line: int = 1) -> np.ndarray:
     """Execute the five-step conveyor protocol for one stage on a line or a block of lines.
 
     ``cells`` holds one line, (2n,), or L lines, (L, 2n), numbered from
-    ``line`` on; it is changed in place. Every line's register sites must be
-    empty again afterwards. The trace gets one record per line once the
-    stage has succeeded.
+    ``line`` on in error messages; it is changed in place. Every line's
+    register sites must be empty again afterwards. Nothing is recorded: a
+    caller that keeps a ProtocolTrace adds its records once the stage has
+    succeeded.
     """
     n, d = cells.shape[-1] // 2, stage.d
     positions = stage_sites(n, d)[:, 0] + 1
@@ -173,8 +168,6 @@ def run_stage(
             f"register amplitude {worst.flat[dirty[0]]:.3e} left on line {line + dirty[0]} "
             f"exceeds {REGISTER_TOL:.0e}"
         )
-    if trace is not None:
-        trace.stages.extend((orientation, line + t, n, d) for t in range(cells.size // (2 * n)))
     return cells
 
 
@@ -226,7 +219,7 @@ def run_walk_physical(s0: WalkState, plan: CoinPlan, trace: ProtocolTrace | None
         block = np.zeros((npad, 2 * npad), dtype=complex)
         block[:n, 0:2 * n:2] = lines
         for stage in stages:
-            run_stage(block, stage, orientation, 1)
+            run_stage(block, stage)
         lines[:] = block[:n, 0:2 * n:2]
         if trace is not None:
             last[:] = [(orientation, line, npad, stage.d) for line in range(1, n + 1) for stage in stages]

@@ -52,9 +52,9 @@ class Stage(ByValue):
     """One layer of n/2 disjoint 2×2 rotations at a common stride d; compared by value.
 
     A stage is its stride and its read-only (n/2, 2, 2) blocks ``u``; the
-    index pairs follow from n and d. ``u[k]`` acts on pair (a, b) =
-    ``stage_pairs(n, d)[k]``: row 0 of ``u[k]`` yields the new amplitude
-    at a, row 1 the one at b.
+    index pairs follow from n and d. ``u[k]`` acts on the 0-based pair
+    (a, b) = ``stage_sites(n, d)[k]``: row 0 of ``u[k]`` yields the new
+    amplitude at a, row 1 the one at b.
 
     The constructor checks the blocks at ``ROTATION_TOL`` and keeps a
     read-only copy. The stages of ``grover_stages`` and ``cs_decompose``
@@ -102,14 +102,9 @@ class StageSequence:
                 raise ValueError(f"stage dimension {s.n} does not match sequence n={self.n}")
 
 
-def stage_pairs(n: int, d: int) -> list[tuple[int, int]]:
-    """Index pairs (kd+r, kd+r+d/2) of a stride-d stage, sorted by first index."""
-    return [(a, b) for a, b in (stage_sites(n, d) + 1).tolist()]
-
-
 @cache
 def stage_sites(n: int, d: int) -> np.ndarray:
-    """Read-only (n/2, 2) array of ``stage_pairs(n, d)`` as 0-based indices."""
+    """Read-only (n/2, 2) array of a stride-d stage's 0-based pairs (kd+r, kd+r+d/2), r < d/2, by first index."""
     if not is_power_of_two(n):
         raise ValueError(f"dimension must be a power of two, got {n}")
     if d < 2 or d > n or n % d != 0 or not is_power_of_two(d):
@@ -354,21 +349,21 @@ def sequence_to_json(seq: StageSequence) -> str:
         entries = complex_to_json(s.u)
         pairs = [
             {"a": a, "b": b, "u": entries[4 * k:4 * k + 4]}
-            for k, (a, b) in enumerate(stage_pairs(s.n, s.d))
+            for k, (a, b) in enumerate((stage_sites(s.n, s.d) + 1).tolist())
         ]
         stages.append({"d": s.d, "pairs": pairs})
     return json.dumps({"version": _SEQ_VERSION, "n": seq.n, "stages": stages})
 
 
 def sequence_from_json(text: str) -> StageSequence:
-    """Read a sequence_to_json document; each stage lists its pairs in stage_pairs order."""
+    """Read a sequence_to_json document; each stage lists its 1-based pairs in ``stage_sites`` order."""
     doc = json.loads(text)
     check_version(doc, _SEQ_VERSION, "stage sequence")
     stages = []
     for sdoc in doc["stages"]:
         n, d = 2 * len(sdoc["pairs"]), sdoc["d"]
         got = [(p["a"], p["b"]) for p in sdoc["pairs"]]
-        if got != stage_pairs(n, d):
+        if got != list(map(tuple, (stage_sites(n, d) + 1).tolist())):
             raise ValueError(f"stage pairs {got} do not match the stride-{d} pattern on n={n}")
         u = [complex_from_json(p["u"], (2, 2), "pair rotation") for p in sdoc["pairs"]]
         stages.append(Stage(d, np.stack(u)))

@@ -179,9 +179,10 @@ class DoubleWellSpec:
     tilt: float = 0.0
 
     def __post_init__(self):
+        # written so that a NaN fails too
         for name in ("well_depth", "well_width", "well_separation", "barrier_width"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass(frozen=True)
@@ -195,10 +196,11 @@ class BarrierTimeline:
     low_barrier: float
 
     def __post_init__(self):
+        # written so that a NaN fails too
         for name in ("ramp_down_duration", "hold_duration", "ramp_up_duration"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be ≥ 0")
-        if self.high_barrier < 0 or self.low_barrier < 0:
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be ≥ 0, got {getattr(self, name)!r}")
+        if not (self.high_barrier >= 0 and self.low_barrier >= 0):
             raise ValueError("barrier heights must be ≥ 0")
 
     @property

@@ -15,8 +15,9 @@ steps; after an odd number of steps the grid form holds the transpose of the
 oracle state, i.e. nodes are indexed by columns until the next application.
 A node's coin is a low-dimensional unitary on the coin states the node is
 actually connected to; disconnected coin states are fixed points. The grid
-form stores and applies only these sub-coins, grouped by sub-coin
-(``CoinSet``); the oracle multiplies by the dense n×n embeddings.
+form applies only these sub-coins, grouped by sub-coin (``CoinSet``): a
+Grover or DFT group is its kind and runs its own kernel, any other group
+holds its matrix. The oracle multiplies by the dense n×n embeddings.
 """
 
 from __future__ import annotations
@@ -30,10 +31,7 @@ import numpy as np
 
 from .errors import InvariantViolation
 from .graph import Graph
-from .util import (
-    ByValue, check_defect, check_norm, check_version, complex_from_json, complex_to_json, frozen,
-    unitarity_defect,
-)
+from .util import ByValue, check_norm, check_unitary, check_version, complex_from_json, complex_to_json, frozen
 
 NORM_TOL = 1e-12
 
@@ -193,74 +191,51 @@ _KERNELS = {"grover": _grover_rows, "dft": _dft_rows}
 
 @dataclass(frozen=True, eq=False)
 class CoinGroup:
-    """Lines that carry one shared d×d sub-coin on their own d active coin states.
+    """Lines that carry one shared d×d coin on their own d active coin states.
 
     ``lines[i]`` is a 0-based line index and ``states[i]`` its active coin
-    states (0-based, increasing); the sub-coin acts on those states in that
-    order and every other state of the line is an exact fixed point.
-    ``kind`` is derived from the sub-coin's value: ``"grover"`` or ``"dft"``
-    when it is exactly ``grover_coin(d)`` or ``dft_coin(d)``, else None;
-    ``_of_kind`` knows it without the comparison. The constructor keeps a
-    read-only copy of each array; ``_of_kind`` hands over the sub-coin it
-    built, uncopied. Compared by identity.
+    states (0-based, increasing); the coin acts on those states in that order
+    and every other state of the line is an exact fixed point. A group is
+    built from its ``kind`` or from its ``sub``-coin, never both. A Grover or
+    DFT group holds only its kind, ``"grover"`` or ``"dft"``: its coin is
+    ``coin_for_degree(kind, d)``, and ``CoinSet.dense`` alone builds it. Any
+    other group holds its sub-coin, checked unitary to 1e-12, and no kind.
+    A sub-coin equal bit for bit to ``grover_coin(d)`` or ``dft_coin(d)`` is
+    kept as that kind. The arrays held are read-only copies. Compared by
+    identity.
     """
 
     lines: np.ndarray
     states: np.ndarray
-    sub: np.ndarray
-    kind: str | None = field(init=False)
+    sub: np.ndarray | None = None
+    kind: str | None = None
 
     def __post_init__(self):
         lines = np.asarray(self.lines, dtype=np.intp)
         states = np.asarray(self.states, dtype=np.intp)
-        sub = np.asarray(self.sub, dtype=complex)
         if states.ndim != 2 or lines.shape != states.shape[:1]:
             raise ValueError(f"states shape {states.shape} does not match {len(lines)} lines")
         d = states.shape[1]
         if d == 0:
             raise ValueError("a coin group needs at least one active coin state per line, got d = 0")
-        if sub.shape != (d, d):
-            raise ValueError(f"sub-coin shape {sub.shape} does not match {d} active states")
         if np.any(np.diff(states, axis=1) <= 0):
             raise ValueError("active coin states must increase along each line")
+        if (self.sub is None) == (self.kind is None):
+            raise ValueError("a coin group takes either a sub-coin or a kind")
         object.__setattr__(self, "lines", frozen(lines))
         object.__setattr__(self, "states", frozen(states))
-        if "kind" not in vars(self):  # set beforehand by _of_kind alone, with its own read-only coin
-            sub = frozen(sub)
-            object.__setattr__(self, "kind", _structured_kind(sub))
-        object.__setattr__(self, "sub", sub)
-
-    @classmethod
-    def _of_kind(cls, lines: np.ndarray, states: np.ndarray, kind: str) -> CoinGroup:
-        """The group of ``coin_for_degree(kind, d)``, its kind known from ``kind``: one coin built, none copied.
-
-        The kind is the one derived by value: a Grover or DFT coin of d ≥ 2 is
-        named, a Hadamard one is not.
-        """
-        grp = cls.__new__(cls)
-        object.__setattr__(grp, "kind", kind if kind in _KERNELS else None)
-        coin = coin_for_degree(kind, states.shape[1])
-        coin.setflags(write=False)  # nothing else holds it, so the group takes it as it is
-        grp.__init__(lines, states, coin)
-        return grp
-
-
-def _sub_coin_defect(grp: CoinGroup) -> float:
-    """max|sub†·sub − I| of a group's sub-coin; a Grover or DFT one's formed by the walk's kernel.
-
-    Both coins are symmetric, so their kernel applied to the rows of
-    conj(sub) forms conj(sub)·subᵀ = sub†·sub in O(d²) or O(d² log d), and
-    checks in one pass the sub-coin and the operator the walk applies: a
-    sub-coin other than the kernel's coin reads its distance from it. A NaN
-    entry reads NaN.
-    """
-    kernel = _KERNELS.get(grp.kind)
-    if kernel is None:
-        return unitarity_defect(grp.sub)
-    x = grp.sub.conj()
-    kernel(x)
-    x.flat[:: len(x) + 1] -= 1
-    return float(np.abs(x).max())
+        if self.kind is not None:
+            if self.kind not in _KERNELS:
+                raise ValueError(f"a coin group's kind is one of {tuple(_KERNELS)}, got {self.kind!r}")
+            return
+        sub = frozen(np.asarray(self.sub, dtype=complex))
+        if sub.shape != (d, d):
+            raise ValueError(f"sub-coin shape {sub.shape} does not match {d} active states")
+        kind = _structured_kind(sub)
+        if kind is None:
+            check_unitary(sub, 1e-12, "sub-coin")
+        object.__setattr__(self, "sub", None if kind else sub)
+        object.__setattr__(self, "kind", kind)
 
 
 def _flat_index(n: int, lines: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -274,11 +249,10 @@ class CoinSet:
     """The coins of all n lines for one step, as sub-coin groups.
 
     Lines in no group (degree-0 nodes, identity coins) are left unchanged.
-    Every group's sub-coin is checked for unitarity when the set is built, on
-    its own d×d block (``_sub_coin_defect``). How each group steps is fixed
-    here too: the whole-line Grover or DFT group that holds more than half of
-    the lines, if there is one, steps in place, saving and restoring all n
-    states of the lines outside it (``_in_place``); every other group gathers
+    How each group steps is fixed when the set is built: the whole-line
+    Grover or DFT group that holds more than half of the lines, if there is
+    one, steps in place, saving and restoring all n states of the lines
+    outside it (``_in_place``); every other group gathers
     and scatters its lines' active states (``_gathered``). Each of these cell
     sets is held as a pair of read-only (L, d) flat indices into a C-ordered
     n×n buffer, ``line·n + state`` for rows and ``state·n + line`` for
@@ -292,7 +266,7 @@ class CoinSet:
     groups: tuple[CoinGroup, ...]
     # (kernel, flat indices of the lines outside the group) of the group that steps in place: none or one
     _in_place: tuple[tuple, ...] = field(init=False, repr=False)
-    # (flat indices of the active states, kernel or None, sub-coin) of every other group
+    # (flat indices of the active states, kernel or None, sub-coin or None) of every other group
     _gathered: tuple[tuple, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -305,7 +279,6 @@ class CoinSet:
                 if idx.size and (idx.min() < 0 or idx.max() >= self.n):
                     raise ValueError(f"coin index outside 1..{self.n}")
             np.add.at(uses, grp.lines, 1)
-            check_defect(_sub_coin_defect(grp), 1e-12, "sub-coin")
             kernel, d = _KERNELS.get(grp.kind), grp.states.shape[1]
             # in place copies the 2·(n − L) lines outside the group, the gather path 2·L
             if kernel is not None and d == self.n and 2 * len(grp.lines) > self.n:
@@ -322,7 +295,9 @@ class CoinSet:
     def from_graph(g: Graph, kind: str = "grover") -> CoinSet:
         """``coin_for_degree(kind, d)`` on the active states of every degree-d node.
 
-        A degree-1 node's Grover or DFT coin is [[1]], so its line joins no group.
+        A Grover or DFT group is built from its kind, so no coin matrix is
+        formed; a degree-1 node's coin of either kind is [[1]], so its line
+        joins no group.
         """
         present = g.present
         degrees = present.sum(axis=1)
@@ -332,7 +307,8 @@ class CoinSet:
                 continue
             lines = np.flatnonzero(degrees == d)
             states = np.nonzero(present[lines])[1].reshape(len(lines), d)
-            groups.append(CoinGroup._of_kind(lines, states, kind))
+            groups.append(CoinGroup(lines, states, kind=kind) if kind in _KERNELS
+                          else CoinGroup(lines, states, coin_for_degree(kind, d)))
         return CoinSet(g.n, tuple(groups))
 
     @staticmethod
@@ -363,12 +339,13 @@ class CoinSet:
 
     @cached_property
     def dense(self) -> tuple[np.ndarray, ...]:
-        """Read-only n×n coin of every line, built once per coin set."""
+        """Read-only n×n coin of every line, built once per coin set, with the coin of each Grover or DFT group."""
         n = self.n
         coins = np.zeros((n, n, n), dtype=complex)
         coins[:, np.arange(n), np.arange(n)] = 1.0
         for grp in self.groups:
-            coins[grp.lines[:, None, None], grp.states[:, :, None], grp.states[:, None, :]] = grp.sub
+            sub = grp.sub if grp.kind is None else coin_for_degree(grp.kind, grp.states.shape[1])
+            coins[grp.lines[:, None, None], grp.states[:, :, None], grp.states[:, None, :]] = sub
         coins.setflags(write=False)
         return tuple(coins)
 

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -96,6 +97,32 @@ def test_a_negative_well_barrier_height_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path, gate_config(well={**gate_config()["well"], "barrier_height": -1.0}))
     assert main(["tdse", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert "barrier height must be ≥ 0, got -1.0" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+# JSON's NaN and ±Infinity load as floats, and an integer beyond the float range converts to none:
+# each is named a config error before any solve starts
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 10**400], ids=["nan", "inf", "-inf", "int"])
+@pytest.mark.parametrize("subcommand, section, key", [
+    ("tdse", "timeline", "ramp_down"),
+    ("tdse", "timeline", "hold"),
+    ("calibrate", "timeline", "low"),
+    ("tdse", "well", "depth"),
+    ("tdse", "well", "width"),
+    ("calibrate", "well", "tilt"),
+    ("tdse", "grid", "x_max"),
+    ("tdse", "solver", "dt"),
+    ("calibrate", None, "target_transfer"),
+])
+def test_a_non_finite_config_number_is_a_config_error(tmp_path, capsys, subcommand, section, key, value):
+    out = tmp_path / "out"
+    doc = gate_config(target_transfer=1.0) if subcommand == "calibrate" else gate_config()
+    if section is None:
+        doc[key] = value
+    else:
+        doc[section] = {**doc[section], key: value}
+    assert main([subcommand, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    assert f"config field {key!r} must be a finite number, got {value!r}" in capsys.readouterr().err
     assert not (out / "report.json").exists()
 
 

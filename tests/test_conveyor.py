@@ -15,7 +15,7 @@ from gridwalk.conveyor import (
     run_walk_physical,
     shift_register,
 )
-from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, stage_pairs, stage_sites
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, grover_stages, stage_sites
 from gridwalk.errors import InvariantViolation, ProtocolIncompleteError, ShiftOutOfRangeError
 from gridwalk.graph import Graph
 from gridwalk.util import next_power_of_two, random_unitary
@@ -29,7 +29,7 @@ def random_state(n, rng):
 
 
 def random_stage(n, d, rng):
-    return Stage(d, np.stack([random_unitary(2, rng) for _ in stage_pairs(n, d)]))
+    return Stage(d, np.stack([random_unitary(2, rng) for _ in range(n // 2)]))
 
 
 def identity_stage(n, d):
@@ -153,7 +153,7 @@ def test_rotate_pairs_identity(rng):
 def test_run_stage_identity_rotations(rng):
     cells = lay(random_line(4, rng))
     before = cells.copy()
-    run_stage(cells, identity_stage(4, 4), ROW, 2)
+    run_stage(cells, identity_stage(4, 4), 2)
     assert np.max(np.abs(cells - before)) < 1e-12
     assert not cells[1::2].any()
 
@@ -163,17 +163,26 @@ def test_run_stage_swap_via_full_protocol():
     eye = np.eye(2, dtype=complex)
     stage = Stage(4, np.stack([swap, eye]))  # pairs (1,3), (2,4)
     cells = lay([1, 0, 0, 0])
-    run_stage(cells, stage, ROW, 1)
+    run_stage(cells, stage)
     # positions 1 and 3 swapped end to end
     assert cells[4] == 1.0 and cells[0] == 0.0
 
 
-def test_run_stage_trace_schedule_matches_five_steps():
+def test_run_stage_trace_schedule_matches_five_steps(monkeypatch):
     # stride-4 stage on an 8-line: transfers at kd+r = 1,2,5,6, move by 4, rotate, undo
-    trace = ProtocolTrace()
+    calls = []
+    for name in ("pi_transfer", "shift_register", "rotate_pairs"):
+        primitive = getattr(conveyor, name)
+        monkeypatch.setattr(conveyor, name, lambda cells, arg, *rest, name=name, primitive=primitive:
+                            calls.append((name, arg)) or primitive(cells, arg, *rest))
     stage = identity_stage(8, 4)
-    run_stage(lay(np.eye(8)[0]), stage, ROW, 1, trace)
-    assert trace.stages == [(ROW, 1, 8, 4)]
+    run_stage(lay(np.eye(8)[0]), stage)
+    assert [name for name, _ in calls] == ["pi_transfer", "shift_register", "rotate_pairs", "shift_register",
+                                           "pi_transfer"]
+    transfer, up, rotated, down, back = (arg for _, arg in calls)
+    assert transfer.tolist() == back.tolist() == [1, 2, 5, 6] and (up, down) == (4, -4) and rotated is stage
+    # the record of that run reads as the same five steps
+    trace = ProtocolTrace([(ROW, 1, 8, 4)])
     transfer = "ACTION=pi_transfer line=1 orient=H params=positions=1,2,5,6"
     assert format_trace(trace).splitlines() == [
         f"STEP 1 {transfer}",
@@ -185,8 +194,7 @@ def test_run_stage_trace_schedule_matches_five_steps():
 
 
 def test_trace_export_format():
-    trace = ProtocolTrace()
-    run_stage(lay(np.zeros(4)), identity_stage(4, 2), COLUMN, 3, trace)
+    trace = ProtocolTrace([(COLUMN, 3, 4, 2)])
     text = format_trace(trace)
     lines = text.strip().splitlines()
     assert len(lines) == 5
@@ -203,14 +211,14 @@ def test_physical_equals_logical(n, d, orientation, rng):
         line = int(rng.integers(1, n + 1))
         cells = line_buffer(s.amp, orientation)[line - 1]
         logical = cells[0::2].copy()
-        run_stage(cells, stage, orientation, line)
+        run_stage(cells, stage, line)
         assert np.max(np.abs(cells[0::2] - apply_stage(logical, stage))) < 1e-12
         assert not cells[1::2].any()
 
 
 def test_register_exactly_empty_after_stage(rng):
     cells = lay(random_line(8, rng))
-    run_stage(cells, random_stage(8, 8, rng), ROW, 5)
+    run_stage(cells, random_stage(8, 8, rng), 5)
     assert not cells[1::2].any()
 
 
@@ -222,7 +230,7 @@ def test_run_sequence_applies_whole_coin(rng):
     logical = random_line(n, rng)
     cells = lay(logical)
     for stage in seq.stages:
-        run_stage(cells, stage, ROW, 3)
+        run_stage(cells, stage, 3)
     assert np.max(np.abs(cells[0::2] - u @ logical)) < 1e-12
     assert not cells[1::2].any()
 
@@ -236,7 +244,7 @@ def test_run_sequence_consumes_exported_format(rng):
     logical = random_line(n, rng)
     cells = lay(logical)
     for stage in seq.stages:
-        run_stage(cells, stage, COLUMN, 2)
+        run_stage(cells, stage, 2)
     assert np.max(np.abs(cells[0::2] - u @ logical)) < 1e-12
     assert not cells[1::2].any()
 
@@ -397,7 +405,7 @@ def test_line_run_stage_equals_apply_stage(log_n, data, orientation, seed):
     lines = buffer[first - 1:first - 1 + size]
     cells = lines[0] if size == 1 else lines
     logical = [apply_stage(row[0::2], line_stage(stage, n, t)) for t, row in enumerate(lines)]
-    assert run_stage(cells, stage, orientation, first) is cells
+    assert run_stage(cells, stage, first) is cells
     for t, row in enumerate(lines):
         assert row[0::2].tobytes() == logical[t].tobytes()
     assert not lines[:, 1::2].any()
@@ -412,13 +420,10 @@ def test_grid_run_stage_wraps_the_line_protocol(rng):
     stage = random_stage(n * n, d, rng)
     block = line_buffer(random_state(n, rng).amp, COLUMN)
     per_line = block.copy()
-    trace_block, trace_line = ProtocolTrace(), ProtocolTrace()
-    assert run_stage(block, stage, COLUMN, 1, trace_block) is block
+    assert run_stage(block, stage) is block
     for t in range(n):
-        run_stage(per_line[t], line_stage(stage, n, t), COLUMN, t + 1, trace_line)
+        run_stage(per_line[t], line_stage(stage, n, t), t + 1)
     assert block.tobytes() == per_line.tobytes()
-    assert format_trace(trace_block) == format_trace(trace_line)
-    assert trace_block.stages == [(COLUMN, t, n, d) for t in range(1, n + 1)]
 
 
 def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
@@ -426,13 +431,9 @@ def test_run_stage_rejects_a_dirty_register_on_its_line(rng):
     lines[1] *= np.sqrt(0.5)
     lines[1, 1] = np.sqrt(1 - np.sum(np.abs(lines) ** 2))  # register cell after position 1
     with pytest.raises(ProtocolIncompleteError, match="line 2"):
-        run_stage(lines[1].copy(), identity_stage(4, 2), ROW, 2)
+        run_stage(lines[1].copy(), identity_stage(4, 2), 2)
     with pytest.raises(ProtocolIncompleteError, match="line 2"):
-        run_stage(lines.copy(), identity_stage(16, 2), ROW, 1)
-    trace = ProtocolTrace()
-    with pytest.raises(ProtocolIncompleteError):
-        run_stage(lines.copy(), identity_stage(16, 2), ROW, 1, trace)
-    assert not trace.stages  # a failed stage records nothing
+        run_stage(lines.copy(), identity_stage(16, 2))
 
 
 @pytest.mark.parametrize("n,d", [(4, 2), (4, 4), (8, 2), (8, 4), (8, 8)])
@@ -446,13 +447,11 @@ def test_a_nan_on_any_register_cell_fails_the_stage(n, d, rng):
         cells = lay(random_line(n, rng))
         cells[2 * site + 1] = np.nan
         with pytest.raises(error, match="line 1"):
-            run_stage(cells, random_stage(n, d, rng), ROW, 1)
+            run_stage(cells, random_stage(n, d, rng))
         block = lay([random_line(n, rng) for _ in range(4)])  # lines 2..5
         block[1, 2 * site + 1] = np.nan
-        trace = ProtocolTrace()
         with pytest.raises(error, match="line 3"):
-            run_stage(block, random_stage(4 * n, d, rng), COLUMN, 2, trace)
-        assert not trace.stages
+            run_stage(block, random_stage(4 * n, d, rng), 2)
 
 
 def test_line_primitives_work_in_place():

@@ -24,7 +24,6 @@ from gridwalk.decompose import (
     sequence_from_json,
     sequence_to_json,
     stage_matrix,
-    stage_pairs,
     stage_sites,
     unitary_from_json,
     unitary_to_json,
@@ -37,16 +36,16 @@ from strategies import dense_graphs
 
 
 def enumerate_pairs(n, d):
-    # direct enumeration of the index formula, independent of stage_pairs
+    # direct enumeration of the 1-based index formula, independent of stage_sites
     out = []
     for k in range(n // d):
         for r in range(1, d // 2 + 1):
-            out.append((k * d + r, k * d + r + d // 2))
+            out.append([k * d + r, k * d + r + d // 2])
     return sorted(out)
 
 
 def random_stage(n, d, rng):
-    return Stage(d, np.stack([random_unitary(2, rng) for _ in stage_pairs(n, d)]))
+    return Stage(d, np.stack([random_unitary(2, rng) for _ in range(n // 2)]))
 
 
 def identity_stage(n, d):
@@ -65,37 +64,41 @@ def one_stage_json(d, pairs, u):
 # Stage pair schedule
 
 
+def one_based_pairs(n, d):
+    return (stage_sites(n, d) + 1).tolist()
+
+
 def test_stage_pairs_n4_d2():
-    assert stage_pairs(4, 2) == [(1, 2), (3, 4)]
+    assert one_based_pairs(4, 2) == [[1, 2], [3, 4]]
 
 
 def test_stage_pairs_n4_d4():
-    assert stage_pairs(4, 4) == [(1, 3), (2, 4)]
+    assert one_based_pairs(4, 4) == [[1, 3], [2, 4]]
 
 
 def test_stage_pairs_n8_d4():
-    assert stage_pairs(8, 4) == [(1, 3), (2, 4), (5, 7), (6, 8)]
+    assert one_based_pairs(8, 4) == [[1, 3], [2, 4], [5, 7], [6, 8]]
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 16, 32])
 def test_stage_pairs_match_enumeration(n):
     d = 2
     while d <= n:
-        assert stage_pairs(n, d) == enumerate_pairs(n, d)
+        assert one_based_pairs(n, d) == enumerate_pairs(n, d)
         d *= 2
 
 
 @pytest.mark.parametrize("n,d", [(4, 3), (4, 8), (8, 3), (6, 2), (8, 0)])
 def test_stage_pairs_rejects_bad_strides(n, d):
     with pytest.raises(ValueError):
-        stage_pairs(n, d)
+        stage_sites(n, d)
 
 
 def test_stage_pairs_cover_all_indices():
     for n in (4, 8, 16):
         d = 2
         while d <= n:
-            flat = [i for p in stage_pairs(n, d) for i in p]
+            flat = [i for p in one_based_pairs(n, d) for i in p]
             assert sorted(flat) == list(range(1, n + 1))
             d *= 2
 
@@ -254,7 +257,7 @@ def test_apply_stage_norm_preserved(rng):
 def test_apply_stage_matches_dense_oracle(rng):
     n, d = 8, 4
     stage = random_stage(n, d, rng)
-    pairs = stage_pairs(n, d)
+    pairs = one_based_pairs(n, d)
     units = list(stage.u)
     dense = oracles.stage_matrix_dense(n, pairs, units)
     line = rng.standard_normal(n) + 1j * rng.standard_normal(n)

@@ -1,4 +1,4 @@
-"""Byte-level golden outputs of the synthesis and the physical walk.
+"""Byte-level golden outputs of the synthesis, the walks and the gate runs.
 
 The digests were recorded from the pair-by-pair implementation (one 2×2
 rotation object per pair, one copied grid per conveyor primitive). Any
@@ -46,7 +46,9 @@ CONVEYOR_VERIFY_SHA256 = {
 
 # recorded while CalibrationResult still copied basis, ramp_down and period from its
 # HoldScan and Stage objects still cached their 1-based pair tables;
-# calibrate_pi_unequal (ramp_up 3, ramp_down 4) reaches HoldScan's second pass
+# calibrate_pi_unequal (ramp_up 3, ramp_down 4) reaches HoldScan's second pass.
+# The walks run with --oracle; their digests were recorded while every Grover and DFT
+# coin group still stored its d×d coin
 SHIPPED_RUN_SHA256 = {
     ("decompose", "decompose_random8"): {
         "report.json": "205608d53fc9039c12b52bc03a1fe667bea0fc9b3bec6f97a2cc8b65cdfa7d54",
@@ -67,6 +69,19 @@ SHIPPED_RUN_SHA256 = {
     ("calibrate", "calibrate_pi_unequal"): {
         "report.json": "89febddd19e9e395ac5fd22212e082d21350bc9ec5b00d016dd3bb8d0370b6e4",
         "trajectory.txt": "1cdc539448a2aa48a7dfbf5cf58c45848f34532a3a4ab07f6aa16226e1e75e2f",
+    },
+    ("walk", "walk_cycle64"): {
+        "report.json": "4853f769cb4aa45500ebcdd0c4b8931afc50c12480e0fbdbcdec438953908913",
+        "distribution.txt": "1e2dac9e8f934214573fd16fa56ef8be284c013f3ae7edaaeaac818d87b05269",
+        "state.json": "72ad0f2bbc919b86e54a8cd29d43e9f31419f34bb7e3086fc8fcb2187d6878cb",
+    },
+    ("walk", "walk_complete16_dft"): {
+        "report.json": "d320625527c3fd62379bbfd8e7e712d90d2533bdcf1713c042954a67f63cf7fb",
+        "distribution.txt": "31796c4ec7b2a3db654439733191d4fbf566fe19fa6a83aa9947ae40c4855c3b",
+    },
+    ("walk", "walk_complete16_grover"): {
+        "report.json": "d8a905cd1912641a7092150ad3a2e2998ab5355e8e03ebf352203c327a1e09c9",
+        "distribution.txt": "79131e3d416cb6a51dc28dc40643e761b1b6fd3d44d909bfa06b5bf53b468327",
     },
 }
 
@@ -123,6 +138,7 @@ def test_seeded_conveyor_verify_outputs_are_byte_identical(name, tmp_path):
 @pytest.mark.parametrize("run", sorted(SHIPPED_RUN_SHA256), ids="-".join)
 def test_shipped_config_outputs_are_byte_identical(run, tmp_path):
     sub, name = run
-    assert main([sub, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path)]) == EXIT_OK
+    oracle = ["--oracle"] if sub == "walk" else []
+    assert main([sub, "--config", str(CONFIGS / f"{name}.json"), "--out", str(tmp_path), *oracle]) == EXIT_OK
     for file, digest in SHIPPED_RUN_SHA256[run].items():
         assert sha256((tmp_path / file).read_bytes()) == digest, file

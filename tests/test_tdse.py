@@ -683,6 +683,21 @@ def test_spec_validation():
         ChebyshevParams(dt=0.1, e_min=1.0, e_max=0.0)
 
 
+@pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+@pytest.mark.parametrize("name", ["well_depth", "well_width", "well_separation", "barrier_width"])
+def test_a_spec_length_or_depth_that_is_not_positive_is_rejected(name, bad):
+    with pytest.raises(ValueError, match=f"{name} must be positive, got {bad!r}"):
+        replace(gatecfg.gate_spec(), **{name: bad})
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+@pytest.mark.parametrize("name", ["ramp_down_duration", "hold_duration", "ramp_up_duration",
+                                  "high_barrier", "low_barrier"])
+def test_a_timeline_value_below_zero_or_nan_is_rejected(name, bad):
+    with pytest.raises(ValueError, match="must be ≥ 0"):
+        replace(gatecfg.gate_timeline(), **{name: bad})
+
+
 def test_spatial_grid_compares_and_hashes_by_its_parameters():
     a, b = SpatialGrid(-8.0, 8.0, 128), SpatialGrid(-8.0, 8.0, 128)
     assert a == b and a is not b and hash(a) == hash(b)

@@ -515,9 +515,22 @@ def one_group(sub):
 
 @pytest.mark.parametrize("d", [1, 2, 3, 16, 255])
 def test_coin_group_kind_is_recognized_by_value(d):
-    assert one_group(grover_coin(d)).kind == "grover"
+    grover, dft = one_group(grover_coin(d)), one_group(dft_coin(d))
+    assert grover.kind == "grover"
     # the 1×1 DFT coin is [[1]], the 1×1 Grover coin bit for bit, and takes its name
-    assert one_group(dft_coin(d)).kind == ("grover" if d == 1 else "dft")
+    assert dft.kind == ("grover" if d == 1 else "dft")
+    # a recognized group keeps its kind and no matrix
+    assert grover.sub is None and dft.sub is None
+
+
+@pytest.mark.parametrize("sub, kind, reason", [
+    (None, None, "either a sub-coin or a kind"),
+    (grover_coin(3), "grover", "either a sub-coin or a kind"),
+    (None, "hadamard", r"kind is one of \('grover', 'dft'\), got 'hadamard'"),
+])
+def test_a_coin_group_takes_a_sub_coin_or_a_structured_kind(sub, kind, reason):
+    with pytest.raises(ValueError, match=reason):
+        CoinGroup(np.arange(3), np.arange(3) + np.zeros((3, 1), dtype=int), sub, kind)
 
 
 def test_hadamard_and_a_coin_one_ulp_off_grover_have_no_kind_and_match_the_oracle(rng):
@@ -544,9 +557,9 @@ def test_structured_coin_kernels_match_dense_oracles(g, kind, seed):
         # a degree-1 node's coin is [[1]] under either kind, and is named Grover
         assert all(grp.kind == (kind if grp.states.shape[1] > 1 else "grover") for grp in coins.groups)
     for grp in graph_coins.groups:
-        defect = walk._sub_coin_defect(grp)
-        assert defect < 1e-12
-        assert abs(defect - oracles.gram_defect(grp.sub)) <= len(grp.sub) * np.finfo(float).eps
+        # a structured group is its kind: the coin its kernel applies is built only by dense
+        assert grp.sub is None
+        assert oracles.gram_defect(coin_for_degree(kind, grp.states.shape[1])) < 1e-12
     assert_kernel_matches_oracles(random_state(g.n, np.random.default_rng(seed)), graph_coins, dense)
 
 
@@ -644,61 +657,53 @@ def k64_minus_many():
     return Graph(64, np.argwhere(present) + 1)
 
 
-# extended precision, where the platform has it: a Gram product exact to well below 1e-15
-EXTENDED = np.finfo(np.longdouble).eps < np.finfo(float).eps
-
-
-@example(kind="grover", d=512)
-@example(kind="dft", d=512)
-@given(st.sampled_from(["grover", "dft"]), st.integers(1, 512))
-def test_a_structured_sub_coin_is_checked_by_its_own_kernel(kind, d):
-    coin = coin_for_degree(kind, d)
-    grp = one_group(coin)
-    assert grp.kind == ("grover" if d == 1 else kind)
-    defect = walk._sub_coin_defect(grp)
-    assert defect < 1e-12
-    # the float Gram product rounds each of its d-term sums: its own error grows to about d·ε
-    assert abs(defect - oracles.gram_defect(coin)) <= d * np.finfo(float).eps
-    if d <= 128 and EXTENDED:
-        assert abs(defect - oracles.gram_defect(coin.astype(np.clongdouble))) <= 1e-15
-
-
 @pytest.mark.parametrize("kind", ["grover", "dft"])
 @pytest.mark.parametrize("spoil", ["shift", "nan", "sign"])
-def test_a_graph_sub_coin_that_is_not_its_kernels_coin_is_rejected(kind, spoil, monkeypatch):
-    build = getattr(walk, f"{kind}_coin")
-
-    def spoiled(d):
-        coin = build(d)
-        if spoil == "sign":
-            return -coin  # unitary and symmetric, but not the coin the kernel applies
-        coin[d // 2, d - 1] += 1e-9 if spoil == "shift" else np.nan
-        return coin
-
+def test_a_sub_coin_off_its_kinds_coin_is_checked_as_a_general_one(kind, spoil, rng):
+    d = 64
+    coin = coin_for_degree(kind, d)
     if spoil == "sign":
-        assert unitarity_defect(spoiled(64)) < 1e-12  # so a Gram check alone would pass it
-    monkeypatch.setattr(walk, f"{kind}_coin", spoiled)
-    with pytest.raises(UnitarityError, match=r"^sub-coin is not unitary: max\|u†u − I\| = .* ≥ 1\.0e-12$"):
-        CoinSet.from_graph(K64_MINUS_TWO, kind)
+        spoiled = -coin  # unitary and symmetric, but not the coin the kernel applies
+        grp = one_group(spoiled)
+        # no kernel: the group holds its own copy and steps by a matmul
+        assert grp.kind is None and grp.sub.tobytes() == spoiled.tobytes()
+        assert_kernel_matches_oracles(random_state(d, rng), CoinSet.from_dense([spoiled] * d), [spoiled] * d)
+    else:
+        spoiled = coin.copy()
+        spoiled[d // 2, d - 1] += 1e-9 if spoil == "shift" else np.nan
+        with pytest.raises(UnitarityError, match=r"^sub-coin is not unitary: max\|u†u − I\| = .* ≥ 1\.0e-12$"):
+            one_group(spoiled)
 
 
 @pytest.mark.parametrize("g, kind", [
     (k64_minus_many(), "grover"), (k64_minus_many(), "dft"), (cycle_graph(64), "hadamard"),
 ])
-def test_a_graph_coin_set_builds_each_structured_coin_once(g, kind, monkeypatch):
+def test_a_graph_coin_set_builds_each_structured_coin_once(g, kind, monkeypatch, rng):
     calls = []
     for name, build in (("grover_coin", grover_coin), ("dft_coin", dft_coin)):
         monkeypatch.setattr(walk, name, lambda d, build=build: calls.append(d) or build(d))
-    coins = CoinSet.from_graph(g, kind)
+    plan = CoinPlan.from_graph(g, 3, kind)
+    evolve(random_state(g.n, rng), plan)
+    coins = plan.coin_set(1)
+    structured = kind in ("grover", "dft")
+    # a Grover or DFT group is its kind, so neither the plan nor the walk builds its coin;
+    # the Hadamard sub-coin is compared once with the Grover and DFT coins of its size
+    assert sorted(calls) == ([] if structured else [2, 2])
+    calls.clear()
+    dense = coins.dense
     monkeypatch.undo()
     # a degree-1 node's Grover or DFT coin is [[1]]: it is neither built nor grouped
-    degrees = {g.degree(j) for j in range(1, g.n + 1)} - ({1} if kind in ("grover", "dft") else set())
-    assert sorted(calls) == ([] if kind == "hadamard" else sorted(degrees))
+    degrees = {g.degree(j) for j in range(1, g.n + 1)} - ({1} if structured else set())
+    assert sorted(calls) == (sorted(degrees) if structured else [])
     assert sorted(grp.states.shape[1] for grp in coins.groups) == sorted(degrees)
     for grp in coins.groups:
-        # the sub-coin and kind a group derived by value before it was told its kind
-        assert grp.sub.tobytes() == coin_for_degree(kind, grp.states.shape[1]).tobytes()
-        assert grp.kind == walk._structured_kind(grp.sub)
+        coin = coin_for_degree(kind, grp.states.shape[1])
+        if structured:
+            assert grp.kind == kind and grp.sub is None
+        else:
+            assert grp.kind is None and grp.sub.tobytes() == coin.tobytes() and not grp.sub.flags.writeable
+        for line, states in zip(grp.lines, grp.states):
+            assert dense[line][np.ix_(states, states)].tobytes() == coin.tobytes()
 
 
 @pytest.mark.parametrize("kind", ["grover", "dft"])
@@ -715,28 +720,17 @@ def test_a_degree_one_line_joins_no_group(kind):
         CoinSet.from_graph(g, "hadamard")
 
 
-@pytest.mark.parametrize("kind", ["grover", "dft", "hadamard"])
-def test_a_graph_coin_group_holds_the_coin_its_builder_returned(kind, monkeypatch):
-    built = []
-    build = walk.coin_for_degree
-    monkeypatch.setattr(walk, "coin_for_degree", lambda k, d: built.append(build(k, d)) or built[-1])
-    g = cycle_graph(8) if kind == "hadamard" else k64_minus_many()
-    groups = CoinSet.from_graph(g, kind).groups
-    assert len(groups) == len(built) and all(any(grp.sub is coin for coin in built) for grp in groups)
-    assert not any(grp.sub.flags.writeable for grp in groups)
-
-
 @pytest.mark.parametrize("view", [False, True])
 def test_a_constructed_coin_group_keeps_its_own_sub_coin(view):
     """A caller's array, or the writable base of a read-only view of it, stays the caller's to change."""
-    caller = grover_coin(3)
+    caller = hadamard_coin()
     sub = caller
     if view:
         sub = caller.view()
         sub.setflags(write=False)
     grp = one_group(sub)
     caller[:] = 0
-    assert grp.sub.tobytes() == grover_coin(3).tobytes() and grp.kind == "grover"
+    assert grp.sub.tobytes() == hadamard_coin().tobytes() and grp.kind is None
     assert not grp.sub.flags.writeable
 
 
@@ -757,13 +751,12 @@ def test_graph_plan_holds_no_dense_coins(which, monkeypatch, rng):
     monkeypatch.setattr(walk, "coin_for_degree", lambda k, d: calls.append(d) or build(k, d))
     plan = CoinPlan.from_graph(g, 40, kind)
     sets = {id(c): c for c in plan.coin_sets}.values()
-    arrays = [a for c in sets for grp in c.groups for a in (grp.lines, grp.states, grp.sub)]
+    arrays = [a for c in sets for grp in c.groups for a in (grp.lines, grp.states, grp.sub) if a is not None]
     assert len(sets) == 1 and all("dense" not in vars(c) for c in sets)
     assert all(a.shape != (n, n) for a in arrays)
     assert sum(a.nbytes for a in arrays) < 2**20
-    # degree-0 lines and the Grover coin [[1]] of degree-1 lines join no group
-    degrees = {g.degree(j) for j in range(1, n + 1)} - {0, 1}
-    assert sorted(calls) == sorted(degrees)
+    # the ring's one Hadamard coin is built; a Grover group is its kind and builds none
+    assert calls == ([2] if which == "ring" else [])
 
 
 def test_equal_sub_coins_share_one_group():
