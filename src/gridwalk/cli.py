@@ -274,28 +274,27 @@ def cmd_calibrate(config: dict, base: Path, out_dir: Path, args: argparse.Namesp
 
     grid, spec, timeline, dt = _tdse_setup(config, "target_transfer")
     target = _get(config, "target_transfer", float, required=True)
-    result = tdse.calibrate_hold_time(grid, spec, timeline, target, dt)
-    calibrated = replace(timeline, hold_duration=result.hold_duration)
-    phi_left, phi_right = result.pulse.basis
+    pulse = tdse.HoldScan.from_pulse(grid, spec, timeline, dt)
+    hold = tdse.calibrate_hold_time(pulse, target)
+    phi_left, phi_right = pulse.basis
     # the replay starts where the scan's ramp down ended and checks the hold and the ramp up
-    traj = tdse.evolve_timeline(phi_left, spec, calibrated, dt, sample_stride=20,
-                                ramp_down=result.pulse.ramp_down)
+    traj = tdse.evolve_timeline(phi_left, spec, replace(timeline, hold_duration=hold), dt, sample_stride=20,
+                                ramp_down=pulse.ramp_down)
     _atomic_write(out_dir, "trajectory.txt", tdse.trajectory_to_text(traj, phi_left, phi_right))
     _, beta, leak = tdse.qubit_projection(traj.states[-1], phi_left, phi_right)
     achieved = abs(beta) ** 2
-    print(
-        f"calibrate: target={target} hold={result.hold_duration:.4f} "
-        f"achieved={achieved:.4f} leakage={leak:.2e} -> {out_dir}"
-    )
+    print(f"calibrate: target={target} hold={hold:.4f} achieved={achieved:.4f} leakage={leak:.2e} -> {out_dir}")
+    # the pulse's closed form at the hold, against the replay
+    deviation = max(abs(achieved - float(pulse.transfer(hold))), abs(leak - float(pulse.leakage(hold))))
     report = {
         "target_transfer": target,
-        "hold_duration": result.hold_duration,
+        "hold_duration": hold,
         "achieved_transfer": achieved,
         "leakage": leak,
-        "replay_deviation": max(abs(achieved - result.achieved_transfer), abs(leak - result.leakage)),
+        "replay_deviation": deviation,
         "max_norm_drift": float(np.max(np.abs(traj.norms() - 1.0))),
-        "period_estimate": result.pulse.period,
-        "scan": [[h, t] for h, t in result.scan],
+        "period_estimate": pulse.period,
+        "scan": np.column_stack(pulse.scan).tolist(),
     }
     return report, {"replay_deviation": REPLAY_TOL, "max_norm_drift": tdse.NORM_DRIFT_TOL}
 

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, partial
 from itertools import groupby
 
@@ -663,37 +663,7 @@ def qubit_projection(
     return alpha, beta, 1.0 - abs(alpha) ** 2 - abs(beta) ** 2
 
 
-@dataclass(frozen=True, eq=False)
-class BlochSamples(ByValue):
-    """Qubit amplitudes along a trajectory; phase is NaN where undefined. Compared by value."""
-
-    times: np.ndarray
-    alpha_abs: np.ndarray
-    beta_abs: np.ndarray
-    relative_phase: np.ndarray
-    leakage: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            object.__setattr__(self, f.name, frozen(getattr(self, f.name)))
-
-
 PHASE_DEFINED_TOL = 1e-6
-
-
-def bloch_trajectory(
-    traj: Trajectory, phi_left: WaveFunction, phi_right: WaveFunction
-) -> BlochSamples:
-    """Project every sample onto the qubit basis.
-
-    The relative phase arg(β/α) is flagged NaN whenever either modulus drops
-    below PHASE_DEFINED_TOL.
-    """
-    proj = np.array([qubit_projection(state, phi_left, phi_right) for state in traj.states])
-    a, b = np.abs(proj[:, 0]), np.abs(proj[:, 1])
-    defined = np.minimum(a, b) > PHASE_DEFINED_TOL
-    ratio = np.divide(proj[:, 1], proj[:, 0], out=np.full(len(a), np.nan, dtype=complex), where=defined)
-    return BlochSamples(traj.times, a, b, np.angle(ratio), proj[:, 2].real)
 
 
 _WF_VERSION = 1
@@ -720,28 +690,23 @@ def wavefunction_from_json(text: str) -> WaveFunction:
 def trajectory_to_text(
     traj: Trajectory, phi_left: WaveFunction, phi_right: WaveFunction
 ) -> str:
-    """Delimited rows: t, |α|², |β|², relative phase, leakage, norm²."""
-    samples = bloch_trajectory(traj, phi_left, phi_right)
-    norms = traj.norms()
+    """Delimited rows: t, |α|², |β|², relative phase, leakage, norm².
+
+    Every sample is projected onto the qubit basis (qubit_projection). The
+    relative phase arg(β/α) is NaN wherever |α| or |β| is at most
+    PHASE_DEFINED_TOL.
+    """
+    proj = np.array([qubit_projection(state, phi_left, phi_right) for state in traj.states])
+    a, b = np.abs(proj[:, 0]), np.abs(proj[:, 1])
+    defined = np.minimum(a, b) > PHASE_DEFINED_TOL
+    phase = np.angle(np.divide(proj[:, 1], proj[:, 0], out=np.full(len(a), np.nan, dtype=complex), where=defined))
+    leakage, norms = proj[:, 2].real, traj.norms()
     lines = ["# t  pL  pR  phase  leakage  norm2"]
-    for i in range(len(samples.times)):
+    for i, t in enumerate(traj.times):
         lines.append(
-            f"{samples.times[i]:.10e} {samples.alpha_abs[i] ** 2:.10e} "
-            f"{samples.beta_abs[i] ** 2:.10e} {samples.relative_phase[i]:.10e} "
-            f"{samples.leakage[i]:.10e} {norms[i]:.10e}"
+            f"{t:.10e} {a[i] ** 2:.10e} {b[i] ** 2:.10e} {phase[i]:.10e} {leakage[i]:.10e} {norms[i]:.10e}"
         )
     return "\n".join(lines) + "\n"
-
-
-@dataclass
-class CalibrationResult:
-    hold_duration: float
-    achieved_transfer: float
-    leakage: float
-    scan: list[tuple[float, float]]
-    # the pulse's ramps in closed form: its basis (L, R) is what the transfer and leakage
-    # refer to, its period is the scan's, and a replay of the pulse may start from its ramp_down
-    pulse: HoldScan
 
 
 def doublet_splitting(grid: SpatialGrid, spec: DoubleWellSpec, barrier: float) -> float:
@@ -797,6 +762,12 @@ class HoldScan:
         """Tunneling period 2π/(E_1 − E_0) of the low-barrier doublet."""
         return float(2 * np.pi / (self.energies[1] - self.energies[0]))
 
+    @cached_property
+    def scan(self) -> tuple[np.ndarray, np.ndarray]:
+        """SCAN_POINTS holds from 0 over 1.05 periods and their transfers, read-only."""
+        holds = np.linspace(0.0, 1.05 * self.period, SCAN_POINTS)
+        return frozen(holds), frozen(self.transfer(holds))
+
     def probabilities(self, holds) -> np.ndarray:
         """(|⟨L|ψ⟩|², |⟨R|ψ⟩|²) of the final state, each shaped like holds."""
         amps = np.exp(-1j * np.multiply.outer(holds, self.energies)) @ self.weights.T
@@ -847,31 +818,23 @@ def _bracketed_root(f, lo: float, hi: float) -> float | None:
     return h
 
 
-def calibrate_hold_time(
-    grid: SpatialGrid,
-    spec: DoubleWellSpec,
-    timeline_template: BarrierTimeline,
-    target_transfer: float,
-    dt: float,
-) -> CalibrationResult:
-    """Find the smallest hold duration whose transfer matches the target.
+def calibrate_hold_time(pulse: HoldScan, target_transfer: float) -> float:
+    """The smallest hold of the pulse whose transfer matches the target.
 
-    Starting from the left-well state, the template's ramps are fixed (stepped
-    by at most dt) and the transfer T is evaluated in closed form (HoldScan) on
-    SCAN_POINTS holds over slightly more than one tunneling oscillation. The
-    root in the first scan interval that crosses the target is found by
-    Newton's method on T, safeguarded by bisection; if none does (targets near
-    0 or 1), the scan's extrema towards the target are polished in order by
-    the same method on dT/dh, between the neighbouring scan holds, and the
-    first within CALIBRATION_TOL wins; a polish that crosses the target takes
-    the root before it instead. Raises CalibrationUnreachableError when none is.
+    Starting from the left-well state, the transfer T is evaluated in closed
+    form (HoldScan) on the pulse's scan, SCAN_POINTS holds over slightly more
+    than one tunneling oscillation. The root in the first scan interval that
+    crosses the target is found by Newton's method on T, safeguarded by
+    bisection; if none does (targets near 0 or 1), the scan's extrema towards
+    the target are polished in order by the same method on dT/dh, between the
+    neighbouring scan holds, and the first within CALIBRATION_TOL wins; a
+    polish that crosses the target takes the root before it instead. Raises
+    CalibrationUnreachableError when none is. One pulse serves any number of
+    targets: its ramps are propagated once, by HoldScan.from_pulse.
     """
     if not 0.0 <= target_transfer <= 1.0:
         raise ValueError(f"target transfer must lie in [0, 1], got {target_transfer}")
-    pulse = HoldScan.from_pulse(grid, spec, timeline_template, dt)
-    holds = np.linspace(0.0, 1.05 * pulse.period, SCAN_POINTS)
-    values = pulse.transfer(holds)
-    scan = list(zip(holds.tolist(), values.tolist()))
+    holds, values = pulse.scan
 
     def offset(hold: float) -> float:
         return float(pulse.transfer(hold)) - target_transfer
@@ -879,14 +842,10 @@ def calibrate_hold_time(
     def crossing(lo: float, hi: float) -> float:  # lo and hi bracket a crossing
         return _bracketed_root(lambda h: (offset(h), pulse.transfer_derivatives(h)[1]), lo, hi)
 
-    def result(hold: float) -> CalibrationResult:
-        tr, leak = float(pulse.transfer(hold)), float(pulse.leakage(hold))
-        return CalibrationResult(float(hold), tr, leak, scan, pulse)
-
     gap = values - target_transfer
     crossings = np.flatnonzero(gap[:-1] * gap[1:] <= 0)
     if crossings.size:
-        return result(crossing(holds[crossings[0]], holds[crossings[0] + 1]))
+        return float(crossing(holds[crossings[0]], holds[crossings[0] + 1]))
 
     # every scanned transfer lies on one side of the target: its extrema
     # towards the target are the local minima of |gap|
@@ -902,7 +861,7 @@ def calibrate_hold_time(
         elif peak is not None and abs(offset(peak)) < gap[i]:
             hold = peak
         if abs(offset(hold)) <= CALIBRATION_TOL:
-            return result(hold)
+            return float(hold)
 
     best = float(np.max(values))
     raise CalibrationUnreachableError(

@@ -238,6 +238,20 @@ class CoinGroup:
         object.__setattr__(self, "kind", kind)
 
 
+def _split(coin: np.ndarray, eye: np.ndarray, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """The support of a dense n×n coin and its sub-coin there.
+
+    The support is every index whose row or column differs from the identity
+    ``eye``; outside it the coin is an exact fixed point.
+    """
+    c = np.asarray(coin, dtype=complex)
+    if c.shape != eye.shape:
+        raise ValueError(f"{name} has shape {c.shape}, expected {eye.shape}")
+    moved = c != eye
+    idx = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+    return idx, c[np.ix_(idx, idx)]
+
+
 def _flat_index(n: int, lines: np.ndarray, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Read-only (L, d) indices of cells (line, state) in a C-ordered n×n buffer: by rows, by columns."""
     lines = lines[:, None]
@@ -313,24 +327,18 @@ class CoinSet:
 
     @staticmethod
     def from_dense(coins: Sequence[np.ndarray]) -> CoinSet:
-        """Split dense n×n coins into their support and sub-coin.
+        """Split dense n×n coins into their support and sub-coin (``_split``).
 
-        A coin's support is every index whose row or column differs from the
-        identity; outside it the coin is an exact fixed point. Lines whose
-        sub-coins are equal share one group, in the order of their first line.
+        Lines whose sub-coins are equal share one group, in the order of their
+        first line.
         """
         n = len(coins)
         eye = np.eye(n, dtype=complex)
         # sub-coin bytes -> (sub-coin, lines, their supports)
         members: dict[bytes, tuple[np.ndarray, list[int], list[np.ndarray]]] = {}
         for j, coin in enumerate(coins):
-            c = np.asarray(coin, dtype=complex)
-            if c.shape != (n, n):
-                raise ValueError(f"coin {j + 1} has shape {c.shape}, expected {(n, n)}")
-            moved = c != eye
-            idx = np.flatnonzero(moved.any(axis=0) | moved.any(axis=1))
+            idx, sub = _split(coin, eye, f"coin {j + 1}")
             if len(idx):
-                sub = c[np.ix_(idx, idx)]
                 _, lines, states = members.setdefault(sub.tobytes(), (sub, [], []))
                 lines.append(j)
                 states.append(idx)
@@ -431,9 +439,11 @@ class CoinPlan:
 
     @staticmethod
     def uniform(coin: np.ndarray, steps: int) -> CoinPlan:
-        """Same coin at every node and every step."""
-        coin = np.asarray(coin, dtype=complex)
-        return CoinPlan.from_node_coins([coin] * coin.shape[0], steps)
+        """Same coin at every node and every step: one split, one group of all n lines."""
+        n = np.shape(coin)[0]
+        idx, sub = _split(coin, np.eye(n, dtype=complex), "coin")
+        groups = (CoinGroup(np.arange(n), np.tile(idx, (n, 1)), sub),) if len(idx) else ()
+        return CoinPlan(n, (CoinSet(n, groups),) * steps)
 
     @staticmethod
     def from_node_coins(coins: Sequence[np.ndarray], steps: int) -> CoinPlan:

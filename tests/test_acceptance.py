@@ -16,10 +16,11 @@ from gridwalk.conveyor import (
     run_stage,
     run_walk_physical,
 )
-from gridwalk.decompose import Stage, apply_stage, cs_decompose, reconstruct, stage_sites
+from gridwalk.decompose import Stage, apply_stage, cs_decompose, reconstruct
 from gridwalk.graph import cycle_graph
 from gridwalk.tdse import (
     ChebyshevParams,
+    HoldScan,
     build_double_well,
     calibrate_hold_time,
     chebyshev_step,
@@ -102,23 +103,35 @@ def test_criterion_2_hadamard_line_walk_ballistic():
            f"final-distribution oracle deviation {oracle_dev:.2e} ≤ 1e-10", elapsed, 10.0)
 
 
+def stride_schedule(n: int) -> list[int]:
+    """sched(n) = sched(n/2) ++ [n] ++ sched(n/2), sched(2) = [2]: the strides of n − 1 stages."""
+    return [2] if n == 2 else [*stride_schedule(n // 2), n, *stride_schedule(n // 2)]
+
+
+def pair_matrix(stage: Stage) -> np.ndarray:
+    """A stage's n×n matrix, its block k on the k-th pair (k'·d + r, k'·d + r + d/2) in order of k', r."""
+    n, d = stage.n, stage.d
+    pairs = np.array([(k * d + r, k * d + r + d // 2) for k in range(n // d) for r in range(d // 2)])
+    out = np.eye(n, dtype=complex)
+    out[pairs[:, :, None], pairs[:, None, :]] = stage.u
+    return out
+
+
 def test_criterion_3_decomposition_round_trip():
     start = time.perf_counter()
     rng = np.random.default_rng(103)
     worst = 0.0
+    assert stride_schedule(8) == [2, 4, 2, 8, 2, 4, 2]
     for n in (4, 8, 16):
-        valid_pairs = {}
-        d = 2
-        while d <= n:
-            valid_pairs[d] = stage_sites(n, d).tobytes()
-            d *= 2
         for _ in range(100):
             u = random_unitary(n, rng)
             seq = cs_decompose(u)
-            assert len(seq.stages) == n - 1
+            assert [stage.d for stage in seq.stages] == stride_schedule(n)
+            # the product of the stages, each placed on its pairs as formed here
+            product = np.eye(n, dtype=complex)
             for stage in seq.stages:
-                assert stage_sites(stage.n, stage.d).tobytes() == valid_pairs[stage.d]
-            worst = max(worst, float(np.max(np.abs(reconstruct(seq) - u))))
+                product = pair_matrix(stage) @ product
+            worst = max(worst, float(np.max(np.abs(reconstruct(seq) - u))), float(np.max(np.abs(product - u))))
     elapsed = time.perf_counter() - start
     report(3, "staged decomposition round-trip", worst <= 1e-10,
            f"300 Haar unitaries (n=4,8,16): max reconstruction error {worst:.2e} ≤ 1e-10, "
@@ -201,21 +214,19 @@ def test_criterion_6_gate_calibration_targets():
     spec = gatecfg.gate_spec()
     template = gatecfg.gate_timeline()
 
-    pi_result = calibrate_hold_time(grid, spec, template, 1.0, 0.01)
-    half_result = calibrate_hold_time(grid, spec, template, 0.5, 0.01)
+    # one pulse serves both targets
+    pulse = HoldScan.from_pulse(grid, spec, template, 0.01)
+    pi_hold, half_hold = calibrate_hold_time(pulse, 1.0), calibrate_hold_time(pulse, 0.5)
+    pi_transfer, half_transfer = float(pulse.transfer(pi_hold)), float(pulse.transfer(half_hold))
+    pi_leakage, half_leakage = float(pulse.leakage(pi_hold)), float(pulse.leakage(half_hold))
 
     elapsed = time.perf_counter() - start
-    ok = (
-        pi_result.achieved_transfer >= 0.99
-        and pi_result.leakage <= 0.01
-        and abs(half_result.achieved_transfer - 0.5) <= 0.01
-        and half_result.leakage <= 0.01
-    )
+    ok = pi_transfer >= 0.99 and pi_leakage <= 0.01 and abs(half_transfer - 0.5) <= 0.01 and half_leakage <= 0.01
     report(6, "calibrated pi and pi/2 rotations", ok,
-           f"pi: transfer {pi_result.achieved_transfer:.4f} ≥ 0.99 "
-           f"(hold {pi_result.hold_duration:.2f}, leakage {pi_result.leakage:.1e} ≤ 0.01); "
-           f"pi/2: transfer {half_result.achieved_transfer:.4f} = 0.50±0.01 "
-           f"(leakage {half_result.leakage:.1e} ≤ 0.01)", elapsed, 120.0)
+           f"pi: transfer {pi_transfer:.4f} ≥ 0.99 "
+           f"(hold {pi_hold:.2f}, leakage {pi_leakage:.1e} ≤ 0.01); "
+           f"pi/2: transfer {half_transfer:.4f} = 0.50±0.01 "
+           f"(leakage {half_leakage:.1e} ≤ 0.01)", elapsed, 120.0)
 
 
 def test_criterion_7_physical_walk_end_to_end():

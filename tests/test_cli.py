@@ -37,6 +37,10 @@ def gate_config(**overrides):
     return doc
 
 
+def small_gate_config(**overrides):
+    return gate_config(**{"grid": {"x_min": -8.0, "x_max": 8.0, "m": 64}, "solver": {"dt": 0.1}, **overrides})
+
+
 # ---------------------------------------------------------------------------
 # Config handling
 
@@ -160,6 +164,42 @@ def test_an_unknown_config_key_is_named(tmp_path, capsys, subcommand, doc, key):
     cfg = write_config(tmp_path, doc)
     assert main([subcommand, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert f"not {key!r}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+WALK_GRAPH_FILE = {**WALK_DOC, "graph": "graph.txt"}
+
+
+# (subcommand, config, text of graph.txt or None, the fault as stderr names it)
+CONFIG_FAULTS = [
+    ("walk", [], None, "config must be a JSON object"),
+    ("walk", {**WALK_DOC, "graph": 5}, None, "'graph' must be a path or an inline graph object"),
+    ("walk", {**WALK_DOC, "initial": 1}, None, "'initial' must be an object"),
+    ("walk", {**WALK_DOC, "steps": -1}, None, "steps must be ≥ 0"),
+    ("tdse", small_gate_config(initial="up"), None, "initial state must be 'left' or 'right', got 'up'"),
+    ("tdse", small_gate_config(sample_stride=0), None, "sample stride must be ≥ 1"),
+    ("tdse", small_gate_config(grid={"x_min": -8.0, "x_max": 8.0, "m": 8}), None, "at least 16 points, got 8"),
+    ("tdse", small_gate_config(grid={"x_min": 8.0, "x_max": 8.0, "m": 64}), None, "x_max must exceed x_min"),
+    ("calibrate", small_gate_config(target_transfer=1.5), None, "target transfer must lie in [0, 1], got 1.5"),
+    ("walk", WALK_GRAPH_FILE, "x\n1 2\n", "node count is not an integer: 'x'"),
+    ("walk", WALK_GRAPH_FILE, "0\n", "node count must be positive, got 0"),
+    ("walk", WALK_GRAPH_FILE, "2\n1 x\n", "non-integer node index in '1 x'"),
+    ("walk", WALK_GRAPH_FILE, "{not json", "invalid JSON"),
+    ("walk", {**WALK_DOC, "graph": {"edges": [[1, 2]]}}, None, "must carry an integer field 'n'"),
+    ("walk", {**WALK_DOC, "graph": {"n": 2, "edges": [[1]]}}, None, "edge #1 must be a pair [j, k], got [1]"),
+    ("walk", {**WALK_DOC, "graph": {"n": 2, "edges": [[1, 3]]}}, None, "edge #1 (1,3) outside node range 1..2"),
+]
+
+
+@pytest.mark.parametrize("subcommand, doc, graph, fault", CONFIG_FAULTS,
+                         ids=[f"{sub}-{fault}" for sub, _, _, fault in CONFIG_FAULTS])
+def test_a_config_fault_exits_2_names_itself_and_writes_no_report(tmp_path, capsys, subcommand, doc, graph, fault):
+    if graph is not None:
+        (tmp_path / "graph.txt").write_text(graph)
+    out = tmp_path / "out"
+    assert main([subcommand, "--config", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and fault in err
     assert not (out / "report.json").exists()
 
 
@@ -589,10 +629,6 @@ def test_a_grid_too_large_to_allocate_is_a_config_error(tmp_path, capsys, subcom
     assert not (out / "report.json").exists()
 
 
-def small_gate_config(**overrides):
-    return gate_config(grid={"x_min": -8.0, "x_max": 8.0, "m": 64}, solver={"dt": 0.1}, **overrides)
-
-
 @pytest.mark.parametrize("target", [1.0, 0.5])
 def test_calibrate_replays_the_pulse_once_and_reports_its_final_row(tmp_path, monkeypatch, target):
     calls = []
@@ -615,17 +651,14 @@ def test_calibrate_replays_the_pulse_once_and_reports_its_final_row(tmp_path, mo
     assert report["replay_deviation"] <= REPLAY_TOL
 
 
-def test_calibrate_exits_with_tolerance_code_when_the_replay_disagrees(tmp_path, monkeypatch):
-    calibrate = tdse.calibrate_hold_time
-
-    def off(*args, **kwargs):
-        result = calibrate(*args, **kwargs)
-        return replace(result, achieved_transfer=result.achieved_transfer + 10 * REPLAY_TOL)
-
-    monkeypatch.setattr(tdse, "calibrate_hold_time", off)
+def test_calibrate_exits_with_tolerance_code_when_the_replay_disagrees(tmp_path, monkeypatch, capsys):
+    # the pulse's closed-form leakage is read by the report alone, not by the solve
+    leakage = tdse.HoldScan.leakage
+    monkeypatch.setattr(tdse.HoldScan, "leakage", lambda self, holds: leakage(self, holds) + 10 * REPLAY_TOL)
     out = tmp_path / "out"
     cfg = write_config(tmp_path, small_gate_config(target_transfer=0.5))
     assert main(["calibrate", "--config", cfg, "--out", str(out)]) == EXIT_TOLERANCE
+    assert "tolerance failure: replay_deviation = " in capsys.readouterr().err
     report = json.loads((out / "report.json").read_text())
     assert report["replay_deviation"] == pytest.approx(10 * REPLAY_TOL, rel=1e-3)
 

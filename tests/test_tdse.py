@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -28,7 +29,6 @@ from gridwalk.tdse import (
     SpatialGrid,
     WaveFunction,
     apply_hamiltonian,
-    bloch_trajectory,
     build_double_well,
     calibrate_hold_time,
     chebyshev_step,
@@ -593,18 +593,25 @@ def test_projection_of_equal_superposition():
 # Bloch trajectories and calibration
 
 
+def trajectory_columns(traj, phi_left, phi_right) -> np.ndarray:
+    """The exported trajectory's columns: t, pL, pR, phase, leakage, norm²."""
+    return np.loadtxt(io.StringIO(trajectory_to_text(traj, phi_left, phi_right))).T
+
+
 def test_bloch_trajectory_stationary():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
     timeline = BarrierTimeline(0.0, 2.0, 0.0, gatecfg.BARRIER_HIGH, gatecfg.BARRIER_HIGH)
     phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
     traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=40)
-    samples = bloch_trajectory(traj, phi_left, phi_right)
-    assert np.all(samples.alpha_abs > 0.999)
-    assert np.all(samples.beta_abs < 1e-2)
+    times, p_left, p_right, phase, leakage, _ = trajectory_columns(traj, phi_left, phi_right)
+    assert np.array_equal(times, traj.times)
+    assert np.all(p_left > 0.999**2)
+    assert np.all(p_right < 1e-4)
     # at t=0 the right amplitude is exactly zero, so the phase is undefined
-    assert np.isnan(samples.relative_phase[0])
-    assert np.max(np.abs(samples.alpha_abs**2 + samples.beta_abs**2 + samples.leakage - 1)) < 1e-10
+    assert np.isnan(phase[0]) and not np.isnan(phase[1:]).any()
+    # each column is printed to 11 significant digits
+    assert np.max(np.abs(p_left + p_right + leakage - 1)) < 1e-9
 
 
 def test_transfer_ascends_during_half_period_hold():
@@ -614,16 +621,13 @@ def test_transfer_ascends_during_half_period_hold():
     timeline = gatecfg.gate_timeline(hold=0.42 * period)
     phi_left, phi_right = well_ground_states(grid, spec, gatecfg.BARRIER_HIGH)
     traj = evolve_timeline(phi_left, spec, timeline, 0.01, sample_stride=50)
-    samples = bloch_trajectory(traj, phi_left, phi_right)
-    hold = (traj.times > timeline.ramp_down_duration) & (
-        traj.times < timeline.ramp_down_duration + timeline.hold_duration
-    )
+    times, _, p_right, *_ = trajectory_columns(traj, phi_left, phi_right)
+    hold = (times > timeline.ramp_down_duration) & (times < timeline.ramp_down_duration + timeline.hold_duration)
     # projecting onto the rest (high-barrier) basis adds a small fast ripple
     # at the intra-well frequency; the trend over coarser spacing is monotone
-    p_right = samples.beta_abs[hold] ** 2
-    assert np.all(np.diff(p_right) > -0.02)
-    assert np.all(np.diff(p_right[::4]) > -2e-3)
-    assert samples.beta_abs[-1] ** 2 > 0.9
+    assert np.all(np.diff(p_right[hold]) > -0.02)
+    assert np.all(np.diff(p_right[hold][::4]) > -2e-3)
+    assert p_right[-1] > 0.9
 
 
 def test_trajectory_export_columns():
@@ -641,19 +645,19 @@ def test_trajectory_export_columns():
 def test_calibrate_half_transfer():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec()
-    template = gatecfg.gate_timeline()
-    result = calibrate_hold_time(grid, spec, template, 0.5, 0.01)
-    assert abs(result.achieved_transfer - 0.5) <= 0.01
-    assert result.leakage <= 0.01
-    assert result.hold_duration < result.pulse.period / 2
+    pulse = HoldScan.from_pulse(grid, spec, gatecfg.gate_timeline(), 0.01)
+    hold = calibrate_hold_time(pulse, 0.5)
+    assert abs(pulse.transfer(hold) - 0.5) <= 0.01
+    assert pulse.leakage(hold) <= 0.01
+    assert hold < pulse.period / 2
 
 
 def test_calibrate_unreachable_with_tilt():
     grid = gatecfg.gate_grid()
     spec = gatecfg.gate_spec(tilt=0.5)
-    template = gatecfg.gate_timeline()
+    pulse = HoldScan.from_pulse(grid, spec, gatecfg.gate_timeline(), 0.01)
     with pytest.raises(CalibrationUnreachableError) as err:
-        calibrate_hold_time(grid, spec, template, 1.0, 0.01)
+        calibrate_hold_time(pulse, 1.0)
     assert err.value.max_achieved < 0.5
 
 
@@ -996,35 +1000,60 @@ def test_calibration_makes_no_timeline_replay(monkeypatch):
         raise AssertionError("calibrate_hold_time replayed the timeline")
 
     monkeypatch.setattr(tdse, "evolve_timeline", forbidden)
-    grid = gatecfg.gate_grid(m=64)
-    spec = gatecfg.gate_spec()
-    template = gatecfg.gate_timeline()
+    pulse = HoldScan.from_pulse(gatecfg.gate_grid(m=64), gatecfg.gate_spec(), gatecfg.gate_timeline(), 0.1)
     for target in (1.0, 0.5):
-        calibrate_hold_time(grid, spec, template, target, dt=0.1)
+        calibrate_hold_time(pulse, target)
+
+
+@pytest.mark.parametrize("ramp_up, passes", [(gatecfg.RAMP, 1), (3.0, 2)])
+def test_one_hold_scan_serves_every_target(monkeypatch, ramp_up, passes):
+    # equal ramps take one pass of (L, R), unequal ones a pass through each ramp; the
+    # solves then run no step, and each hold is the one a fresh scan of the pulse gives
+    grid, spec = gatecfg.gate_grid(m=64), gatecfg.gate_spec()
+    template = replace(gatecfg.gate_timeline(), ramp_up_duration=ramp_up)
+    calls = []
+    propagate = tdse._propagate
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return propagate(*args, **kwargs)
+
+    monkeypatch.setattr(tdse, "_propagate", counted)
+    pulse = HoldScan.from_pulse(grid, spec, template, 0.1)
+    holds = {target: calibrate_hold_time(pulse, target) for target in (1.0, 0.5)}
+    assert len(calls) == passes
+    for target, hold in holds.items():
+        assert hold == calibrate_hold_time(HoldScan.from_pulse(grid, spec, template, 0.1), target)
+    assert holds[0.5] < holds[1.0]
+    for target in (-0.1, 1.5, math.nan):
+        with pytest.raises(ValueError, match="target transfer must lie in"):
+            calibrate_hold_time(pulse, target)
 
 
 @pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
 def test_calibrate_half_lands_on_one_half(low):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
-    template = gatecfg.gate_timeline(low=low)
-    result = calibrate_hold_time(grid, spec, template, 0.5, dt=0.1)
-    assert abs(result.achieved_transfer - 0.5) <= 1e-6
-    assert result.hold_duration < result.pulse.period / 2
+    pulse = HoldScan.from_pulse(grid, spec, gatecfg.gate_timeline(low=low), 0.1)
+    hold = calibrate_hold_time(pulse, 0.5)
+    assert abs(pulse.transfer(hold) - 0.5) <= 1e-6
+    assert hold < pulse.period / 2
 
 
 @pytest.mark.parametrize("low", [11.25, 12.0, 12.8])
 def test_calibrate_pi_tops_its_scan_bracket(low):
     grid = gatecfg.gate_grid(m=64)
     spec = gatecfg.gate_spec()
-    template = gatecfg.gate_timeline(low=low)
-    result = calibrate_hold_time(grid, spec, template, 1.0, dt=0.1)
-    holds, values = np.array(result.scan).T
+    pulse = HoldScan.from_pulse(grid, spec, gatecfg.gate_timeline(low=low), 0.1)
+    hold = calibrate_hold_time(pulse, 1.0)
+    holds, values = pulse.scan
+    assert np.array_equal(holds, np.linspace(0.0, 1.05 * pulse.period, tdse.SCAN_POINTS))
+    assert np.array_equal(values, pulse.transfer(holds))
     # the first maximum of the scan and its neighbours bracket the result
     i = next(i for i in range(1, len(values) - 1) if values[i - 1] <= values[i] >= values[i + 1])
-    assert holds[i - 1] <= result.hold_duration <= holds[i + 1]
-    assert result.achieved_transfer >= values[i - 1:i + 2].max()
-    assert result.achieved_transfer >= 0.99
+    assert holds[i - 1] <= hold <= holds[i + 1]
+    assert pulse.transfer(hold) >= values[i - 1:i + 2].max()
+    assert pulse.transfer(hold) >= 0.99
 
 
 def scipy_calibrated_hold(pulse: HoldScan, target: float) -> float:
@@ -1072,34 +1101,34 @@ PI_GATES = [("calibrate_pi", lambda: shipped_gate("calibrate_pi"))] + [
 @pytest.mark.parametrize("gate", [make for _, make in HALF_GATES], ids=[name for name, _ in HALF_GATES])
 def test_the_crossing_hold_is_brentqs(gate):
     grid, spec, template, dt, target = gate()
-    result = calibrate_hold_time(grid, spec, template, target, dt)
-    expected = scipy_calibrated_hold(HoldScan.from_pulse(grid, spec, template, dt), target)
-    assert abs(result.hold_duration - expected) <= 1e-10
+    pulse = HoldScan.from_pulse(grid, spec, template, dt)
+    assert abs(calibrate_hold_time(pulse, target) - scipy_calibrated_hold(pulse, target)) <= 1e-10
 
 
 @pytest.mark.parametrize("gate", [make for _, make in PI_GATES], ids=[name for name, _ in PI_GATES])
 def test_the_polished_pi_transfer_is_no_lower_than_minimize_scalars(gate):
     grid, spec, template, dt, target = gate()
-    result = calibrate_hold_time(grid, spec, template, target, dt)
     pulse = HoldScan.from_pulse(grid, spec, template, dt)
+    hold = calibrate_hold_time(pulse, target)
     expected = scipy_calibrated_hold(pulse, target)
     # minimize_scalar stops within its xatol of 1e-5; Newton on dT/dh lands on the maximum. T is
     # flat there, so a hold 1e-7 off it can read a few ulps higher from the rounding of T's sum
-    assert abs(result.hold_duration - expected) <= 1e-5
-    assert result.achieved_transfer >= float(pulse.transfer(expected)) - 4 * np.spacing(1.0)
-    assert abs(pulse.transfer_derivatives(result.hold_duration)[1]) <= 1e-12
+    assert abs(hold - expected) <= 1e-5
+    assert pulse.transfer(hold) >= float(pulse.transfer(expected)) - 4 * np.spacing(1.0)
+    assert abs(pulse.transfer_derivatives(hold)[1]) <= 1e-12
 
 
 def test_a_polish_that_crosses_the_target_takes_the_root_before_the_peak():
     # a target between the scan's best transfer and the true maximum: no scan interval
     # crosses it, but the polished extremum does, so the hold is the crossing before it
     grid, spec, template, dt, _ = m64_gate(12.0, 1.0)
-    peak = calibrate_hold_time(grid, spec, template, 1.0, dt)
-    scanned = max(t for _, t in peak.scan)
-    target = (scanned + peak.achieved_transfer) / 2
-    assert scanned < target < peak.achieved_transfer
-    result = calibrate_hold_time(grid, spec, template, target, dt)
-    assert abs(result.achieved_transfer - target) <= 1e-12
-    assert result.hold_duration < peak.hold_duration
-    assert peak.hold_duration - result.hold_duration < peak.pulse.period / 23
+    pulse = HoldScan.from_pulse(grid, spec, template, dt)
+    peak = calibrate_hold_time(pulse, 1.0)
+    scanned, best = pulse.scan[1].max(), float(pulse.transfer(peak))
+    target = (scanned + best) / 2
+    assert scanned < target < best
+    hold = calibrate_hold_time(pulse, target)
+    assert abs(pulse.transfer(hold) - target) <= 1e-12
+    assert hold < peak
+    assert peak - hold < pulse.period / 23
 

@@ -370,6 +370,32 @@ def test_unitarity_drift_hundred_steps(rng):
     assert abs(np.sum(np.abs(s.amp) ** 2) - 1) < 1e-10
 
 
+def test_a_uniform_plan_splits_its_coin_once_into_the_groups_of_from_dense(monkeypatch, rng):
+    partial = np.eye(6, dtype=complex)
+    partial[np.ix_([1, 4], [1, 4])] = hadamard_coin()
+    coins = [grover_coin(8), dft_coin(5), partial, random_unitary(4, rng), np.eye(3, dtype=complex)]
+    splits = []
+    split = walk._split
+
+    def counted(*args):
+        splits.append(args[2])
+        return split(*args)
+
+    monkeypatch.setattr(walk, "_split", counted)
+    for coin in coins:
+        n = len(coin)
+        splits.clear()
+        plan = CoinPlan.uniform(coin, 3)
+        assert splits == ["coin"]
+        assert plan.n == n and plan.steps == 3 and len(set(map(id, plan.coin_sets))) == 1
+        expected = CoinSet.from_dense([coin] * n).groups
+        assert len(plan.coin_sets[0].groups) == len(expected) == (0 if np.array_equal(coin, np.eye(n)) else 1)
+        for got, want in zip(plan.coin_sets[0].groups, expected):
+            assert np.array_equal(got.lines, want.lines) and np.array_equal(got.states, want.states)
+            assert got.kind == want.kind
+            assert (got.sub is None and want.sub is None) or got.sub.tobytes() == want.sub.tobytes()
+
+
 def test_plan_rejects_non_unitary():
     from gridwalk.errors import UnitarityError
 
